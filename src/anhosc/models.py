@@ -94,9 +94,17 @@ def describe(model: OscillatorModel) -> str:
     return f"generalized_kratzer_fues(c0={p.c0!r}, c1={p.c1!r})"
 
 
-def _check_domain(model: OscillatorModel, q) -> np.ndarray:
-    qa = np.asarray(q, dtype=float)
-    if np.any(qa <= model.q_lower) or np.any(qa >= model.q_upper):
+def _check_domain(model: OscillatorModel, q) -> np.float64 | np.ndarray:
+    if isinstance(q, float):
+        # Scalar fast path (also np.float64): the same comparisons without
+        # building arrays. Evaluating on np.float64 keeps numpy's arithmetic,
+        # so results and overflow behaviour match the array path bit for bit.
+        outside = q <= model.q_lower or q >= model.q_upper
+        qa = np.float64(q)
+    else:
+        qa = np.asarray(q, dtype=float)
+        outside = np.any(qa <= model.q_lower) or np.any(qa >= model.q_upper)
+    if outside:
         raise DomainViolationError(
             f"coordinate outside open domain ({model.q_lower!r}, {model.q_upper!r})"
         )
@@ -104,7 +112,7 @@ def _check_domain(model: OscillatorModel, q) -> np.ndarray:
 
 
 def _as_input_shape(value: np.ndarray, q) -> float | np.ndarray:
-    return value if np.ndim(q) else float(value)
+    return float(value) if isinstance(q, float) or not np.ndim(q) else value
 
 
 def eval_superpotential(model: OscillatorModel, q) -> float | np.ndarray:

@@ -284,7 +284,15 @@ def _find_peak(model: OscillatorModel, t: float) -> float:
         return float(eval_superpotential(model, q)) + t
 
     lo = a0
-    if not math.isfinite(model.q_lower):
+    if math.isfinite(model.q_lower):
+        # The left end sits at the pole offset; x decreases, so a peak left
+        # of it has x + t < 0 there and bisection would return a0 itself.
+        if not g(lo) > 0.0:
+            raise TruncationError(
+                f"wavefunction peak lies inside the pole offset {_POLE_OFFSET!r}/c1 "
+                "from the domain boundary; Re(alpha) is too negative to truncate"
+            )
+    else:
         for _ in range(300):
             if g(lo) > 0.0:
                 break
@@ -298,11 +306,17 @@ def _find_peak(model: OscillatorModel, t: float) -> float:
         hi = lo + 2.0 * (hi - lo)
     else:
         raise TruncationError("could not bracket the wavefunction peak")
+    # Stop once an update would leave the bracket unchanged: every later
+    # step would repeat that no-op, so the result equals the full count.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if g(mid) > 0.0:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return 0.5 * (lo + hi)
 
@@ -334,11 +348,15 @@ def _edge_by_mass(
     else:
         raise TruncationError("tail does not decay; cannot truncate the domain")
     inner = q_peak
-    for _ in range(120):
+    for _ in range(120):  # stops early as in _find_peak
         mid = 0.5 * (inner + outer)
         if excess(mid) >= 0.0:
+            if mid == inner:
+                break
             inner = mid
         else:
+            if mid == outer:
+                break
             outer = mid
     return q_peak + 1.05 * (outer - q_peak)
 
@@ -356,6 +374,12 @@ def auto_grid(
     estimate of the total mass. A finite domain boundary gets a fixed offset
     of 1e-3/c1 instead, which keeps superpotential magnitudes within float64
     headroom while the omitted power-law tail stays negligible.
+
+    The peak of |psi_alpha| and each mass-rule edge are found by bisection,
+    run until the bracket stops shrinking in float64. Raises TruncationError
+    when the peak lies inside the pole offset, i.e. Re(alpha) is so negative
+    that x(q) = -sqrt(2) Re(alpha) holds only between the boundary and the
+    offset.
     """
     alpha = complex(alpha)
     if not is_admissible(model, alpha):

@@ -94,6 +94,14 @@ class TestCoherent:
         assert code == 0
         assert "result: pass" in rep.read_text()
 
+    def test_peak_inside_pole_offset_is_usage_error(self, tmp_path, capsys):
+        code = run("coherent", "--family", "kratzer", "--param", "c1=0.5",
+                   "--alpha=-2000", "--out", str(tmp_path / "c.csv"),
+                   "--report", str(tmp_path / "c.txt"))
+        assert code == 2
+        assert "pole offset" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_inadmissible_alpha(self, tmp_path):
         code = run("coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
                    "--alpha", "0.5+0i", "--out", str(tmp_path / "c.csv"),

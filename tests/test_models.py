@@ -1,6 +1,9 @@
 """Superpotential, commutator, and Riccati-consistency tests for the
 oscillator families."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,3 +186,65 @@ def test_e0_and_depth_constants():
     harm = make_harmonic()
     assert harm.e0 == 0.5
     assert harm.d_const is None
+
+
+def _scalar_inputs(m):
+    """Scalars probing the domain check: inside, on and beyond each finite
+    boundary, infinities and NaN, spelled as int, float and np.float64. The
+    huge 1e300 overflows when squared, where plain float arithmetic would
+    raise and numpy returns inf."""
+    qs = [1, 0.5, np.float64(0.5), 1e300, math.nan, np.float64(math.nan),
+          -math.inf, math.inf]
+    if math.isfinite(m.q_lower):
+        qs += [m.q_lower, np.float64(m.q_lower), m.q_lower - 1.0,
+               np.nextafter(m.q_lower, math.inf), math.floor(m.q_lower) - 1]
+        if m.q_lower == int(m.q_lower):
+            qs.append(int(m.q_lower))
+    return qs
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+
+
+def _assert_same_outcome(scalar, reference, q):
+    if isinstance(reference, type):
+        assert scalar is reference, (q, scalar)
+        return
+    assert type(scalar) is float, (q, type(scalar))
+    assert struct.pack("<d", scalar) == struct.pack("<d", reference), (q, scalar, reference)
+
+
+_PARITY_MODELS = desk_models() + [make_wei_hua(0.2, 1.0, -0.5)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at 1e300
+@pytest.mark.parametrize("m", _PARITY_MODELS, ids=lambda m: m.family)
+def test_scalar_and_array_domain_checks_agree(m):
+    for q in _scalar_inputs(m):
+        scalar = _outcome(lambda: eval_superpotential(m, q))
+        array = _outcome(lambda: eval_superpotential(m, np.array([q]))[0])
+        _assert_same_outcome(scalar, array, q)
+
+
+@pytest.mark.parametrize("evaluate", [
+    eval_superpotential,
+    eval_superpotential_derivative,
+    commutator_value,
+    riccati_potential,
+    closed_form_potential,
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at 1e300
+@pytest.mark.parametrize("m", _PARITY_MODELS, ids=lambda m: m.family)
+def test_scalar_fast_path_matches_zero_dim_array_path(evaluate, m):
+    # A 0-d array takes the array domain check followed by numpy scalar
+    # arithmetic: the reference the fast path must reproduce bit for bit.
+    # (A 1-element array may differ in the last bit, since numpy squares
+    # arrays but calls pow on scalars for ** 2.)
+    for q in _scalar_inputs(m):
+        scalar = _outcome(lambda: evaluate(m, q))
+        zero_dim = _outcome(lambda: evaluate(m, np.array(q, dtype=float)))
+        _assert_same_outcome(scalar, zero_dim, q)

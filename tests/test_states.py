@@ -256,7 +256,81 @@ class TestAutoGrid:
         with pytest.raises(InadmissibleAlphaError):
             auto_grid(make_generalized_morse(1.0, 0.5), alpha=0.5)
 
+    @pytest.mark.parametrize("m, alpha", [
+        (make_kratzer_fues(0.5), -2000.0),
+        (make_wei_hua(0.2, 1.0, 0.5), -1414.0),
+    ])
+    def test_peak_inside_pole_offset_rejected(self, m, alpha):
+        # x + t < 0 already at the pole offset 1e-3/c1: the peak lies between
+        # the boundary and the left grid edge, so no valid grid exists there.
+        with pytest.raises(TruncationError, match="pole offset"):
+            auto_grid(m, alpha)
+
+    def test_peak_just_outside_pole_offset_accepted(self):
+        m = make_wei_hua(0.2, 1.0, 0.5)
+        g = auto_grid(m, -1413.0)
+        assert m.q_lower < g.q_min < g.q_max < m.q_upper
+
     def test_grid_outside_domain_rejected(self):
         m = make_kratzer_fues(0.5)
         with pytest.raises(DomainViolationError):
             ground_state(m).sample(make_grid(-3.0, 1.0, 101))
+
+
+# float.hex of auto_grid's edges for the README desk models, recorded before
+# the bisections learned to stop early. Any change to the peak or edge
+# searches that moves an edge by one ulp changes every table and report.
+_DESK_MODELS = {
+    "harmonic": make_harmonic(),
+    "morse": make_generalized_morse(1.0, 0.5),
+    "weihua": make_wei_hua(0.2, 1.0, 0.5),
+    "kratzer": make_kratzer_fues(0.5),
+    "gkf": make_generalized_kratzer_fues(0.75, 0.5),
+}
+
+_GOLDEN_EDGES = [
+    ("harmonic", 0, 2001, "-0x1.0000000000000p+3", "0x1.0000000000000p+3"),
+    ("harmonic", 0, 4001, "-0x1.0000000000000p+3", "0x1.0000000000000p+3"),
+    ("harmonic", 0.1, 2001, "-0x1.0000000000000p+3", "0x1.0000000000000p+3"),
+    ("harmonic", 0.1, 4001, "-0x1.0000000000000p+3", "0x1.0000000000000p+3"),
+    ("harmonic", -0.3, 2001, "-0x1.0000000000000p+3", "0x1.0000000000000p+3"),
+    ("harmonic", -0.3, 4001, "-0x1.0000000000000p+3", "0x1.0000000000000p+3"),
+    ("harmonic", (0.2+0.3j), 2001, "-0x1.0000000000000p+3", "0x1.0000000000000p+3"),
+    ("harmonic", (0.2+0.3j), 4001, "-0x1.0000000000000p+3", "0x1.0000000000000p+3"),
+    ("morse", 0, 2001, "-0x1.8000000000000p+1", "0x1.4000000000000p+5"),
+    ("morse", 0, 4001, "-0x1.8000000000000p+1", "0x1.4000000000000p+5"),
+    ("morse", 0.1, 2001, "-0x1.8000000000000p+1", "0x1.4000000000000p+5"),
+    ("morse", 0.1, 4001, "-0x1.8000000000000p+1", "0x1.4000000000000p+5"),
+    ("morse", -0.3, 2001, "-0x1.8000000000000p+1", "0x1.4000000000000p+5"),
+    ("morse", -0.3, 4001, "-0x1.8000000000000p+1", "0x1.4000000000000p+5"),
+    ("morse", (0.2+0.3j), 2001, "-0x1.8000000000000p+1", "0x1.545e373f8c24bp+5"),
+    ("morse", (0.2+0.3j), 4001, "-0x1.8000000000000p+1", "0x1.545e373f8c24bp+5"),
+    ("weihua", 0, 2001, "-0x1.18fd1e73846a1p+0", "0x1.6b958b1a5007ap+5"),
+    ("weihua", 0, 4001, "-0x1.18fd1e73846a1p+0", "0x1.6b958b1a5007ap+5"),
+    ("weihua", 0.1, 2001, "-0x1.18fd1e73846a1p+0", "0x1.3808b55c4f354p+7"),
+    ("weihua", 0.1, 4001, "-0x1.18fd1e73846a1p+0", "0x1.3808b55c4f354p+7"),
+    ("weihua", -0.3, 2001, "-0x1.18fd1e73846a1p+0", "0x1.d573856e80a70p+3"),
+    ("weihua", -0.3, 4001, "-0x1.18fd1e73846a1p+0", "0x1.d573856e80a70p+3"),
+    ("kratzer", 0, 2001, "-0x1.ff7ced916872bp+0", "0x1.4ededeba6428ep+3"),
+    ("kratzer", 0, 4001, "-0x1.ff7ced916872bp+0", "0x1.4ededeba6428ep+3"),
+    ("kratzer", 0.1, 2001, "-0x1.ff7ced916872bp+0", "0x1.78e24d3b81673p+3"),
+    ("kratzer", 0.1, 4001, "-0x1.ff7ced916872bp+0", "0x1.78e24d3b81673p+3"),
+    ("kratzer", -0.3, 2001, "-0x1.ff7ced916872bp+0", "0x1.ebbd4c920d000p+2"),
+    ("kratzer", -0.3, 4001, "-0x1.ff7ced916872bp+0", "0x1.ebbd4c920d000p+2"),
+    ("kratzer", (0.2+0.3j), 2001, "-0x1.ff7ced916872bp+0", "0x1.aca80d9ced704p+3"),
+    ("kratzer", (0.2+0.3j), 4001, "-0x1.ff7ced916872bp+0", "0x1.aca80d9ced704p+3"),
+    ("gkf", 0, 2001, "-0x1.ff7ced916872bp+0", "0x1.4ededeba6428ep+3"),
+    ("gkf", 0, 4001, "-0x1.ff7ced916872bp+0", "0x1.4ededeba6428ep+3"),
+    ("gkf", 0.1, 2001, "-0x1.ff7ced916872bp+0", "0x1.78e24d3b81673p+3"),
+    ("gkf", 0.1, 4001, "-0x1.ff7ced916872bp+0", "0x1.78e24d3b81673p+3"),
+    ("gkf", -0.3, 2001, "-0x1.ff7ced916872bp+0", "0x1.ebbd4c920d000p+2"),
+    ("gkf", -0.3, 4001, "-0x1.ff7ced916872bp+0", "0x1.ebbd4c920d000p+2"),
+    ("gkf", (0.2+0.3j), 2001, "-0x1.ff7ced916872bp+0", "0x1.aca80d9ced704p+3"),
+    ("gkf", (0.2+0.3j), 4001, "-0x1.ff7ced916872bp+0", "0x1.aca80d9ced704p+3"),
+]
+
+
+@pytest.mark.parametrize("name, alpha, n, q_min, q_max", _GOLDEN_EDGES)
+def test_auto_grid_edges_are_pinned(name, alpha, n, q_min, q_max):
+    g = auto_grid(_DESK_MODELS[name], alpha, n)
+    assert (g.q_min.hex(), g.q_max.hex(), g.n) == (q_min, q_max, n)
