@@ -73,7 +73,9 @@ from .states import (
     ground_state,
     is_admissible,
     l2_norm,
+    ladder_values,
     normalize,
+    normalized_samples,
 )
 from .verify import (
     Tolerances,

@@ -42,7 +42,8 @@ from .models import (
 )
 from .models import eval_superpotential as model_superpotential
 from .numerics import Grid, make_grid
-from .states import auto_grid, coherent_state, ground_state, is_admissible, normalize
+from .states import auto_grid, coherent_state, ground_state, is_admissible, normalized_samples
+from .states import normalize  # noqa: F401  not called here; bench/spans.py wraps it by name
 from .verify import Tolerances, format_complex, verify_coherent, verify_model
 
 _EXIT_OK = 0
@@ -204,13 +205,13 @@ def cmd_coherent(args) -> int:
     model = _build_model(args.family, _parse_params(args.param))
     alpha = parse_complex(args.alpha)
     grid = _resolve_grid(args, model, alpha)
-    psi = normalize(coherent_state(model, alpha), grid)
-    values = psi.sample(grid).values
+    sampled, norm = normalized_samples(coherent_state(model, alpha), grid)
+    values = sampled.values
     q = grid.points()
     columns = ["q", "psi_re", "psi_im", "abs2"]
     header = ["# anhosc coherent"] + _model_header_lines(model)
     header.append(f"# alpha: {format_complex(alpha)}")
-    header.append(f"# norm_before_scaling: {_fmt(psi.norm)}")
+    header.append(f"# norm_before_scaling: {_fmt(norm)}")
     rows = zip(q, values.real, values.imag, np.abs(values) ** 2)
     _write_table(args.out, header, columns, rows)
     if args.emit == "plotscript":
@@ -249,14 +250,18 @@ def cmd_verify(args) -> int:
     all_passed &= report.passed
     sections.append(report.to_text())
     for alpha in alphas:
+        head = f"model: {describe(model)}\nalpha: {format_complex(alpha)}\n"
         if not is_admissible(model, alpha):
-            sections.append(
-                f"model: {describe(model)}\nalpha: {format_complex(alpha)}\n"
-                "result: skipped (inadmissible)\n"
-            )
+            sections.append(head + "result: skipped (inadmissible)\n")
             continue
-        grid = _resolve_grid(args, model, alpha)
-        rep = verify_coherent(model, alpha, grid, tol)
+        # A failing alpha must not abort the sweep: record it, exit 1.
+        try:
+            grid = _resolve_grid(args, model, alpha)
+            rep = verify_coherent(model, alpha, grid, tol)
+        except AnhoscError as exc:
+            all_passed = False
+            sections.append(head + f"result: error ({exc})\n")
+            continue
         all_passed &= rep.passed
         sections.append(rep.to_text())
     _write_text(args.report, "---\n".join(sections))
@@ -364,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=4001)
         p.add_argument("--grid", choices=["auto"], default="auto",
                        help="auto truncation (default when --qmin/--qmax absent)")
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE")
-        p.add_argument("--emit", choices=["csv", "report", "plotscript"], default="csv")
+        p.add_argument("--emit", choices=["csv", "plotscript"], default="csv")
 
     p_construct = sub.add_parser("construct", help="emit q, x, x', V-E0, psi0 table")
     add_model_flags(p_construct)
@@ -374,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coherent = sub.add_parser("coherent", help="emit normalized coherent state and report")
     add_model_flags(p_coherent)
+    p_coherent.add_argument("--tol", action="append", metavar="NAME=VALUE")
     p_coherent.add_argument("--alpha", required=True, help="complex, e.g. 0.1+0.2i")
     p_coherent.add_argument("--out", default="coherent.csv")
     p_coherent.add_argument("--report", default="coherent_report.txt")
@@ -381,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity suite for a list of alphas")
     add_model_flags(p_verify)
+    p_verify.add_argument("--tol", action="append", metavar="NAME=VALUE")
     p_verify.add_argument("--alphas", required=True, help="comma list, e.g. 0,0.1,0.1+0.2i")
     p_verify.add_argument("--report", default="verify_report.txt")
     p_verify.set_defaults(func=cmd_verify)
@@ -391,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--param", action="append", metavar="NAME=VALUE")
     p_generate.add_argument("--qmax", type=float, default=5.0)
     p_generate.add_argument("--n", type=int, default=5001)
-    p_generate.add_argument("--emit", choices=["csv", "report", "plotscript"], default="csv")
+    p_generate.add_argument("--emit", choices=["csv", "plotscript"], default="csv")
     p_generate.add_argument("--out", default="generate.csv")
     p_generate.set_defaults(func=cmd_generate)
 

@@ -3,8 +3,9 @@ expectation values, and automatic grid truncation.
 
 Ground states solve A psi0 = 0, i.e. psi0 = exp(integral of x), fixed to
 psi0(0) = 1. Coherent states are psi0 * exp(sqrt(2) alpha q). Wavefunction
-objects are immutable; samples are recomputed from the evaluator on demand,
-which keeps concurrent use trivially safe.
+objects are immutable and hold no samples, which keeps concurrent use
+trivially safe; callers that derive several quantities from one state on one
+grid sample it once with normalized_samples() and work on those arrays.
 """
 
 from __future__ import annotations
@@ -150,15 +151,13 @@ def coherent_state(model: OscillatorModel, alpha: complex) -> WaveFunction:
     return WaveFunction(model=model, alpha=alpha, evaluator=evaluator)
 
 
-def _ladder_values(
-    model: OscillatorModel, sampled: SampledFunction, which: str
-) -> np.ndarray:
-    d = differentiate(sampled, 1).values
-    x = eval_superpotential(model, sampled.grid.points())
+def ladder_values(dpsi: np.ndarray, x_psi: np.ndarray, which: str) -> np.ndarray:
+    """Annihilation (psi' - x psi)/sqrt(2) or creation (-psi' - x psi)/sqrt(2)
+    from samples of psi' and of x psi on one grid."""
     if which == ANNIHILATION:
-        return (d - x * sampled.values) / SQRT2
+        return (dpsi - x_psi) / SQRT2
     if which == CREATION:
-        return (-d - x * sampled.values) / SQRT2
+        return (-dpsi - x_psi) / SQRT2
     raise InvalidParameterError(f"unknown ladder operator {which!r}")
 
 
@@ -169,7 +168,9 @@ def apply_ladder(
     (-psi' - x psi)/sqrt(2) operator on the grid, derivative by five-point
     finite differences."""
     sampled = psi.sample(grid)
-    return SampledFunction(grid, _ladder_values(model, sampled, which))
+    d = differentiate(sampled, 1).values
+    x = eval_superpotential(model, grid.points())
+    return SampledFunction(grid, ladder_values(d, x * sampled.values, which))
 
 
 def l2_norm(sampled: SampledFunction) -> float:
@@ -202,15 +203,19 @@ def _edge_covered(
     return tail <= _EDGE_MASS_TOL * mass
 
 
-def normalize(psi: WaveFunction, grid: Grid) -> WaveFunction:
-    """Scale the state to unit L2 norm on the grid.
+def normalized_samples(psi: WaveFunction, grid: Grid) -> tuple[SampledFunction, float]:
+    """Sample the state once and scale the samples to unit L2 norm on the grid.
 
+    Returns the scaled samples and the L2 norm the state had before scaling.
     Raises TruncationError when the grid does not cover the support, i.e.
     neither the edge-magnitude rule nor the estimated-tail-mass rule holds at
     an edge; the caller must widen the grid.
     """
-    sampled = psi.sample(grid)
-    mag = np.abs(sampled.values)
+    _require_grid_in_domain(psi.model, grid)
+    # Scale the evaluator's own output before the complex cast: a real ground
+    # state divided after the cast would round differently.
+    raw = SampledFunction(grid, psi.evaluator(grid.points()))
+    mag = np.abs(raw.values)
     if mag.max() == 0.0:
         raise TruncationError("state is identically zero on the grid")
     mass = float(integrate_simpson(SampledFunction(grid, mag ** 2)))
@@ -221,6 +226,12 @@ def normalize(psi: WaveFunction, grid: Grid) -> WaveFunction:
                 f"{side} grid edge does not cover the support; widen the grid"
             )
     norm = math.sqrt(mass)
+    return SampledFunction(grid, np.asarray(raw.values / norm, dtype=complex)), norm
+
+
+def normalize(psi: WaveFunction, grid: Grid) -> WaveFunction:
+    """Scale the state to unit L2 norm on the grid; see normalized_samples()."""
+    _, norm = normalized_samples(psi, grid)
     inner = psi.evaluator
     return replace(psi, evaluator=lambda q: inner(q) / norm, norm=norm)
 

@@ -21,20 +21,19 @@ from .models import (
     closed_form_potential,
     commutator_value,
     describe,
+    eval_superpotential,
     riccati_potential,
 )
-from .numerics import Grid, SampledFunction, differentiate
+from .numerics import Grid, SampledFunction, differentiate, integrate_simpson
 from .states import (
     ANNIHILATION,
     CREATION,
     SQRT2,
-    _ladder_values,
-    apply_ladder,
     coherent_state,
-    expectation,
     ground_state,
     l2_norm,
-    normalize,
+    ladder_values,
+    normalized_samples,
 )
 
 
@@ -120,6 +119,11 @@ def _check(name: str, value: float, tol: float) -> tuple[str, float, float, bool
     return (name, float(value), float(tol), bool(value < tol))
 
 
+def _moment(grid: Grid, conj_psi: np.ndarray, acted: np.ndarray) -> complex:
+    """<psi| O |psi> by Simpson quadrature, from conj(psi) and samples of O psi."""
+    return complex(integrate_simpson(SampledFunction(grid, conj_psi * acted)))
+
+
 def verify_model(
     model: OscillatorModel, grid: Grid, tolerances: Tolerances | None = None
 ) -> VerificationReport:
@@ -128,22 +132,27 @@ def verify_model(
     Fills the Riccati residual (closed-form potential against (x^2 + x')/2
     with analytic derivatives), the ground-state annihilation and Schroedinger
     residuals, and the commutator action residual on a neutral Gaussian test
-    function centered in the grid.
+    function centered in the grid. The ground state and the closed-form
+    potential are evaluated once, and x(q) once for all ladder applications.
     """
     tol = tolerances or default_tolerances()
     q = grid.points()
+    x = eval_superpotential(model, q)
+    v = closed_form_potential(model, q)
 
-    riccati = float(np.max(np.abs(closed_form_potential(model, q) - riccati_potential(model, q))))
+    riccati = float(np.max(np.abs(v - riccati_potential(model, q))))
 
-    # normalize() doubles as the truncation-sufficiency gate for the grid.
-    psi0 = normalize(ground_state(model), grid)
-    s0 = psi0.sample(grid)
+    # Normalization doubles as the truncation-sufficiency gate for the grid.
+    s0, _ = normalized_samples(ground_state(model), grid)
+    psi0 = s0.values
     norm0 = l2_norm(s0)
-    ann = l2_norm(apply_ladder(model, psi0, ANNIHILATION, grid)) / norm0
+    d1 = differentiate(s0, 1).values
+    ann = l2_norm(SampledFunction(grid, ladder_values(d1, x * psi0, ANNIHILATION))) / norm0
+    del d1
 
     d2 = differentiate(s0, 2).values
-    resid = -0.5 * d2 + closed_form_potential(model, q) * s0.values
-    sch = l2_norm(SampledFunction(grid, resid)) / norm0
+    sch = l2_norm(SampledFunction(grid, -0.5 * d2 + v * psi0)) / norm0
+    del d2, v, s0, psi0
 
     # Commutator action on a Gaussian test function. The ground state is a
     # bad probe here (A-dagger-A annihilates it), and a narrow centered
@@ -151,11 +160,16 @@ def verify_model(
     center = 0.5 * (grid.q_min + grid.q_max)
     sigma = (grid.q_max - grid.q_min) / 20.0
     phi = SampledFunction(grid, np.exp(-0.5 * ((q - center) / sigma) ** 2).astype(complex))
-    a_adag = _ladder_values(model, SampledFunction(grid, _ladder_values(model, phi, CREATION)), ANNIHILATION)
-    adag_a = _ladder_values(model, SampledFunction(grid, _ladder_values(model, phi, ANNIHILATION)), CREATION)
+    dphi = differentiate(phi, 1).values
+    x_phi = x * phi.values
+    up = SampledFunction(grid, ladder_values(dphi, x_phi, CREATION))
+    a_adag = ladder_values(differentiate(up, 1).values, x * up.values, ANNIHILATION)
+    del up
+    down = SampledFunction(grid, ladder_values(dphi, x_phi, ANNIHILATION))
+    adag_a = ladder_values(differentiate(down, 1).values, x * down.values, CREATION)
+    del down, dphi, x_phi, x
     xp = -commutator_value(model, q)
-    comm_resid = (a_adag - adag_a) + xp * phi.values
-    comm = l2_norm(SampledFunction(grid, comm_resid)) / l2_norm(phi)
+    comm = l2_norm(SampledFunction(grid, (a_adag - adag_a) + xp * phi.values)) / l2_norm(phi)
 
     checks = (
         _check("riccati", riccati, tol.riccati),
@@ -183,25 +197,35 @@ def verify_coherent(
 ) -> VerificationReport:
     """Coherent-state identities for one admissible alpha.
 
-    Normalizes psi_alpha on the grid, then checks the eigenvalue relation,
-    the sign-corrected first-moment identities, the quadratic-moment
-    identities, Delta x = Delta p, and the uncertainty product against the
-    independently integrated quarter-squared commutator expectation.
+    Samples and normalizes psi_alpha once on the grid, then checks on those
+    samples the eigenvalue relation, the sign-corrected first-moment
+    identities, the quadratic-moment identities, Delta x = Delta p, and the
+    uncertainty product against the independently integrated quarter-squared
+    commutator expectation.
     """
     tol = tolerances or default_tolerances()
     alpha = complex(alpha)
-    psi = normalize(coherent_state(model, alpha), grid)
+    s, _ = normalized_samples(coherent_state(model, alpha), grid)
+    psi = s.values
+    q = grid.points()
 
-    s = psi.sample(grid)
     norm = l2_norm(s)
-    eig_vals = _ladder_values(model, s, ANNIHILATION) - alpha * s.values
-    eig = l2_norm(SampledFunction(grid, eig_vals)) / norm
+    d1 = differentiate(s, 1).values
+    x = eval_superpotential(model, q)
+    x_psi = x * psi
+    eig = l2_norm(SampledFunction(grid, ladder_values(d1, x_psi, ANNIHILATION) - alpha * psi)) / norm
 
-    ex = expectation(psi, "x", grid)
-    ex2 = expectation(psi, "x_squared", grid)
-    ep = expectation(psi, "p", grid)
-    ep2 = expectation(psi, "p_squared", grid)
-    exp_prime = expectation(psi, "x_prime", grid)
+    # Position-like observables multiply by x, x^2 or x'; p and p^2 act as
+    # -i d/dq and -d^2/dq^2 on the same samples.
+    conj_psi = np.conj(psi)
+    ex = _moment(grid, conj_psi, x_psi)
+    del x_psi
+    ex2 = _moment(grid, conj_psi, x ** 2 * psi)
+    del x
+    ep = _moment(grid, conj_psi, -1j * d1)
+    del d1
+    ep2 = _moment(grid, conj_psi, -differentiate(s, 2).values)
+    exp_prime = _moment(grid, conj_psi, -commutator_value(model, q) * psi)
 
     var_x = (ex2 - ex ** 2).real
     var_p = (ep2 - ep ** 2).real

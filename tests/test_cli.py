@@ -84,6 +84,23 @@ class TestConstruct:
         script = (tmp_path / "h.csv.gp").read_text()
         assert '"h.csv"' in script  # relative path only
 
+    @pytest.mark.parametrize("argv", [
+        ("construct", "--family", "harmonic", "--tol", "product=1e-3", "--out"),
+        ("construct", "--family", "harmonic", "--emit", "report", "--out"),
+        ("coherent", "--family", "harmonic", "--alpha", "0.1", "--emit", "report", "--out"),
+        ("verify", "--family", "harmonic", "--alphas", "0.1", "--emit", "report", "--report"),
+        ("generate", "--form", "linear", "--param", "c0=0.5", "--param", "c1=1",
+         "--emit", "report", "--out"),
+    ])
+    def test_flags_without_effect_are_rejected(self, tmp_path, capsys, argv):
+        # construct takes no tolerances and no subcommand writes an extra
+        # report for --emit, so argparse refuses both before any work.
+        out = tmp_path / "o.txt"
+        assert run(*argv, str(out)) == 2
+        expected = "unrecognized arguments: --tol" if "--tol" in argv else "invalid choice: 'report'"
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCoherent:
     def test_harmonic_passes(self, tmp_path):
@@ -158,6 +175,35 @@ class TestVerifyCommand:
                    "--alphas", "0,0.9", "--report", str(rep))
         assert code == 0
         assert "skipped (inadmissible)" in rep.read_text()
+
+    def test_failing_alpha_is_isolated(self, tmp_path):
+        # auto_grid raises for alpha = -2000 (peak inside the pole offset);
+        # the sweep records that alpha as an error, keeps going, and exits 1.
+        from anhosc.families import make_kratzer_fues
+        from anhosc.states import auto_grid
+        from anhosc.verify import verify_coherent, verify_model
+
+        rep = tmp_path / "r.txt"
+        code = run("verify", "--family", "kratzer", "--param", "c1=0.5",
+                   "--alphas=0.1,-2000,0.05", "--report", str(rep))
+        assert code == 1
+        sections = rep.read_text().split("---\n")
+        m = make_kratzer_fues(0.5)
+        assert sections[0] == verify_model(m, auto_grid(m)).to_text()
+        assert sections[1] == verify_coherent(m, 0.1, auto_grid(m, 0.1)).to_text()
+        assert sections[2] == (
+            "model: kratzer_fues(c1=0.5)\nalpha: -2000.0+0.0i\n"
+            "result: error (wavefunction peak lies inside the pole offset 0.001/c1 "
+            "from the domain boundary; Re(alpha) is too negative to truncate)\n"
+        )
+        assert sections[3] == verify_coherent(m, 0.05, auto_grid(m, 0.05)).to_text()
+
+    def test_failing_model_grid_is_usage_error(self, tmp_path):
+        # The alpha = 0 grid serves the model-level checks; its failure still
+        # aborts the run.
+        assert run("verify", "--family", "harmonic", "--alphas", "0.1",
+                   "--qmin", "-1", "--qmax", "1", "--n", "101",
+                   "--report", str(tmp_path / "r.txt")) == 2
 
     def test_empty_alpha_list(self, tmp_path):
         assert run("verify", "--family", "harmonic", "--alphas", ",",

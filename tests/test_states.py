@@ -34,6 +34,7 @@ from anhosc.states import (
     is_admissible,
     l2_norm,
     normalize,
+    normalized_samples,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -194,6 +195,21 @@ class TestNormalize:
         m = make_harmonic()
         with pytest.raises(TruncationError):
             normalize(ground_state(m), make_grid(-1.0, 1.0, 101))
+
+    @pytest.mark.parametrize("alpha", [None, 0.0, 0.1, -0.1 + 0.2j])
+    def test_samples_match_normalize_bit_for_bit(self, alpha):
+        # The verification suite and the coherent table work on these samples;
+        # they must equal what normalize() followed by sample() gives, also for
+        # the real-valued ground state, where scaling after the complex cast
+        # would round differently.
+        for m in (make_harmonic(), make_wei_hua(0.2, 1.0, 0.5), make_kratzer_fues(0.5)):
+            psi = ground_state(m) if alpha is None else coherent_state(m, alpha)
+            grid = auto_grid(m, alpha or 0.0, n=2001)
+            sampled, norm = normalized_samples(psi, grid)
+            scaled = normalize(psi, grid)
+            assert norm == scaled.norm
+            assert sampled.values.dtype == complex
+            assert sampled.values.tobytes() == scaled.sample(grid).values.tobytes()
 
     def test_auto_grids_always_pass(self):
         for m in (

@@ -1,6 +1,7 @@
 """Verification-report tests: residual magnitudes, refinement behavior,
 determinism, and tolerance handling."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from anhosc.families import (
     make_wei_hua,
 )
 from anhosc.numerics import make_grid
+from anhosc import states
 from anhosc.states import auto_grid
 from anhosc.verify import Tolerances, default_tolerances, verify_coherent, verify_model
 
@@ -145,3 +147,123 @@ class TestReports:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(InvalidParameterError):
             Tolerances(riccati=-1.0)
+
+
+class TestSampleOnce:
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        calls = []
+        inner = states._log_ground_amplitude
+
+        def counting(model, q):
+            calls.append(model)
+            return inner(model, q)
+
+        monkeypatch.setattr(states, "_log_ground_amplitude", counting)
+        return calls
+
+    @pytest.mark.parametrize("model", desk_models(), ids=lambda m: m.family)
+    def test_verify_coherent_evaluates_the_state_once(self, counter, model):
+        grid = auto_grid(model, 0.1 + 0.2j)
+        counter.clear()
+        verify_coherent(model, 0.1 + 0.2j, grid)
+        assert len(counter) == 1
+
+    @pytest.mark.parametrize("model", desk_models(), ids=lambda m: m.family)
+    def test_verify_model_evaluates_the_ground_state_once(self, counter, model):
+        grid = auto_grid(model)
+        counter.clear()
+        verify_model(model, grid)
+        assert len(counter) == 1
+
+
+# SHA-256 of verify_model / verify_coherent reports for the README desk
+# models, recorded before verification sampled each state once. Sharing the
+# samples must not move a single digit of any report.
+_PINNED_MODELS = {
+    "harmonic": make_harmonic(),
+    "morse": make_generalized_morse(1.0, 0.5),
+    "weihua": make_wei_hua(0.2, 1.0, 0.5),
+    "kratzer": make_kratzer_fues(0.5),
+    "gkf": make_generalized_kratzer_fues(0.75, 0.5),
+}
+
+# (model, alpha or None for verify_model, grid, sha256). The grid is an n
+# for auto_grid, or the hex edges of one explicit wide grid per model at
+# n = 16001: the union of its auto grids for alpha 0, 0.1, -0.3, 0.2+0.3i.
+_PINNED_REPORTS = [
+    ('harmonic', None, 2001, '78df005da68d2ace37c776a534f6d8c69cd48a1ca3bbea358448d13da72a9c14'),
+    ('harmonic', 0.1, 2001, '51c2d0f771f2983aa28b9abb370367964fe9b835b952d341dcc1ea04d662dbd7'),
+    ('harmonic', -0.3, 2001, '9c09161402bec468c9023ea6466f881e75a94a0f2f4b8d153790deba4a2f37ef'),
+    ('harmonic', (0.2+0.3j), 2001, 'd4c79a91ec385ff3a27057f1449fccc3ca3bdca583ed77158ce015647fc0a5bc'),
+    ('harmonic', None, 4001, '120d9141e183fe32b85e9b8100e5f53910ba244854f948099414f6d766d30b1b'),
+    ('harmonic', 0.1, 4001, 'fbf71766313822efd07d078e9617a036b73d1aa4e2e066285ba43942e6b05213'),
+    ('harmonic', -0.3, 4001, '7f71d5328541137b5545dce0b5197b8518ec0bd6eede33b56512cacbaad46ec7'),
+    ('harmonic', (0.2+0.3j), 4001, '021af9f2d4a206ff804487cc8713cc36f48e5d40418f98fe78edc6ff015f632a'),
+    ('morse', None, 2001, '227c3499ee999820ff1fff9e626d8bce5cb7edd365e17be9f8289e34934e054b'),
+    ('morse', 0.1, 2001, '98bcdbf90f9a143c0e947e7d444b0e949685e13ca468a3c32359f25f01642c6d'),
+    ('morse', -0.3, 2001, 'e64e7e607f7a7d585a6b518e46135529db9e9ab0be09e2a1e2bfd042beccd43d'),
+    ('morse', (0.2+0.3j), 2001, 'eda1d66f165ea205486801874fa229f96aae6838bdc349c616cf1db449c881b8'),
+    ('morse', None, 4001, '64523e2365308900b729c067383405b6f0e0a8c3fbc9a8a9cdb7e670e0da74ca'),
+    ('morse', 0.1, 4001, 'bcad49b42bbb0dcffd305207f415d463f8bb0fef8c62797b74a7ea330379ac88'),
+    ('morse', -0.3, 4001, 'a78fa5e446b6acc8e5f366bd206c5d6d6dab07aab291ebab6985cbbc780107c0'),
+    ('morse', (0.2+0.3j), 4001, '04600348d95266e888b954e3d6d8363760126405a64c559be408faf2040327a1'),
+    ('weihua', None, 2001, 'e38a0967c176de8884eb90b1633baa10bebf29262ee53f73dd90e48ae19e3eb8'),
+    ('weihua', 0.1, 2001, 'bcecc707879485794283146b3fc3050154978a02c48f87daeff1b04202b305c2'),
+    ('weihua', -0.3, 2001, '6455c777990c85074889490ffc7448b42de83b10560c55c46c5edb30f6608829'),
+    ('weihua', None, 4001, 'b625c6baba2e072487ea324ddfc17c3ed5958f4675556d05d3695740af62e4e2'),
+    ('weihua', 0.1, 4001, '0efcec559d4eb3a2d6582942278d3535a87bcd60f884346b26eee6bb732b8652'),
+    ('weihua', -0.3, 4001, 'baa86d8cccbb5d6fb9372ecbf4dd4c8c4f805c4d5965cbcee0ec8bac1c95addc'),
+    ('kratzer', None, 2001, '1c059c0f5cb556f6217371de1bd8d998ec48951f18cf75e4f2a6b02aa3ab9756'),
+    ('kratzer', 0.1, 2001, '9950f26e5562c2fee38ff16feaa7176590783cd6d28004a7f4e75f7dfe89cd57'),
+    ('kratzer', -0.3, 2001, '960d5e449d4ff10fded890bf376c4691ca61721d0dda7541f5d10becb4df9b2c'),
+    ('kratzer', (0.2+0.3j), 2001, '5b7e74cfaf9e66fc2037107c820a8a42fa2616b54cf78972e7cd5fe39f9d11be'),
+    ('kratzer', None, 4001, '2de8d14679c1ec53c7f7342b5ea871e509f3a31b136b900d9a9e529d9d814182'),
+    ('kratzer', 0.1, 4001, '3a2ce986197de32f56c21c53e725e974f78ebb2de920e37c8f02ebcb1c7e0bbe'),
+    ('kratzer', -0.3, 4001, '1a321bc5e4b79c9348f8bf754b86483e96cb8d25deeafba5a4080dfbfc9351a6'),
+    ('kratzer', (0.2+0.3j), 4001, '1d0db0f319876e1886cb473bc25ebad0bddcf6e1ba19b020b2012fc2433b76f8'),
+    ('gkf', None, 2001, '00b4a7620d44fa1c46a793d0ae64b87c2e6cfe5e9d7c764df90c4c6306c52e69'),
+    ('gkf', 0.1, 2001, '6d6fda4912db1320794cb859a40a27c7f2f3218014bd9810e02966fb4a575fca'),
+    ('gkf', -0.3, 2001, '3504ba134c6da3750a805a4e59af445334af072e2ee321e69d343efe8d901461'),
+    ('gkf', (0.2+0.3j), 2001, '003a7a998d26589ecd5b2f1ae93e4500d16500eed9e65fe7fa7d4ca874253e8f'),
+    ('gkf', None, 4001, '774f74776bf530350ee22652a52c96cd49d6ff9155247cc48f178a94b36afa54'),
+    ('gkf', 0.1, 4001, '8fa601749a09d748c590ed408028622b05253bfa8e6ab579db30d260632d1c3c'),
+    ('gkf', -0.3, 4001, '5a5dcb92ef8b9a15f2e211b52aa997cb394a797b9e4e3512c57bfa9584741373'),
+    ('gkf', (0.2+0.3j), 4001, '92c8fdce29fa7cd135681420c5e87efa65932f46af4b494fe1a3ab1e65fb4b74'),
+    ('harmonic', None, ('-0x1.0000000000000p+3', '0x1.0000000000000p+3'), '853082025b8b650225daffa8911cbae00e37af91afde4ed8eae003b65a38cf96'),
+    ('harmonic', 0.1, ('-0x1.0000000000000p+3', '0x1.0000000000000p+3'), '0e614f628f7a6e0763a50c8add983ef67f41b978c9de9d7d7596c8ae86afbbc2'),
+    ('harmonic', -0.3, ('-0x1.0000000000000p+3', '0x1.0000000000000p+3'), 'e60398d4a5186a9900272b14b90b42cf72e1f34b5fe54158d90e1756d02730e1'),
+    ('harmonic', (0.2+0.3j), ('-0x1.0000000000000p+3', '0x1.0000000000000p+3'), '0e957b0d45e16a26f49ac2dce601d14f80226f58e9ca2920533ebda051733b38'),
+    ('morse', None, ('-0x1.8000000000000p+1', '0x1.545e373f8c24bp+5'), 'b2ac261ce6150b243b304861cbeab87f13c7613e3f3e7a0fce1ec59b53a5c835'),
+    ('morse', 0.1, ('-0x1.8000000000000p+1', '0x1.545e373f8c24bp+5'), 'b5f198d381ec268e9d6d42c8fc242bae7c11a1d3c06b7911de58cd3c865b5e8b'),
+    ('morse', -0.3, ('-0x1.8000000000000p+1', '0x1.545e373f8c24bp+5'), 'd10fbea5a3deffa2cae498b2a05a436289fe2d66ba6e7a38f2b5612286c023b2'),
+    ('morse', (0.2+0.3j), ('-0x1.8000000000000p+1', '0x1.545e373f8c24bp+5'), '3fcf891b846a5458d911264bc6a98006a60e4cd276d523c355c3bd6b18438d8c'),
+    ('weihua', None, ('-0x1.18fd1e73846a1p+0', '0x1.3808b55c4f354p+7'), '65f8923fd81d4708a7f4c7487aef53c45a54b91d3d12b543139a4b0e38da146d'),
+    ('weihua', 0.1, ('-0x1.18fd1e73846a1p+0', '0x1.3808b55c4f354p+7'), '7028c5cf3beff0fd58b667bf5e98a0ce1d9c8dc005b1297ad59d1098f3f2fcec'),
+    ('weihua', -0.3, ('-0x1.18fd1e73846a1p+0', '0x1.3808b55c4f354p+7'), 'f702c4bbe8ca5ed9a378ed36a3765a46a007309222231a8c9b968150734129e3'),
+    ('kratzer', None, ('-0x1.ff7ced916872bp+0', '0x1.aca80d9ced704p+3'), '251decc8ed891fc3041185255e43111ea1f9b71e9fe23ae5068a9bf8c95d407e'),
+    ('kratzer', 0.1, ('-0x1.ff7ced916872bp+0', '0x1.aca80d9ced704p+3'), 'a63cc6dcb880e9c99bbba7b5caa64c0d05b77eb96e7566eac40856ac65b6b67b'),
+    ('kratzer', -0.3, ('-0x1.ff7ced916872bp+0', '0x1.aca80d9ced704p+3'), '68e2dd19b8425edb18623fde33719c83ff251c0d7f42bd897255887898234974'),
+    ('kratzer', (0.2+0.3j), ('-0x1.ff7ced916872bp+0', '0x1.aca80d9ced704p+3'), 'fd07e852dca1bc94c9ab478970c3436863cd1fd986f056865ad50902649047e4'),
+    ('gkf', None, ('-0x1.ff7ced916872bp+0', '0x1.aca80d9ced704p+3'), 'bf345d8c9c61ca997a91f50251d1dd417704f3543dea5095500b20ef3185207b'),
+    ('gkf', 0.1, ('-0x1.ff7ced916872bp+0', '0x1.aca80d9ced704p+3'), '709f58d4018cf14a60b7c91865feffc2467bdf0b5a6523260b9036adc7c90561'),
+    ('gkf', -0.3, ('-0x1.ff7ced916872bp+0', '0x1.aca80d9ced704p+3'), '7b400b729345b18f9aedc1d3ff2b81a4b33c7170c7726b76e76c0135b4377f90'),
+    ('gkf', (0.2+0.3j), ('-0x1.ff7ced916872bp+0', '0x1.aca80d9ced704p+3'), '3d4405e25a75e7bfd180f466d39cd69bb33b82be705521484c00ec08337ac6d8'),
+]
+
+
+def _pinned_grid(model, alpha, spec):
+    if isinstance(spec, int):
+        return auto_grid(model, 0.0 if alpha is None else alpha, spec)
+    return make_grid(float.fromhex(spec[0]), float.fromhex(spec[1]), 16001)
+
+
+@pytest.mark.parametrize("name, alpha, grid, digest", _PINNED_REPORTS)
+def test_verify_reports_are_pinned(name, alpha, grid, digest):
+    model = _PINNED_MODELS[name]
+    g = _pinned_grid(model, alpha, grid)
+    if alpha is None:
+        report = verify_model(model, g)
+    else:
+        report = verify_coherent(model, alpha, g)
+    assert hashlib.sha256(report.to_text().encode()).hexdigest() == digest
