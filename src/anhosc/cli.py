@@ -160,11 +160,11 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_table(path: str, header_lines: list[str], columns: list[str], rows) -> None:
-    lines = list(header_lines)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(value) for value in row))
+def _write_table(path: str, header_lines: list[str], columns: list[str], data) -> None:
+    # %r of a Python float is byte-equal to fmt_float of the float64 it came from.
+    row_format = ",".join(["%r"] * len(columns))
+    rows = zip(*(column.tolist() for column in data))
+    lines = [*header_lines, ",".join(columns), *(row_format % row for row in rows)]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -195,7 +195,7 @@ def cmd_construct(args) -> int:
     psi0 = ground_state(model).sample(grid).values.real
     columns = ["q", "x", "dx_dq", "v_minus_e0", "psi0"]
     header = ["# anhosc construct"] + _model_header_lines(model)
-    _write_table(args.out, header, columns, zip(q, x, dx, v, psi0))
+    _write_table(args.out, header, columns, (q, x, dx, v, psi0))
     if args.emit == "plotscript":
         _write_plotscript(args.out, columns)
     return _EXIT_OK
@@ -212,8 +212,8 @@ def cmd_coherent(args) -> int:
     header = ["# anhosc coherent"] + _model_header_lines(model)
     header.append(f"# alpha: {format_complex(alpha)}")
     header.append(f"# norm_before_scaling: {_fmt(norm)}")
-    rows = zip(q, values.real, values.imag, np.abs(values) ** 2)
-    _write_table(args.out, header, columns, rows)
+    data = (q, values.real, values.imag, np.abs(values) ** 2)
+    _write_table(args.out, header, columns, data)
     if args.emit == "plotscript":
         _write_plotscript(args.out, columns)
     report = verify_coherent(model, alpha, grid, _tolerances(args))
@@ -285,21 +285,22 @@ def cmd_generate(args) -> int:
         + " ".join(f"{k}={_fmt(params[k])}" for k in sorted(params))
     )
     columns = ["q", "x_numeric"]
-    rows: list[tuple[float, ...]] = list(zip(grid.points(), numeric.values))
+    q = grid.points()
+    data = [q, numeric.values]
     try:
         model = closed_form_from_series(series)
     except AnhoscError as exc:
         header.append(f"# closed_form: unavailable ({exc})")
     else:
         header.append(f"# closed_form: {describe(model)}")
-        closed = model_superpotential(model, grid.points())
+        closed = model_superpotential(model, q)
         if series.form == FORM_CONSTANT:
             closed = closed + series.initial_value()
         max_dev = float(np.max(np.abs(numeric.values - closed)))
         header.append(f"# max_deviation: {_fmt(max_dev)}")
         columns.append("x_closed")
-        rows = [(*row, c) for row, c in zip(rows, closed)]
-    _write_table(args.out, header, columns, rows)
+        data.append(closed)
+    _write_table(args.out, header, columns, data)
     if args.emit == "plotscript":
         _write_plotscript(args.out, columns)
     return _EXIT_OK
@@ -369,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=4001)
         p.add_argument("--grid", choices=["auto"], default="auto",
                        help="auto truncation (default when --qmin/--qmax absent)")
-        p.add_argument("--emit", choices=["csv", "plotscript"], default="csv")
 
     p_construct = sub.add_parser("construct", help="emit q, x, x', V-E0, psi0 table")
     add_model_flags(p_construct)
@@ -397,9 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--param", action="append", metavar="NAME=VALUE")
     p_generate.add_argument("--qmax", type=float, default=5.0)
     p_generate.add_argument("--n", type=int, default=5001)
-    p_generate.add_argument("--emit", choices=["csv", "plotscript"], default="csv")
     p_generate.add_argument("--out", default="generate.csv")
     p_generate.set_defaults(func=cmd_generate)
+
+    # Only the table-writing subcommands take --emit; verify writes no table.
+    for p in (p_construct, p_coherent, p_generate):
+        p.add_argument("--emit", choices=["csv", "plotscript"], default="csv")
 
     p_fit = sub.add_parser("fit", help="fit the potential expansion to r,v samples")
     p_fit.add_argument("--data", required=True)

@@ -8,6 +8,7 @@ their domains, which tests exploit as a round-trip check.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -73,18 +74,32 @@ class GeneratingSeries:
         return (1.0 - self.c0) / self.c1
 
 
-def eval_generating_function(series: GeneratingSeries, x) -> float | np.ndarray:
-    """Evaluate f(x) for the series form."""
+def _generating_function(series: GeneratingSeries):
+    """f as one closure over plain floats; numpy arrays pass through it too."""
     if series.form == FORM_CONSTANT:
-        return np.ones_like(x, dtype=float) if np.ndim(x) else 1.0
-    y = np.asarray(x, dtype=float) + series.c0 / series.c1
+        return lambda x: 1.0
+    shift = series.c0 / series.c1
+    c1, c2 = series.c1, series.c2
     if series.form == FORM_LINEAR:
-        f = series.c1 * y
-    elif series.form == FORM_PARABOLIC:
-        f = series.c1 * y + series.c2 * y * y
-    else:
-        f = (series.c1 * y) ** 2
-    return f if np.ndim(x) else float(f)
+        return lambda x: c1 * (x + shift)
+    if series.form == FORM_PARABOLIC:
+        def parabolic(x):
+            y = x + shift
+            return c1 * y + c2 * y * y
+        return parabolic
+    return lambda x: (c1 * (x + shift)) ** 2
+
+
+def eval_generating_function(series: GeneratingSeries, x) -> float | np.ndarray:
+    """f(x) for the series form: a float for a scalar x, an array for an array."""
+    f = _generating_function(series)
+    if not np.ndim(x):
+        try:
+            return f(float(x))
+        except OverflowError:  # only the square raises, and its value is +inf
+            return math.inf
+    x = np.asarray(x, dtype=float)
+    return np.ones_like(x) if series.form == FORM_CONSTANT else f(x)
 
 
 def superpotential_from_series(
@@ -100,7 +115,8 @@ def superpotential_from_series(
         raise InvalidParameterError(
             f"grid must start at q=0 (initial condition), got q_min={grid.q_min!r}"
         )
-    rhs = lambda q, x: -eval_generating_function(series, x)
+    f = _generating_function(series)
+    rhs = lambda q, x: -f(x)
     result = solve_first_order_ode(rhs, series.initial_value(), grid, substeps=substeps)
     if np.max(np.abs(result.values)) > 1.0:
         warnings.warn(

@@ -81,17 +81,27 @@ class WaveFunction:
     norm: float | None = None
 
     def sample(self, grid: Grid) -> SampledFunction:
-        _require_grid_in_domain(self.model, grid)
-        values = np.asarray(self.evaluator(grid.points()), dtype=complex)
-        return SampledFunction(grid, values)
+        return _sample_on(self, grid, complex)
 
 
-def _require_grid_in_domain(model: OscillatorModel, grid: Grid) -> None:
+def _sample_on(psi: WaveFunction, grid: Grid, dtype=None) -> SampledFunction:
+    """The evaluator's samples on a grid inside the open domain; TruncationError
+    where they overflow float64."""
+    model = psi.model
     if grid.q_min <= model.q_lower or grid.q_max >= model.q_upper:
         raise DomainViolationError(
             f"grid [{grid.q_min!r}, {grid.q_max!r}] not inside open domain "
             f"({model.q_lower!r}, {model.q_upper!r})"
         )
+    with np.errstate(over="ignore"):
+        values = np.asarray(psi.evaluator(grid.points()), dtype=dtype)
+    try:
+        return SampledFunction(grid, values)
+    except InvalidParameterError:
+        # SampledFunction refused non-finite samples; name the overflow.
+        if np.all(np.isfinite(values)):
+            raise
+        raise TruncationError("state overflows float64 on the grid; reduce |Re(alpha)|") from None
 
 
 def admissible_bound(model: OscillatorModel) -> AdmissibilityBound:
@@ -209,12 +219,12 @@ def normalized_samples(psi: WaveFunction, grid: Grid) -> tuple[SampledFunction, 
     Returns the scaled samples and the L2 norm the state had before scaling.
     Raises TruncationError when the grid does not cover the support, i.e.
     neither the edge-magnitude rule nor the estimated-tail-mass rule holds at
-    an edge; the caller must widen the grid.
+    an edge; the caller must widen the grid. Also raises TruncationError when
+    the closed form overflows float64 somewhere on the grid.
     """
-    _require_grid_in_domain(psi.model, grid)
     # Scale the evaluator's own output before the complex cast: a real ground
     # state divided after the cast would round differently.
-    raw = SampledFunction(grid, psi.evaluator(grid.points()))
+    raw = _sample_on(psi, grid)
     mag = np.abs(raw.values)
     if mag.max() == 0.0:
         raise TruncationError("state is identically zero on the grid")

@@ -1,10 +1,14 @@
 """Command-line contract: exit codes, file formats, byte stability."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
 from anhosc.cli import main, parse_complex
 from anhosc.errors import InvalidParameterError
+from anhosc.generator import ExpansionRangeWarning
 
 
 def run(*argv):
@@ -88,16 +92,22 @@ class TestConstruct:
         ("construct", "--family", "harmonic", "--tol", "product=1e-3", "--out"),
         ("construct", "--family", "harmonic", "--emit", "report", "--out"),
         ("coherent", "--family", "harmonic", "--alpha", "0.1", "--emit", "report", "--out"),
-        ("verify", "--family", "harmonic", "--alphas", "0.1", "--emit", "report", "--report"),
+        ("verify", "--family", "harmonic", "--alphas", "0.1", "--emit", "csv", "--report"),
         ("generate", "--form", "linear", "--param", "c0=0.5", "--param", "c1=1",
          "--emit", "report", "--out"),
     ])
     def test_flags_without_effect_are_rejected(self, tmp_path, capsys, argv):
-        # construct takes no tolerances and no subcommand writes an extra
-        # report for --emit, so argparse refuses both before any work.
+        # construct takes no tolerances, verify writes no table to --emit,
+        # and no subcommand writes an extra report for --emit, so argparse
+        # refuses all three before any work.
         out = tmp_path / "o.txt"
         assert run(*argv, str(out)) == 2
-        expected = "unrecognized arguments: --tol" if "--tol" in argv else "invalid choice: 'report'"
+        if "--tol" in argv:
+            expected = "unrecognized arguments: --tol"
+        elif argv[0] == "verify":
+            expected = "unrecognized arguments: --emit"
+        else:
+            expected = "invalid choice: 'report'"
         assert expected in capsys.readouterr().err
         assert not out.exists()
 
@@ -117,6 +127,21 @@ class TestCoherent:
                    "--report", str(tmp_path / "c.txt"))
         assert code == 2
         assert "pole offset" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("alpha", ["-2000", "-2000+3i"])
+    def test_overflowing_state_is_usage_error(self, tmp_path, capsys, alpha):
+        # The closed form exceeds float64 on the grid around its peak; numpy's
+        # overflow warning is silenced and the cause is named instead.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("coherent", "--family", "harmonic", f"--alpha={alpha}",
+                       "--n", "1001", "--out", str(tmp_path / "c.csv"),
+                       "--report", str(tmp_path / "c.txt"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: state overflows float64 on the grid; reduce |Re(alpha)|\n"
+        )
         assert not (tmp_path / "c.csv").exists()
 
     def test_inadmissible_alpha(self, tmp_path):
@@ -198,6 +223,22 @@ class TestVerifyCommand:
         )
         assert sections[3] == verify_coherent(m, 0.05, auto_grid(m, 0.05)).to_text()
 
+    def test_overflowing_alpha_is_isolated(self, tmp_path, capsys):
+        rep = tmp_path / "r.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("verify", "--family", "harmonic", "--alphas=0.1,-2000",
+                       "--n", "1001", "--report", str(rep))
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        sections = rep.read_text().split("---\n")
+        assert len(sections) == 3
+        assert "result: pass" in sections[1]
+        assert sections[2] == (
+            "model: harmonic\nalpha: -2000.0+0.0i\n"
+            "result: error (state overflows float64 on the grid; reduce |Re(alpha)|)\n"
+        )
+
     def test_failing_model_grid_is_usage_error(self, tmp_path):
         # The alpha = 0 grid serves the model-level checks; its failure still
         # aborts the run.
@@ -277,3 +318,54 @@ class TestFitCommand:
     def test_missing_file(self, tmp_path):
         assert run("fit", "--data", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "f.txt")) == 2
+
+
+# (argv, exit code, ExpansionRangeWarning raised, SHA-256 of every output
+# file with the output directory taken out), recorded before tables were
+# formatted column by column and generate integrated on plain floats. The
+# README desk models at auto grids, the four series forms at desk
+# coefficients, and one x0 whose trajectory leaves |x| < 1.
+_PINNED_TABLES = [
+    ('construct --family harmonic --n 1001', 0, False, {'t.csv': '3f7b08e8441a1cfc84865349f9ba8014aab716719598c5f5162d104767b4eba9'}),
+    ('construct --family harmonic --n 4001', 0, False, {'t.csv': '5820381dab61eb72fe7d5bec1286aeb92ee707fcc51869cf5dda94a87039da7a'}),
+    ('construct --family morse --param s=1 --param xe=0.5 --n 1001', 0, False, {'t.csv': '54a54a07ac8872a8b90da04f2d678253d668cec332cb3c98cab55cfde54b8282'}),
+    ('construct --family morse --param s=1 --param xe=0.5 --n 4001', 0, False, {'t.csv': 'e3a4a7a9c048768719e5c67fcd585b059b7879f01541aff718502cae01de2706'}),
+    ('construct --family weihua --param c0=0.2 --param c1=1 --param c2=0.5 --n 1001', 0, False, {'t.csv': '9a3ec3e6a426eae6286d034459f85f2dd61967f417426222eabf4b2f0d376aef'}),
+    ('construct --family weihua --param c0=0.2 --param c1=1 --param c2=0.5 --n 4001', 0, False, {'t.csv': '3e57a0592f2b9c5a354f33f4a73e9e995bc50329e70bd290d941a07dcc2d9fc8'}),
+    ('construct --family kratzer --param c1=0.5 --n 1001', 0, False, {'t.csv': '92971a52e6b11e378c121cdd814ae79299478c482bfb970ddc7a255955b6c0b2'}),
+    ('construct --family kratzer --param c1=0.5 --n 4001', 0, False, {'t.csv': '29eebf06a9b95b0301c4cd267f136f03504b9f71fc108afa43009aef642ef911'}),
+    ('construct --family gkf --param c0=0.75 --param c1=0.5 --n 1001', 0, False, {'t.csv': '3c6832b2bf3eb1a87109ded5cbe1c5043230b7698d12192b2c38b81af3d45807'}),
+    ('construct --family gkf --param c0=0.75 --param c1=0.5 --n 4001', 0, False, {'t.csv': '297d89f01026ece70e52e96da6817340dcbdeb27a6e9b0ba33c1c4e67d47f259'}),
+    ('construct --family morse --param s=1 --param xe=0.5 --n 1001 --emit plotscript', 0, False, {'t.csv': '54a54a07ac8872a8b90da04f2d678253d668cec332cb3c98cab55cfde54b8282', 't.csv.gp': 'ef712567559859eabfecfc5c60a1a21808ba08023baebb76f75f279b5d2b0baf'}),
+    ('coherent --family harmonic --alpha 0.1', 0, False, {'r.txt': 'fbf71766313822efd07d078e9617a036b73d1aa4e2e066285ba43942e6b05213', 't.csv': '0ce5bcb6d49c1ecb35bc3c67ea875cd5975297bf86cbfc7a75b39b05ffc56839'}),
+    ('coherent --family harmonic --alpha 0.2+0.3i', 0, False, {'r.txt': '021af9f2d4a206ff804487cc8713cc36f48e5d40418f98fe78edc6ff015f632a', 't.csv': '9c1541a64032ca84fa0cc9ca7d8692e4c765b742762c4a2348f85706df99ff41'}),
+    ('coherent --family morse --param s=1 --param xe=0.5 --alpha 0.1', 0, False, {'r.txt': 'bcad49b42bbb0dcffd305207f415d463f8bb0fef8c62797b74a7ea330379ac88', 't.csv': '91ed5ce5e49d035ae524eb45d2934f6fe7bca8aafc0798df6d7091b35dc8333a'}),
+    ('coherent --family morse --param s=1 --param xe=0.5 --alpha 0.2+0.3i', 0, False, {'r.txt': '04600348d95266e888b954e3d6d8363760126405a64c559be408faf2040327a1', 't.csv': '1d3196e50fc12ee11bfd1e39f38e2845405a66d26679d60de45a83a18ed56bfd'}),
+    ('coherent --family weihua --param c0=0.2 --param c1=1 --param c2=0.5 --alpha 0.1', 0, False, {'r.txt': '0efcec559d4eb3a2d6582942278d3535a87bcd60f884346b26eee6bb732b8652', 't.csv': 'fdbcfce79c3bad7bdd2b7bbe9e9660ae95c1b182225e92f47a343bd9ab3fabf8'}),
+    ('coherent --family kratzer --param c1=0.5 --alpha 0.1', 0, False, {'r.txt': '3a2ce986197de32f56c21c53e725e974f78ebb2de920e37c8f02ebcb1c7e0bbe', 't.csv': '2df59f9458181fae4dab99afbe74b8da3b9c92b7d9d5b67670e1473f25df381c'}),
+    ('coherent --family kratzer --param c1=0.5 --alpha 0.2+0.3i', 0, False, {'r.txt': '1d0db0f319876e1886cb473bc25ebad0bddcf6e1ba19b020b2012fc2433b76f8', 't.csv': 'e8987580310885234d867f67308ccdcfd2210872a8eb6f966f26607362498b3e'}),
+    ('coherent --family gkf --param c0=0.75 --param c1=0.5 --alpha 0.1', 0, False, {'r.txt': '8fa601749a09d748c590ed408028622b05253bfa8e6ab579db30d260632d1c3c', 't.csv': 'c9b8584a229985925e93f6a398305d1bac23f93ae7be52957352c80c2d03e64e'}),
+    ('coherent --family gkf --param c0=0.75 --param c1=0.5 --alpha 0.2+0.3i', 0, False, {'r.txt': '92c8fdce29fa7cd135681420c5e87efa65932f46af4b494fe1a3ab1e65fb4b74', 't.csv': 'b9357888e2dc5c6f9acba049bccd4f2fcb8274134dae745a70b26bec62db691a'}),
+    ('generate --form constant --n 5001', 0, True, {'t.csv': '4054cc036011beb9246823d1e918226f5911d07c4d6bae1c4cd131dccb5f8dc4'}),
+    ('generate --form linear --param c0=0.5 --param c1=1 --n 5001', 0, False, {'t.csv': '2d9c65f78561bba083c9519114daa3b4de6c100464d0bdc9e4d199e62d60db67'}),
+    ('generate --form parabolic --param c0=0.2 --param c1=1 --param c2=0.5 --n 5001', 0, False, {'t.csv': '3e6b15d6f34f796eafb4e646f8bc411bd124062c0d77fda0f0f9fbabb32d669a'}),
+    ('generate --form squared_linear --param c0=0.75 --param c1=0.5 --n 5001', 0, False, {'t.csv': '9cf717388b0f519a6014c3a32f3dbd3d0ca0d0d210e287604a9aa01589f3dbcb'}),
+    ('generate --form linear --param c0=3 --param c1=1 --param x0=2 --n 5001', 0, True, {'t.csv': '4eee8ea17aee5ec321cabfa9885dcd4b6550b395cca8bcb28ea80ea9e711ee37'}),
+]
+
+
+@pytest.mark.parametrize("argv, code, warns, digests", _PINNED_TABLES,
+                         ids=[case[0] for case in _PINNED_TABLES])
+def test_tables_are_pinned(tmp_path, argv, code, warns, digests):
+    argv = argv.split() + ["--out", str(tmp_path / "t.csv")]
+    if argv[0] == "coherent":
+        argv += ["--report", str(tmp_path / "r.txt")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv) == code
+    assert any(issubclass(w.category, ExpansionRangeWarning) for w in caught) == warns
+    prefix = str(tmp_path).encode()
+    assert {
+        p.name: hashlib.sha256(p.read_bytes().replace(prefix, b"")).hexdigest()
+        for p in tmp_path.iterdir()
+    } == digests

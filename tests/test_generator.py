@@ -1,6 +1,9 @@
 """Generating-function route: series evaluation, ODE integration of
 dx/dq = -f(x), and dispatch to closed-form models."""
 
+import random
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from anhosc.models import (
     eval_superpotential,
     riccati_potential,
 )
-from anhosc.numerics import SampledFunction, differentiate, make_grid
+from anhosc.numerics import SampledFunction, differentiate, make_grid, solve_first_order_ode
 
 
 class TestSeries:
@@ -159,3 +162,73 @@ def test_range_warning_set_when_x_leaves_unit_interval():
     s = GeneratingSeries(FORM_LINEAR, c0=3.0, c1=1.0, x0=2.0)
     with pytest.warns(ExpansionRangeWarning):
         superpotential_from_series(s, make_grid(0.0, 1.0, 101))
+
+
+def _numpy_scalar_f(series, x):
+    """f as generate evaluated it on numpy scalars before it used plain
+    floats; the reference the float closure must match bit for bit."""
+    if series.form == FORM_CONSTANT:
+        return np.ones_like(x, dtype=float) if np.ndim(x) else 1.0
+    y = np.asarray(x, dtype=float) + series.c0 / series.c1
+    if series.form == FORM_LINEAR:
+        f = series.c1 * y
+    elif series.form == FORM_PARABOLIC:
+        f = series.c1 * y + series.c2 * y * y
+    else:
+        f = (series.c1 * y) ** 2
+    return f if np.ndim(x) else float(f)
+
+
+def _random_series(rng):
+    form = rng.choice([FORM_CONSTANT, FORM_LINEAR, FORM_PARABOLIC, FORM_SQUARED_LINEAR])
+    x0 = rng.uniform(-4.0, 4.0) if rng.random() < 0.5 else None
+    c1 = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+    return GeneratingSeries(form, c0=rng.uniform(-1.0, 2.0), c1=c1,
+                            c2=rng.uniform(-1.0, 1.0), x0=x0)
+
+
+def _outcome(integrate):
+    """The trajectory's bytes, or the DivergenceError message."""
+    try:
+        return integrate().values.tobytes()
+    except DivergenceError as exc:
+        return str(exc)
+
+
+def test_float_rhs_matches_numpy_scalar_reference():
+    rng = random.Random(20070412)
+    outcomes = []
+    while len(outcomes) < 300:
+        try:
+            series = _random_series(rng)
+        except InvalidParameterError:
+            continue  # f(x0) <= 0
+        grid = make_grid(0.0, rng.uniform(1.0, 8.0), 201)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", ExpansionRangeWarning)
+            rhs = lambda q, x: -_numpy_scalar_f(series, x)
+            expected = _outcome(lambda: solve_first_order_ode(rhs, series.initial_value(), grid))
+            actual = _outcome(lambda: superpotential_from_series(series, grid))
+        assert actual == expected, series
+        outcomes.append(isinstance(expected, str))
+    assert 20 <= sum(outcomes) <= 280  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("series", [
+    GeneratingSeries(FORM_CONSTANT),
+    GeneratingSeries(FORM_LINEAR, c0=0.5, c1=1.0),
+    GeneratingSeries(FORM_PARABOLIC, c0=0.2, c1=1.0, c2=0.5),
+    GeneratingSeries(FORM_SQUARED_LINEAR, c0=0.75, c1=0.5),
+], ids=lambda s: s.form)
+def test_eval_generating_function_types_and_values(series):
+    xs = np.array([-3.0, -0.1, 0.0, 0.37, 2.5, 1e200])
+    with np.errstate(all="ignore"):
+        expected = _numpy_scalar_f(series, xs)
+        assert isinstance(eval_generating_function(series, xs), np.ndarray)
+        assert eval_generating_function(series, xs).tobytes() == expected.tobytes()
+        assert eval_generating_function(series, list(xs)).tobytes() == expected.tobytes()
+        for x in xs:
+            for scalar in (float(x), np.float64(x)):
+                value = eval_generating_function(series, scalar)
+                assert type(value) is float
+                assert value.hex() == _numpy_scalar_f(series, scalar).hex()

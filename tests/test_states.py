@@ -3,6 +3,8 @@ expectation values. Expected numbers come from Gaussian-moment oracles and
 the closed-form wavefunctions evaluated independently here."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,6 +197,23 @@ class TestNormalize:
         m = make_harmonic()
         with pytest.raises(TruncationError):
             normalize(ground_state(m), make_grid(-1.0, 1.0, 101))
+
+    @pytest.mark.parametrize("alpha", [-2000.0, -50.0, -2000.0 + 3.0j])
+    def test_overflowing_state_is_a_truncation_error(self, alpha):
+        # psi(0) = 1, so the harmonic peak is exp(alpha^2): beyond float64.
+        m = make_harmonic()
+        psi = coherent_state(m, alpha)
+        grid = auto_grid(m, alpha, n=1001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for sample in (psi.sample, lambda g: normalized_samples(psi, g)):
+                with pytest.raises(TruncationError, match="overflows float64"):
+                    sample(grid)
+
+    def test_wrong_shaped_evaluator_is_not_called_an_overflow(self):
+        psi = replace(ground_state(make_harmonic()), evaluator=lambda q: np.ones(3))
+        with pytest.raises(InvalidParameterError, match="expected 101 samples"):
+            psi.sample(make_grid(-8.0, 8.0, 101))
 
     @pytest.mark.parametrize("alpha", [None, 0.0, 0.1, -0.1 + 0.2j])
     def test_samples_match_normalize_bit_for_bit(self, alpha):
