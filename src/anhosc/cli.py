@@ -42,7 +42,14 @@ from .models import (
 )
 from .models import eval_superpotential as model_superpotential
 from .numerics import Grid, make_grid
-from .states import auto_grid, coherent_state, ground_state, is_admissible, normalized_samples
+from .states import (
+    auto_grid,
+    coherent_state,
+    ground_state,
+    is_admissible,
+    normalized_samples,
+    require_grid_in_domain,
+)
 from .states import normalize  # noqa: F401  not called here; bench/spans.py wraps it by name
 from .verify import Tolerances, format_complex, verify_coherent, verify_model
 
@@ -115,24 +122,9 @@ def _resolve_grid(args, model: OscillatorModel, alpha: complex = 0.0) -> Grid:
         if args.qmin is None or args.qmax is None:
             raise InvalidParameterError("--qmin and --qmax must be given together")
         grid = make_grid(args.qmin, args.qmax, args.n)
-        _warn_if_truncation_loose(model, grid, alpha)
+        require_grid_in_domain(model, grid)
         return grid
     return auto_grid(model, alpha=alpha, n=args.n)
-
-
-def _warn_if_truncation_loose(model: OscillatorModel, grid: Grid, alpha: complex) -> None:
-    try:
-        psi = coherent_state(model, alpha) if alpha else ground_state(model)
-        mag = np.abs(psi.sample(grid).values)
-    except AnhoscError:
-        return
-    peak = float(mag.max())
-    if peak > 0.0 and (mag[0] > 1e-12 * peak or mag[-1] > 1e-12 * peak):
-        print(
-            "warning: explicit grid edge magnitude exceeds 1e-12 of the peak; "
-            "normalization may reject this grid",
-            file=sys.stderr,
-        )
 
 
 def _model_header_lines(model: OscillatorModel) -> list[str]:
@@ -188,14 +180,20 @@ def _write_plotscript(table_path: str, columns: list[str]) -> None:
 def cmd_construct(args) -> int:
     model = _build_model(args.family, _parse_params(args.param))
     grid = _resolve_grid(args, model)
+    psi0 = ground_state(model).sample(grid).values
+    if args.qmin is not None:  # no normalization gates this grid; warn instead
+        mag = np.abs(psi0)
+        peak = float(mag.max())
+        if peak > 0.0 and (mag[0] > 1e-12 * peak or mag[-1] > 1e-12 * peak):
+            print("warning: explicit grid edge magnitude exceeds 1e-12 of the peak; "
+                  "normalization may reject this grid", file=sys.stderr)
     q = grid.points()
     x = model_superpotential(model, q)
     dx = eval_superpotential_derivative(model, q)
     v = closed_form_potential(model, q)
-    psi0 = ground_state(model).sample(grid).values.real
     columns = ["q", "x", "dx_dq", "v_minus_e0", "psi0"]
     header = ["# anhosc construct"] + _model_header_lines(model)
-    _write_table(args.out, header, columns, (q, x, dx, v, psi0))
+    _write_table(args.out, header, columns, (q, x, dx, v, psi0.real))
     if args.emit == "plotscript":
         _write_plotscript(args.out, columns)
     return _EXIT_OK

@@ -154,24 +154,8 @@ def commutator_value(model: OscillatorModel, q) -> float | np.ndarray:
 
 def riccati_potential(model: OscillatorModel, q) -> float | np.ndarray:
     """V(q) - E0 built from the Riccati combination (x^2 + x')/2."""
-    qa = _check_domain(model, q)
-    p = model.params
-    if model.family == HARMONIC:
-        x = -qa
-        dx = -np.ones_like(qa)
-    elif model.family == GENERALIZED_MORSE:
-        u = np.exp(-p.c1 * qa)
-        x = (u - p.c0) / p.c1
-        dx = -u
-    elif model.family == WEI_HUA:
-        ce = p.big_c * np.exp(-p.c1 * qa)
-        x = (p.c1 / p.c2) * ce / (1.0 - ce) - p.c0 / p.c1
-        dx = -(p.c1 ** 2 / p.c2) * ce / (1.0 - ce) ** 2
-    else:
-        w = p.c1 * qa + 1.0
-        x = 1.0 / (p.c1 * w) - p.c0 / p.c1
-        dx = -1.0 / w ** 2
-    return _as_input_shape(0.5 * (x * x + dx), q)
+    x = eval_superpotential(model, q)
+    return 0.5 * (x * x + eval_superpotential_derivative(model, q))
 
 
 def closed_form_potential(model: OscillatorModel, q) -> float | np.ndarray:

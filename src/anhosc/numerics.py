@@ -91,22 +91,35 @@ def differentiate(f: SampledFunction, order: int = 1) -> SampledFunction:
 
     Central differences in the interior (O(step^4) accurate) and one-sided
     five-point stencils at the two points next to each boundary, so edge error
-    stays high-order.
+    stays high-order. The interior is accumulated in place with one scratch
+    array, in the operation order of the written-out expression.
     """
     if order not in (1, 2):
         raise InvalidParameterError(f"derivative order must be 1 or 2, got {order}")
     y = f.values
     h = f.grid.step
     d = np.empty_like(y)
+    mid = d[2:-2]
+    scratch = np.empty_like(mid)
     if order == 1:
-        d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
+        # (y[:-4] - 8 y[1:-3] + 8 y[3:-1] - y[4:]) / (12 h)
+        np.subtract(y[:-4], np.multiply(8.0, y[1:-3], out=scratch), out=mid)
+        np.add(mid, np.multiply(8.0, y[3:-1], out=scratch), out=mid)
+        np.subtract(mid, y[4:], out=mid)
+        np.divide(mid, 12.0 * h, out=mid)
         d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / (12.0 * h)
         d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / (12.0 * h)
         d[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3] + 6.0 * y[-4] - y[-5]) / (12.0 * h)
         d[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3] - 16.0 * y[-4] + 3.0 * y[-5]) / (12.0 * h)
     else:
         hh = 12.0 * h * h
-        d[2:-2] = (-y[:-4] + 16.0 * y[1:-3] - 30.0 * y[2:-2] + 16.0 * y[3:-1] - y[4:]) / hh
+        # (-y[:-4] + 16 y[1:-3] - 30 y[2:-2] + 16 y[3:-1] - y[4:]) / hh, the
+        # first sum written 16 y[1:-3] - y[:-4]: the same IEEE result.
+        np.subtract(np.multiply(16.0, y[1:-3], out=mid), y[:-4], out=mid)
+        np.subtract(mid, np.multiply(30.0, y[2:-2], out=scratch), out=mid)
+        np.add(mid, np.multiply(16.0, y[3:-1], out=scratch), out=mid)
+        np.subtract(mid, y[4:], out=mid)
+        np.divide(mid, hh, out=mid)
         d[0] = (35.0 * y[0] - 104.0 * y[1] + 114.0 * y[2] - 56.0 * y[3] + 11.0 * y[4]) / hh
         d[1] = (11.0 * y[0] - 20.0 * y[1] + 6.0 * y[2] + 4.0 * y[3] - y[4]) / hh
         d[-2] = (11.0 * y[-1] - 20.0 * y[-2] + 6.0 * y[-3] + 4.0 * y[-4] - y[-5]) / hh
@@ -126,13 +139,18 @@ def solve_first_order_ode(
     global error is O(step^4). Raising substeps lets callers form their own
     step-halving error estimates (see ode_step_halving_error).
 
-    Raises DivergenceError when the trajectory leaves the representable range,
-    which signals a pole of x(q).
+    Raises InvalidParameterError for a start beyond |x| = 1e150, and
+    DivergenceError when the trajectory leaves that range, which signals a
+    pole of x(q).
     """
     if substeps < 1:
         raise InvalidParameterError("substeps must be >= 1")
     if not math.isfinite(x0):
         raise InvalidParameterError("initial value must be finite")
+    if abs(x0) > _ODE_OVERFLOW:
+        raise InvalidParameterError(
+            f"initial value {x0!r} outside the integrator's range |x| <= {_ODE_OVERFLOW:g}"
+        )
     h = grid.step / substeps
     x = float(x0)
     out = np.empty(grid.n, dtype=float)

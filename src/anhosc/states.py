@@ -84,15 +84,19 @@ class WaveFunction:
         return _sample_on(self, grid, complex)
 
 
-def _sample_on(psi: WaveFunction, grid: Grid, dtype=None) -> SampledFunction:
-    """The evaluator's samples on a grid inside the open domain; TruncationError
-    where they overflow float64."""
-    model = psi.model
+def require_grid_in_domain(model: OscillatorModel, grid: Grid) -> None:
+    """DomainViolationError unless the whole grid lies in the open domain."""
     if grid.q_min <= model.q_lower or grid.q_max >= model.q_upper:
         raise DomainViolationError(
             f"grid [{grid.q_min!r}, {grid.q_max!r}] not inside open domain "
             f"({model.q_lower!r}, {model.q_upper!r})"
         )
+
+
+def _sample_on(psi: WaveFunction, grid: Grid, dtype=None) -> SampledFunction:
+    """The evaluator's samples on a grid inside the open domain; TruncationError
+    where they overflow float64."""
+    require_grid_in_domain(psi.model, grid)
     with np.errstate(over="ignore"):
         values = np.asarray(psi.evaluator(grid.points()), dtype=dtype)
     try:

@@ -22,7 +22,7 @@ from .models import (
     commutator_value,
     describe,
     eval_superpotential,
-    riccati_potential,
+    eval_superpotential_derivative,
 )
 from .numerics import Grid, SampledFunction, differentiate, integrate_simpson
 from .states import (
@@ -132,15 +132,17 @@ def verify_model(
     Fills the Riccati residual (closed-form potential against (x^2 + x')/2
     with analytic derivatives), the ground-state annihilation and Schroedinger
     residuals, and the commutator action residual on a neutral Gaussian test
-    function centered in the grid. The ground state and the closed-form
-    potential are evaluated once, and x(q) once for all ladder applications.
+    function centered in the grid. The ground state, the closed-form
+    potential, x(q) and x'(q) are evaluated once each: x' serves both the
+    Riccati combination and the commutator term, x all ladder applications.
     """
     tol = tolerances or default_tolerances()
     q = grid.points()
     x = eval_superpotential(model, q)
+    xp = eval_superpotential_derivative(model, q)
     v = closed_form_potential(model, q)
 
-    riccati = float(np.max(np.abs(v - riccati_potential(model, q))))
+    riccati = float(np.max(np.abs(v - 0.5 * (x * x + xp))))
 
     # Normalization doubles as the truncation-sufficiency gate for the grid.
     s0, _ = normalized_samples(ground_state(model), grid)
@@ -166,9 +168,9 @@ def verify_model(
     a_adag = ladder_values(differentiate(up, 1).values, x * up.values, ANNIHILATION)
     del up
     down = SampledFunction(grid, ladder_values(dphi, x_phi, ANNIHILATION))
+    del dphi, x_phi
     adag_a = ladder_values(differentiate(down, 1).values, x * down.values, CREATION)
-    del down, dphi, x_phi, x
-    xp = -commutator_value(model, q)
+    del down, x
     comm = l2_norm(SampledFunction(grid, (a_adag - adag_a) + xp * phi.values)) / l2_norm(phi)
 
     checks = (

@@ -251,6 +251,49 @@ class TestVerifyCommand:
                    "--report", str(tmp_path / "r.txt")) == 2
 
 
+class TestExplicitGrids:
+    # psi0 = exp(-q^2/2) is 1.5e-8 of its peak at q = +-6: construct warns,
+    # while normalization's tail-mass rule accepts the grid.
+    LOOSE = ("--family", "harmonic", "--qmin", "-6", "--qmax", "6", "--n", "1001")
+    TIGHT = ("--family", "harmonic", "--qmin", "-1", "--qmax", "1", "--n", "101")
+
+    def test_only_construct_warns_on_a_loose_grid(self, tmp_path, capsys):
+        assert run("construct", *self.LOOSE, "--out", str(tmp_path / "h.csv")) == 0
+        assert "edge magnitude exceeds" in capsys.readouterr().err
+        assert run("coherent", *self.LOOSE, "--alpha", "0.1", "--out", str(tmp_path / "c.csv"),
+                   "--report", str(tmp_path / "c.txt")) == 0
+        assert run("verify", *self.LOOSE, "--alphas", "0.1,0.05+0.1i",
+                   "--report", str(tmp_path / "r.txt")) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("coherent", "--alpha", "0.1", "--out", "c.csv", "--report", "c.txt"),
+        ("verify", "--alphas", "0.1", "--report", "r.txt"),
+    ])
+    def test_grid_normalization_rejects_is_usage_error(self, tmp_path, capsys, argv):
+        # Normalization, not a warning, decides whether a grid covers the state.
+        argv = [str(tmp_path / a) if a.endswith((".csv", ".txt")) else a for a in argv]
+        assert run(argv[0], *self.TIGHT, *argv[1:]) == 2
+        assert capsys.readouterr().err == (
+            "error: left grid edge does not cover the support; widen the grid\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "--out", "t.csv"),
+        ("coherent", "--alpha", "0.1", "--out", "t.csv", "--report", "r.txt"),
+        ("verify", "--alphas", "0.1", "--report", "r.txt"),
+    ])
+    def test_grid_outside_domain_has_one_message(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a.endswith((".csv", ".txt")) else a for a in argv]
+        code = run(argv[0], "--family", "kratzer", "--param", "c1=0.5",
+                   "--qmin", "-3", "--qmax", "10", *argv[1:])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: grid [-3.0, 10.0] not inside open domain (-2.0, inf)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestGenerate:
     def test_linear_round_trip_header(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -275,6 +318,21 @@ class TestGenerate:
         rows = [r.split(",") for r in data_rows(out)]
         for row in rows[:: len(rows) // 7]:
             assert abs(float(row[1]) - (-float(row[0]))) < 1e-12
+
+    @pytest.mark.parametrize("params, x0", [
+        (("--form", "linear", "--param", "c0=0.5", "--param", "c1=1"), "1e200"),
+        (("--form", "constant"), "-1e200"),
+    ])
+    def test_start_beyond_range_is_not_called_a_pole(self, tmp_path, capsys, params, x0):
+        # x decays from the start (linear) or falls at unit slope (constant);
+        # neither has a pole, the start just lies beyond |x| <= 1e150.
+        out = tmp_path / "g.csv"
+        assert run("generate", *params, "--param", f"x0={x0}", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: initial value {float(x0)!r} outside the integrator's range "
+            "|x| <= 1e+150\n"
+        )
+        assert not out.exists()
 
 
 class TestFitCommand:

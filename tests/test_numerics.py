@@ -5,6 +5,7 @@ closed-form derivatives, closed-form ODE solutions) evaluated in this file.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,85 @@ class TestDifferentiate:
         assert np.max(np.abs(twice - second)) < 10.0 * g.step**2
 
 
+def _reference_differentiate(y, h, order):
+    """The five-point stencils as plain numpy expressions, each building its
+    own temporaries: the reference the in-place interior must reproduce."""
+    d = np.empty_like(y)
+    if order == 1:
+        d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
+        d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / (12.0 * h)
+        d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / (12.0 * h)
+        d[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3] + 6.0 * y[-4] - y[-5]) / (12.0 * h)
+        d[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3] - 16.0 * y[-4] + 3.0 * y[-5]) / (12.0 * h)
+    else:
+        hh = 12.0 * h * h
+        d[2:-2] = (-y[:-4] + 16.0 * y[1:-3] - 30.0 * y[2:-2] + 16.0 * y[3:-1] - y[4:]) / hh
+        d[0] = (35.0 * y[0] - 104.0 * y[1] + 114.0 * y[2] - 56.0 * y[3] + 11.0 * y[4]) / hh
+        d[1] = (11.0 * y[0] - 20.0 * y[1] + 6.0 * y[2] + 4.0 * y[3] - y[4]) / hh
+        d[-2] = (11.0 * y[-1] - 20.0 * y[-2] + 6.0 * y[-3] + 4.0 * y[-4] - y[-5]) / hh
+        d[-1] = (35.0 * y[-1] - 104.0 * y[-2] + 114.0 * y[-3] - 56.0 * y[-4] + 11.0 * y[-5]) / hh
+    return d
+
+
+def _stencil_inputs(rng, n, dtype):
+    """Samples spanning 1e-300..1e300 with signed zeros and subnormals."""
+    def part():
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        v[rng.integers(0, n, n // 5 + 1)] = 0.0
+        v[rng.integers(0, n, n // 5 + 1)] = -0.0
+        v[rng.integers(0, n, n // 7 + 1)] = 5e-324 * rng.integers(-9, 9, n // 7 + 1)
+        return v
+
+    y = part()
+    return y + 1j * part() if dtype is complex else y
+
+
+class TestInPlaceStencils:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the far cases
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [5, 7, 2001, 16001, 64001])
+    def test_bits_match_the_written_out_stencils(self, n, dtype):
+        rng = np.random.default_rng(n)
+        for trial in range(6):
+            y = _stencil_inputs(rng, n, dtype)
+            g = make_grid(-1.0, -1.0 + 10.0 ** rng.uniform(-3.0, 3.0), n)
+            for order in (1, 2):
+                ref = _reference_differentiate(y, g.step, order)
+                if np.all(np.isfinite(ref)):
+                    got = differentiate(SampledFunction(g, y), order).values
+                    assert got.dtype == y.dtype
+                    assert got.tobytes() == ref.tobytes(), (trial, order)
+                else:
+                    with pytest.raises(InvalidParameterError, match="must all be finite"):
+                        differentiate(SampledFunction(g, y), order)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_overflowing_stencil_raises_as_before(self, order, dtype):
+        g = make_grid(0.0, 1.0, 7)
+        y = np.array([1e308, -1e308, 1e308, -1e308, 1e308, -1e308, 1e308], dtype=dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(_reference_differentiate(y, g.step, order)))
+            with pytest.raises(InvalidParameterError, match="samples must all be finite"):
+                differentiate(SampledFunction(g, y), order)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_peak_memory_stays_near_two_arrays(self, order):
+        # The output plus one scratch array; full-size temporaries per term
+        # of the stencil would show as three or more.
+        g = make_grid(-5.0, 5.0, 64001)
+        q = g.points()
+        f = SampledFunction(g, np.exp(-q * q + 1j * q))
+        tracemalloc.start()
+        try:
+            d = differentiate(f, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.values.nbytes == f.values.nbytes
+        assert peak <= 2.5 * f.values.nbytes
+
+
 class TestOde:
     def test_constant_slope(self):
         g = make_grid(0, 2, 5)
@@ -198,6 +278,19 @@ class TestOde:
         assert est > 0
         # The estimate tracks the true error to within an order of magnitude.
         assert 0.1 * true_err < est < 10.0 * true_err
+
+    @pytest.mark.parametrize("x0", [1e200, -1e200, 1.0000000000000002e150])
+    def test_start_beyond_range_is_a_parameter_error(self, x0):
+        # The start is not a pole: the integrator's |x| <= 1e150 range
+        # simply does not hold it.
+        g = make_grid(0, 1, 11)
+        with pytest.raises(InvalidParameterError, match="outside the integrator's range"):
+            solve_first_order_ode(lambda q, x: -(x + 0.5), x0, g)
+
+    def test_start_at_range_edge_is_integrated(self):
+        g = make_grid(0, 1, 11)
+        out = solve_first_order_ode(lambda q, x: -(x + 0.5), -1e150, g)
+        assert out.values[0] == -1e150
 
     def test_substeps_validation(self):
         g = make_grid(0, 1, 5)

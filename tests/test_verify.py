@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from anhosc.cli import main
 from anhosc.errors import InvalidParameterError
 from anhosc.families import (
     make_generalized_kratzer_fues,
@@ -175,6 +176,22 @@ class TestSampleOnce:
         counter.clear()
         verify_model(model, grid)
         assert len(counter) == 1
+
+    def test_cli_verify_on_explicit_grid_evaluates_each_state_once(self, counter, tmp_path):
+        # verify_model's ground state plus one coherent state per alpha.
+        code = main(["verify", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
+                     "--qmin=-3", "--qmax=40", "--n", "2001", "--alphas", "0.1,0.05+0.1i",
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == 0
+        assert len(counter) == 3
+
+    def test_cli_coherent_on_explicit_grid(self, counter, tmp_path):
+        # Once for the table and once more inside verify_coherent.
+        code = main(["coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
+                     "--qmin=-3", "--qmax=40", "--n", "2001", "--alpha", "0.1",
+                     "--out", str(tmp_path / "c.csv"), "--report", str(tmp_path / "c.txt")])
+        assert code == 0
+        assert len(counter) == 2
 
 
 # SHA-256 of verify_model / verify_coherent reports for the README desk
