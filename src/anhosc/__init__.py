@@ -54,6 +54,7 @@ from .numerics import (
     Grid,
     SampledFunction,
     differentiate,
+    integrate_samples,
     integrate_simpson,
     make_grid,
     ode_step_halving_error,
@@ -63,6 +64,7 @@ from .states import (
     ANNIHILATION,
     CREATION,
     AdmissibilityBound,
+    GridFields,
     WaveFunction,
     admissible_bound,
     apply_ladder,
@@ -70,6 +72,7 @@ from .states import (
     coherent_state,
     default_interval,
     expectation,
+    grid_fields,
     ground_state,
     is_admissible,
     l2_norm,

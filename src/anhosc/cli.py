@@ -33,23 +33,17 @@ from .generator import (
     closed_form_from_series,
     superpotential_from_series,
 )
-from .models import (
-    WEI_HUA,
-    OscillatorModel,
-    closed_form_potential,
-    describe,
-    eval_superpotential_derivative,
-)
+from .models import WEI_HUA, OscillatorModel, closed_form_potential, describe
 from .models import eval_superpotential as model_superpotential
 from .numerics import Grid, make_grid
 from .states import (
     auto_grid,
-    coherent_state,
-    ground_state,
+    grid_fields,
     is_admissible,
-    normalized_samples,
+    require_admissible,
     require_grid_in_domain,
 )
+from .models import eval_superpotential_derivative  # noqa: F401  bench/spans.py wraps it by name
 from .states import normalize  # noqa: F401  not called here; bench/spans.py wraps it by name
 from .verify import Tolerances, format_complex, verify_coherent, verify_model
 
@@ -180,20 +174,18 @@ def _write_plotscript(table_path: str, columns: list[str]) -> None:
 def cmd_construct(args) -> int:
     model = _build_model(args.family, _parse_params(args.param))
     grid = _resolve_grid(args, model)
-    psi0 = ground_state(model).sample(grid).values
+    fields = grid_fields(model, grid)
+    psi0 = fields.sample().values
     if args.qmin is not None:  # no normalization gates this grid; warn instead
         mag = np.abs(psi0)
         peak = float(mag.max())
         if peak > 0.0 and (mag[0] > 1e-12 * peak or mag[-1] > 1e-12 * peak):
             print("warning: explicit grid edge magnitude exceeds 1e-12 of the peak; "
                   "normalization may reject this grid", file=sys.stderr)
-    q = grid.points()
-    x = model_superpotential(model, q)
-    dx = eval_superpotential_derivative(model, q)
-    v = closed_form_potential(model, q)
+    v = closed_form_potential(model, fields.q)
     columns = ["q", "x", "dx_dq", "v_minus_e0", "psi0"]
     header = ["# anhosc construct"] + _model_header_lines(model)
-    _write_table(args.out, header, columns, (q, x, dx, v, psi0.real))
+    _write_table(args.out, header, columns, (fields.q, fields.x, fields.xp, v, psi0))
     if args.emit == "plotscript":
         _write_plotscript(args.out, columns)
     return _EXIT_OK
@@ -203,18 +195,19 @@ def cmd_coherent(args) -> int:
     model = _build_model(args.family, _parse_params(args.param))
     alpha = parse_complex(args.alpha)
     grid = _resolve_grid(args, model, alpha)
-    sampled, norm = normalized_samples(coherent_state(model, alpha), grid)
+    require_admissible(model, alpha)
+    fields = grid_fields(model, grid)
+    sampled, norm = fields.normalized(alpha)
     values = sampled.values
-    q = grid.points()
     columns = ["q", "psi_re", "psi_im", "abs2"]
     header = ["# anhosc coherent"] + _model_header_lines(model)
     header.append(f"# alpha: {format_complex(alpha)}")
     header.append(f"# norm_before_scaling: {_fmt(norm)}")
-    data = (q, values.real, values.imag, np.abs(values) ** 2)
+    data = (fields.q, values.real, values.imag, np.abs(values) ** 2)
     _write_table(args.out, header, columns, data)
     if args.emit == "plotscript":
         _write_plotscript(args.out, columns)
-    report = verify_coherent(model, alpha, grid, _tolerances(args))
+    report = verify_coherent(model, alpha, grid, _tolerances(args), fields=fields)
     _write_text(args.report, report.to_text())
     return _EXIT_OK if report.passed else _EXIT_CHECK_FAILED
 
@@ -244,7 +237,9 @@ def cmd_verify(args) -> int:
     sections: list[str] = []
     all_passed = True
     grid0 = _resolve_grid(args, model)
-    report = verify_model(model, grid0, tol)
+    # One record per distinct grid: every alpha on an explicit grid shares it.
+    fields = grid_fields(model, grid0)
+    report = verify_model(model, grid0, tol, fields=fields)
     all_passed &= report.passed
     sections.append(report.to_text())
     for alpha in alphas:
@@ -255,7 +250,9 @@ def cmd_verify(args) -> int:
         # A failing alpha must not abort the sweep: record it, exit 1.
         try:
             grid = _resolve_grid(args, model, alpha)
-            rep = verify_coherent(model, alpha, grid, tol)
+            if grid != fields.grid:
+                fields = grid_fields(model, grid)
+            rep = verify_coherent(model, alpha, grid, tol, fields=fields)
         except AnhoscError as exc:
             all_passed = False
             sections.append(head + f"result: error ({exc})\n")

@@ -7,6 +7,7 @@ concurrently from multiple threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -74,16 +75,35 @@ def make_grid(q_min: float, q_max: float, n: int) -> Grid:
     return Grid(float(q_min), float(q_max), int(n))
 
 
+def _simpson(y: np.ndarray, h: float) -> complex | float:
+    total = y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()
+    result = total * (h / 3.0)
+    return complex(result) if np.iscomplexobj(y) else float(result)
+
+
 def integrate_simpson(f: SampledFunction) -> complex | float:
     """Composite-Simpson approximation of the integral of f over its grid.
 
     Exact for polynomials up to degree three on any valid grid.
     """
-    y = f.values
-    h = f.grid.step
-    total = y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()
-    result = total * (h / 3.0)
-    return complex(result) if np.iscomplexobj(y) else float(result)
+    return _simpson(f.values, f.grid.step)
+
+
+def integrate_samples(grid: Grid, values: np.ndarray) -> complex | float:
+    """integrate_simpson(SampledFunction(grid, values)), same value, exception
+    and warnings, with the finiteness scan only after a non-finite sum: every
+    sample enters the sum, so a finite sum proves them finite. Finite samples
+    whose sum overflows are summed again with warnings on."""
+    y = np.asarray(values)
+    if y.shape != (grid.n,):
+        raise InvalidParameterError(f"expected {grid.n} samples, got shape {y.shape}")
+    with np.errstate(all="ignore"):
+        result = _simpson(y, grid.step)
+    if cmath.isfinite(result):
+        return result
+    if not np.all(np.isfinite(y)):
+        raise InvalidParameterError("samples must all be finite")
+    return _simpson(y, grid.step)
 
 
 def differentiate(f: SampledFunction, order: int = 1) -> SampledFunction:

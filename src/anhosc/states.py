@@ -6,6 +6,11 @@ psi0(0) = 1. Coherent states are psi0 * exp(sqrt(2) alpha q). Wavefunction
 objects are immutable and hold no samples, which keeps concurrent use
 trivially safe; callers that derive several quantities from one state on one
 grid sample it once with normalized_samples() and work on those arrays.
+
+Only exp(sqrt(2) alpha q) depends on alpha, so grid_fields() evaluates q,
+x(q), x'(q) and log psi0(q) once per (model, grid) and every state of a sweep
+on that grid is formed from them. The record's arrays are read-only, so one
+record can be shared across threads as freely as a model.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from .models import (
     OscillatorModel,
     commutator_value,
     eval_superpotential,
+    eval_superpotential_derivative,
 )
-from .numerics import Grid, SampledFunction, differentiate, integrate_simpson, make_grid
+from .numerics import Grid, SampledFunction, differentiate, integrate_samples, make_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -99,6 +105,10 @@ def _sample_on(psi: WaveFunction, grid: Grid, dtype=None) -> SampledFunction:
     require_grid_in_domain(psi.model, grid)
     with np.errstate(over="ignore"):
         values = np.asarray(psi.evaluator(grid.points()), dtype=dtype)
+    return _state_samples(grid, values)
+
+
+def _state_samples(grid: Grid, values: np.ndarray) -> SampledFunction:
     try:
         return SampledFunction(grid, values)
     except InvalidParameterError:
@@ -127,6 +137,16 @@ def is_admissible(model: OscillatorModel, alpha: complex) -> bool:
     return b.inf_re_alpha < t < b.sup_re_alpha
 
 
+def require_admissible(model: OscillatorModel, alpha: complex) -> None:
+    """InadmissibleAlphaError unless psi_alpha is normalizable."""
+    if not is_admissible(model, alpha):
+        b = admissible_bound(model)
+        raise InadmissibleAlphaError(
+            f"sqrt(2) Re(alpha) = {SQRT2 * complex(alpha).real:.6g} outside "
+            f"({b.inf_re_alpha:.6g}, {b.sup_re_alpha:.6g}); state not normalizable"
+        )
+
+
 def _log_ground_amplitude(model: OscillatorModel, q: np.ndarray) -> np.ndarray:
     """log psi0(q) in closed form (psi0 is positive on the domain)."""
     p = model.params
@@ -140,10 +160,19 @@ def _log_ground_amplitude(model: OscillatorModel, q: np.ndarray) -> np.ndarray:
     return np.log1p(p.c1 * q) / p.c1 ** 2 - (p.c0 / p.c1) * q
 
 
+def _state_values(log_psi0: np.ndarray, q: np.ndarray, alpha: complex | None) -> np.ndarray:
+    """psi0 = exp(log psi0) for alpha None, else psi_alpha = exp(log psi0 +
+    sqrt(2) alpha q): the one place either state is formed from log psi0."""
+    if alpha is None:
+        return np.exp(log_psi0)
+    return np.exp(log_psi0 + SQRT2 * complex(alpha) * q)
+
+
 def ground_state(model: OscillatorModel) -> WaveFunction:
     """Ground state psi0 = exp(integral_0^q x), normalized to psi0(0) = 1."""
     def evaluator(q: np.ndarray) -> np.ndarray:
-        return np.exp(_log_ground_amplitude(model, np.asarray(q, dtype=float)))
+        qa = np.asarray(q, dtype=float)
+        return _state_values(_log_ground_amplitude(model, qa), qa, None)
 
     return WaveFunction(model=model, alpha=0.0 + 0.0j, evaluator=evaluator)
 
@@ -151,28 +180,66 @@ def ground_state(model: OscillatorModel) -> WaveFunction:
 def coherent_state(model: OscillatorModel, alpha: complex) -> WaveFunction:
     """Coherent state psi_alpha = psi0 * exp(sqrt(2) alpha q), unnormalized."""
     alpha = complex(alpha)
-    if not is_admissible(model, alpha):
-        b = admissible_bound(model)
-        raise InadmissibleAlphaError(
-            f"sqrt(2) Re(alpha) = {SQRT2 * alpha.real:.6g} outside "
-            f"({b.inf_re_alpha:.6g}, {b.sup_re_alpha:.6g}); state not normalizable"
-        )
+    require_admissible(model, alpha)
 
     def evaluator(q: np.ndarray) -> np.ndarray:
         qa = np.asarray(q, dtype=float)
-        return np.exp(_log_ground_amplitude(model, qa) + SQRT2 * alpha * qa)
+        return _state_values(_log_ground_amplitude(model, qa), qa, alpha)
 
     return WaveFunction(model=model, alpha=alpha, evaluator=evaluator)
 
 
+@dataclass(frozen=True, eq=False)
+class GridFields:
+    """q, x(q), x'(q) and log psi0(q) of one model on one grid, as read-only
+    arrays; built by grid_fields(). Compared and hashed by identity."""
+
+    model: OscillatorModel
+    grid: Grid
+    q: np.ndarray
+    x: np.ndarray
+    xp: np.ndarray
+    log_psi0: np.ndarray
+
+    def sample(self, alpha: complex | None = None) -> SampledFunction:
+        """psi0 (real, alpha None) or psi_alpha samples for an admissible alpha,
+        bit-equal to sampling ground_state() or coherent_state();
+        TruncationError on overflow."""
+        with np.errstate(over="ignore"):
+            values = _state_values(self.log_psi0, self.q, alpha)
+        return _state_samples(self.grid, values)
+
+    def normalized(self, alpha: complex | None = None) -> tuple[SampledFunction, float]:
+        """normalized_samples() of psi0 or psi_alpha, formed from the record."""
+        return _normalize(self.model, self.sample(alpha))
+
+
+def grid_fields(model: OscillatorModel, grid: Grid) -> GridFields:
+    """Evaluate q, x, x' and log psi0 once on a grid inside the open domain."""
+    require_grid_in_domain(model, grid)
+    q = grid.points()
+    x = eval_superpotential(model, q)
+    xp = eval_superpotential_derivative(model, q)
+    with np.errstate(over="ignore"):
+        log_psi0 = _log_ground_amplitude(model, q)
+    for array in (q, x, xp, log_psi0):
+        array.setflags(write=False)
+    return GridFields(model, grid, q, x, xp, log_psi0)
+
+
 def ladder_values(dpsi: np.ndarray, x_psi: np.ndarray, which: str) -> np.ndarray:
     """Annihilation (psi' - x psi)/sqrt(2) or creation (-psi' - x psi)/sqrt(2)
-    from samples of psi' and of x psi on one grid."""
+    from samples of psi' and of x psi on one grid, computed in place in the
+    one array allocated, which rounds exactly as the written-out expression."""
     if which == ANNIHILATION:
-        return (dpsi - x_psi) / SQRT2
-    if which == CREATION:
-        return (-dpsi - x_psi) / SQRT2
-    raise InvalidParameterError(f"unknown ladder operator {which!r}")
+        out = np.subtract(dpsi, x_psi)
+    elif which == CREATION:
+        # A real psi' negates before the cast, as -dpsi would: +0.0 imaginary parts.
+        out = np.negative(dpsi, out=np.empty(np.shape(dpsi), np.result_type(dpsi, x_psi)))
+        np.subtract(out, x_psi, out=out)
+    else:
+        raise InvalidParameterError(f"unknown ladder operator {which!r}")
+    return np.divide(out, SQRT2, out=out)
 
 
 def apply_ladder(
@@ -189,8 +256,13 @@ def apply_ladder(
 
 def l2_norm(sampled: SampledFunction) -> float:
     """L2 norm of a sampled state by Simpson quadrature."""
-    mag2 = np.abs(sampled.values) ** 2
-    return math.sqrt(float(integrate_simpson(SampledFunction(sampled.grid, mag2))))
+    return l2_norm_of(sampled.grid, sampled.values)
+
+
+def l2_norm_of(grid: Grid, values: np.ndarray) -> float:
+    """l2_norm of raw samples, such as a residual; InvalidParameterError
+    unless they and their squared magnitudes are finite."""
+    return math.sqrt(float(integrate_samples(grid, np.abs(values) ** 2)))
 
 
 def _edge_covered(
@@ -226,15 +298,19 @@ def normalized_samples(psi: WaveFunction, grid: Grid) -> tuple[SampledFunction, 
     an edge; the caller must widen the grid. Also raises TruncationError when
     the closed form overflows float64 somewhere on the grid.
     """
+    return _normalize(psi.model, _sample_on(psi, grid))
+
+
+def _normalize(model: OscillatorModel, raw: SampledFunction) -> tuple[SampledFunction, float]:
     # Scale the evaluator's own output before the complex cast: a real ground
     # state divided after the cast would round differently.
-    raw = _sample_on(psi, grid)
+    grid = raw.grid
     mag = np.abs(raw.values)
     if mag.max() == 0.0:
         raise TruncationError("state is identically zero on the grid")
-    mass = float(integrate_simpson(SampledFunction(grid, mag ** 2)))
+    mass = float(integrate_samples(grid, mag ** 2))
     for left in (True, False):
-        if not _edge_covered(psi.model, grid, mag, mass, left):
+        if not _edge_covered(model, grid, mag, mass, left):
             side = "left" if left else "right"
             raise TruncationError(
                 f"{side} grid edge does not cover the support; widen the grid"
@@ -276,8 +352,7 @@ def expectation(psi: WaveFunction, observable: str, grid: Grid) -> complex:
         raise InvalidParameterError(
             f"unknown observable {observable!r}; expected one of {OBSERVABLES}"
         )
-    integrand = np.conj(v) * acted
-    return complex(integrate_simpson(SampledFunction(grid, integrand)))
+    return complex(integrate_samples(grid, np.conj(v) * acted))
 
 
 def default_interval(model: OscillatorModel) -> tuple[float, float]:

@@ -8,32 +8,27 @@ Reports are plain data; identical inputs produce identical reports.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._format import fmt_complex as format_complex
 from ._format import fmt_float
 from .errors import InvalidParameterError
-from .models import (
-    OscillatorModel,
-    closed_form_potential,
-    commutator_value,
-    describe,
-    eval_superpotential,
-    eval_superpotential_derivative,
-)
-from .numerics import Grid, SampledFunction, differentiate, integrate_simpson
+from .models import OscillatorModel, closed_form_potential, describe
+from .numerics import Grid, SampledFunction, differentiate, integrate_samples
 from .states import (
     ANNIHILATION,
     CREATION,
     SQRT2,
-    coherent_state,
-    ground_state,
+    GridFields,
+    grid_fields,
     l2_norm,
+    l2_norm_of,
     ladder_values,
-    normalized_samples,
+    require_admissible,
 )
 
 
@@ -52,7 +47,7 @@ class Tolerances:
     uncertainty_equality: float = 1e-6
 
     def __post_init__(self) -> None:
-        for f in fields(self):
+        for f in dataclasses.fields(self):
             if not (getattr(self, f.name) > 0.0):
                 raise InvalidParameterError(f"tolerance {f.name} must be positive")
 
@@ -101,7 +96,7 @@ class VerificationReport:
         out.append(f"  q_max: {fmt_float(self.grid.q_max)}")
         out.append(f"  n: {self.grid.n}")
         out.append("residuals:")
-        for f in fields(self):
+        for f in dataclasses.fields(self):
             if f.name in ("model", "alpha", "grid", "checks"):
                 continue
             value = getattr(self, f.name)
@@ -121,39 +116,51 @@ def _check(name: str, value: float, tol: float) -> tuple[str, float, float, bool
 
 def _moment(grid: Grid, conj_psi: np.ndarray, acted: np.ndarray) -> complex:
     """<psi| O |psi> by Simpson quadrature, from conj(psi) and samples of O psi."""
-    return complex(integrate_simpson(SampledFunction(grid, conj_psi * acted)))
+    return complex(integrate_samples(grid, conj_psi * acted))
+
+
+def _fields_for(model: OscillatorModel, grid: Grid, fields: GridFields | None) -> GridFields:
+    if fields is None:
+        return grid_fields(model, grid)
+    if fields.model != model or fields.grid != grid:
+        raise InvalidParameterError("fields were sampled for another model or grid")
+    return fields
 
 
 def verify_model(
-    model: OscillatorModel, grid: Grid, tolerances: Tolerances | None = None
+    model: OscillatorModel,
+    grid: Grid,
+    tolerances: Tolerances | None = None,
+    *,
+    fields: GridFields | None = None,
 ) -> VerificationReport:
     """Model-level identities at alpha = 0.
 
     Fills the Riccati residual (closed-form potential against (x^2 + x')/2
     with analytic derivatives), the ground-state annihilation and Schroedinger
     residuals, and the commutator action residual on a neutral Gaussian test
-    function centered in the grid. The ground state, the closed-form
-    potential, x(q) and x'(q) are evaluated once each: x' serves both the
-    Riccati combination and the commutator term, x all ladder applications.
+    function centered in the grid. q, x, x' and log psi0 come from fields,
+    the grid_fields() record of (model, grid), built here when not given; x'
+    serves both the Riccati combination and the commutator term, x all ladder
+    applications. The closed-form potential is evaluated once.
     """
     tol = tolerances or default_tolerances()
-    q = grid.points()
-    x = eval_superpotential(model, q)
-    xp = eval_superpotential_derivative(model, q)
+    fields = _fields_for(model, grid, fields)
+    q, x, xp = fields.q, fields.x, fields.xp
     v = closed_form_potential(model, q)
 
     riccati = float(np.max(np.abs(v - 0.5 * (x * x + xp))))
 
     # Normalization doubles as the truncation-sufficiency gate for the grid.
-    s0, _ = normalized_samples(ground_state(model), grid)
+    s0, _ = fields.normalized()
     psi0 = s0.values
     norm0 = l2_norm(s0)
     d1 = differentiate(s0, 1).values
-    ann = l2_norm(SampledFunction(grid, ladder_values(d1, x * psi0, ANNIHILATION))) / norm0
+    ann = l2_norm_of(grid, ladder_values(d1, x * psi0, ANNIHILATION)) / norm0
     del d1
 
     d2 = differentiate(s0, 2).values
-    sch = l2_norm(SampledFunction(grid, -0.5 * d2 + v * psi0)) / norm0
+    sch = l2_norm_of(grid, -0.5 * d2 + v * psi0) / norm0
     del d2, v, s0, psi0
 
     # Commutator action on a Gaussian test function. The ground state is a
@@ -165,13 +172,13 @@ def verify_model(
     dphi = differentiate(phi, 1).values
     x_phi = x * phi.values
     up = SampledFunction(grid, ladder_values(dphi, x_phi, CREATION))
-    a_adag = ladder_values(differentiate(up, 1).values, x * up.values, ANNIHILATION)
-    del up
     down = SampledFunction(grid, ladder_values(dphi, x_phi, ANNIHILATION))
     del dphi, x_phi
+    a_adag = ladder_values(differentiate(up, 1).values, x * up.values, ANNIHILATION)
+    del up
     adag_a = ladder_values(differentiate(down, 1).values, x * down.values, CREATION)
-    del down, x
-    comm = l2_norm(SampledFunction(grid, (a_adag - adag_a) + xp * phi.values)) / l2_norm(phi)
+    del down
+    comm = l2_norm_of(grid, (a_adag - adag_a) + xp * phi.values) / l2_norm(phi)
 
     checks = (
         _check("riccati", riccati, tol.riccati),
@@ -196,10 +203,13 @@ def verify_coherent(
     alpha: complex,
     grid: Grid,
     tolerances: Tolerances | None = None,
+    *,
+    fields: GridFields | None = None,
 ) -> VerificationReport:
     """Coherent-state identities for one admissible alpha.
 
-    Samples and normalizes psi_alpha once on the grid, then checks on those
+    Forms and normalizes psi_alpha once from fields, the grid_fields()
+    record of (model, grid), built here when not given, then checks on those
     samples the eigenvalue relation, the sign-corrected first-moment
     identities, the quadratic-moment identities, Delta x = Delta p, and the
     uncertainty product against the independently integrated quarter-squared
@@ -207,15 +217,16 @@ def verify_coherent(
     """
     tol = tolerances or default_tolerances()
     alpha = complex(alpha)
-    s, _ = normalized_samples(coherent_state(model, alpha), grid)
+    require_admissible(model, alpha)
+    fields = _fields_for(model, grid, fields)
+    s, _ = fields.normalized(alpha)
     psi = s.values
-    q = grid.points()
+    x = fields.x
 
     norm = l2_norm(s)
     d1 = differentiate(s, 1).values
-    x = eval_superpotential(model, q)
     x_psi = x * psi
-    eig = l2_norm(SampledFunction(grid, ladder_values(d1, x_psi, ANNIHILATION) - alpha * psi)) / norm
+    eig = l2_norm_of(grid, ladder_values(d1, x_psi, ANNIHILATION) - alpha * psi) / norm
 
     # Position-like observables multiply by x, x^2 or x'; p and p^2 act as
     # -i d/dq and -d^2/dq^2 on the same samples.
@@ -223,11 +234,11 @@ def verify_coherent(
     ex = _moment(grid, conj_psi, x_psi)
     del x_psi
     ex2 = _moment(grid, conj_psi, x ** 2 * psi)
-    del x
     ep = _moment(grid, conj_psi, -1j * d1)
     del d1
     ep2 = _moment(grid, conj_psi, -differentiate(s, 2).values)
-    exp_prime = _moment(grid, conj_psi, -commutator_value(model, q) * psi)
+    # x' psi is -[A, A^dagger] psi bit for bit: negation is exact.
+    exp_prime = _moment(grid, conj_psi, fields.xp * psi)
 
     var_x = (ex2 - ex ** 2).real
     var_p = (ep2 - ep ** 2).real

@@ -6,6 +6,7 @@ closed-form derivatives, closed-form ODE solutions) evaluated in this file.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from anhosc.errors import DivergenceError, InvalidParameterError
 from anhosc.numerics import (
     SampledFunction,
     differentiate,
+    integrate_samples,
     integrate_simpson,
     make_grid,
     ode_step_halving_error,
@@ -102,6 +104,86 @@ class TestSimpson:
         expected = anti(grid.q_max) - anti(grid.q_min)
         scale = max(1.0, abs(expected))
         assert abs(got - expected) < 1e-12 * scale
+
+
+def _simpson_inputs(rng, n, dtype, case):
+    """Seeded samples for one deferred-check case; finite unless the case
+    injects inf or NaN."""
+    def part():
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        v[rng.integers(0, n, n // 5 + 1)] = 0.0
+        v[rng.integers(0, n, n // 5 + 1)] = -0.0
+        v[rng.integers(0, n, n // 7 + 1)] = 5e-324 * rng.integers(-9, 9, n // 7 + 1)
+        return v
+
+    y = part() + 1j * part() if dtype is complex else part()
+    where = rng.integers(0, n, 2)
+    if case == "nan":
+        y[where[0]] = math.nan
+    elif case == "+inf":
+        y[where[0]] = math.inf
+    elif case == "-inf":
+        y[where[0]] = -math.inf
+    elif case == "+inf-inf":
+        y[where] = (math.inf, -math.inf)
+    elif case == "imag-inf" and dtype is complex:
+        y.imag[where[0]] = math.inf
+    elif case == "overflow":  # finite samples whose sum overflows to inf
+        y[rng.integers(0, n, n // 2 + 2)] = 1e308
+    elif case == "overflow+-":  # finite samples whose sum is inf - inf
+        y[rng.integers(0, n, n // 2 + 2)] = 1e308 * rng.choice([-1.0, 1.0], n // 2 + 2)
+    return y
+
+
+def _simpson_outcome(fn):
+    """Value bits or exception, plus every warning raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = np.asarray(fn()).tobytes()
+        except (InvalidParameterError, FloatingPointError) as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+class TestDeferredFinitenessCheck:
+    @pytest.mark.parametrize("err", ["warn", "raise"])
+    @pytest.mark.parametrize(
+        "case", ["finite", "nan", "+inf", "-inf", "+inf-inf", "imag-inf", "overflow", "overflow+-"]
+    )
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [5, 7, 101, 2001, 16001])
+    def test_matches_the_checked_path(self, n, dtype, case, err):
+        rng = np.random.default_rng([n, len(case), dtype is complex])
+        kinds = set()
+        for trial in range(4):
+            y = _simpson_inputs(rng, n, dtype, case)
+            g = make_grid(-1.0, -1.0 + 10.0 ** rng.uniform(-3.0, 3.0), n)
+            with np.errstate(all=err):
+                old = _simpson_outcome(lambda: integrate_simpson(SampledFunction(g, y)))
+                new = _simpson_outcome(lambda: integrate_samples(g, y))
+            assert new == old, trial
+            kinds.add(type(old[0]))
+        # Each case reaches the branch it names; a +-1e308 sum may cancel.
+        if case == "finite" or (case == "imag-inf" and dtype is float):
+            assert kinds == {bytes}
+        elif case == "overflow":
+            assert kinds == ({tuple} if err == "raise" else {bytes})
+        elif case != "overflow+-":
+            assert kinds == {tuple}
+
+    def test_finite_overflow_warns_as_before(self):
+        g = make_grid(0.0, 1.0, 5)
+        y = np.full(5, 1e308)
+        old = _simpson_outcome(lambda: integrate_simpson(SampledFunction(g, y)))
+        new = _simpson_outcome(lambda: integrate_samples(g, y))
+        assert new == old
+        assert new[0] == np.asarray(math.inf).tobytes()
+        assert new[1] and all(w[0] is RuntimeWarning for w in new[1])
+
+    def test_shape_is_checked(self):
+        with pytest.raises(InvalidParameterError, match="expected 5 samples"):
+            integrate_samples(make_grid(0.0, 1.0, 5), np.ones(7))
 
 
 class TestDifferentiate:

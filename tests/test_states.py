@@ -3,6 +3,7 @@ expectation values. Expected numbers come from Gaussian-moment oracles and
 the closed-form wavefunctions evaluated independently here."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -32,9 +33,11 @@ from anhosc.states import (
     auto_grid,
     coherent_state,
     expectation,
+    grid_fields,
     ground_state,
     is_admissible,
     l2_norm,
+    ladder_values,
     normalize,
     normalized_samples,
 )
@@ -174,6 +177,99 @@ class TestLadder:
         m = make_harmonic()
         with pytest.raises(InvalidParameterError):
             apply_ladder(m, ground_state(m), "lower", auto_grid(m))
+
+
+class TestLadderValues:
+    @pytest.mark.parametrize("dpsi_dtype", [float, complex])
+    def test_bits_match_the_written_out_expressions(self, dpsi_dtype):
+        rng = np.random.default_rng(5)
+        dpsi = rng.standard_normal(2001)
+        if dpsi_dtype is complex:
+            dpsi = dpsi + 1j * rng.standard_normal(2001)
+        dpsi[::7] = 0.0
+        dpsi[3::7] = -0.0
+        x_psi = rng.standard_normal(2001) + 1j * rng.standard_normal(2001)
+        x_psi[::5] = complex(0.0, -0.0)
+        x_psi[1::5] = 0.0
+        for which, ref in ((ANNIHILATION, (dpsi - x_psi) / SQRT2),
+                           (CREATION, (-dpsi - x_psi) / SQRT2)):
+            got = ladder_values(dpsi, x_psi, which)
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes(), which
+
+    @pytest.mark.parametrize("which", [ANNIHILATION, CREATION])
+    def test_peak_memory_is_one_array(self, which):
+        # Only the result is allocated; a temporary per operation would show
+        # as two arrays or more.
+        q = make_grid(-5.0, 5.0, 64001).points()
+        dpsi = np.exp(-q * q + 1j * q)
+        x_psi = q * dpsi
+        tracemalloc.start()
+        try:
+            out = ladder_values(dpsi, x_psi, which)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == dpsi.nbytes
+        assert peak <= 1.5 * dpsi.nbytes
+
+
+def _parity_cases():
+    models = {
+        "harmonic": make_harmonic(),
+        "morse": make_generalized_morse(1.0, 0.5),
+        "weihua": make_wei_hua(0.2, 1.0, 0.5),
+        "weihua_full_line": make_wei_hua(1.0, 1.0, -0.5),
+        "kratzer": make_kratzer_fues(0.5),
+        "gkf": make_generalized_kratzer_fues(0.75, 0.5),
+    }
+    for name, model in models.items():
+        for alpha in (0.0, 0.1, -0.3, 0.2 + 0.3j):
+            if is_admissible(model, alpha):
+                yield pytest.param(model, alpha, id=f"{name}-{alpha}")
+
+
+class TestGridFields:
+    @pytest.mark.parametrize("model, alpha", _parity_cases())
+    def test_states_are_bit_equal_to_the_wavefunction_path(self, model, alpha):
+        grid = auto_grid(model, alpha)
+        fields = grid_fields(model, grid)
+        got, norm = fields.normalized(alpha)
+        ref, ref_norm = normalized_samples(coherent_state(model, alpha), grid)
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert norm == ref_norm
+        assert fields.sample(alpha).values.tobytes() == coherent_state(model, alpha).sample(grid).values.tobytes()
+        if alpha != 0.0:
+            return
+        # alpha None is the real ground state, not the complex alpha = 0 state.
+        got0, norm0 = fields.normalized()
+        ref0, ref_norm0 = normalized_samples(ground_state(model), grid)
+        assert got0.values.tobytes() == ref0.values.tobytes()
+        assert norm0 == ref_norm0
+        assert fields.sample().values.dtype == float
+        ground = ground_state(model).sample(grid).values
+        assert fields.sample().values.astype(complex).tobytes() == ground.tobytes()
+
+    def test_fields_match_the_model_functions_and_are_read_only(self):
+        m = make_generalized_morse(1.0, 0.5)
+        grid = auto_grid(m)
+        fields = grid_fields(m, grid)
+        q = grid.points()
+        assert fields.q.tobytes() == q.tobytes()
+        assert fields.x.tobytes() == eval_superpotential(m, q).tobytes()
+        for array in (fields.q, fields.x, fields.xp, fields.log_psi0):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_grid_outside_the_domain_is_refused_first(self):
+        with pytest.raises(DomainViolationError, match="not inside open domain"):
+            grid_fields(make_kratzer_fues(0.5), make_grid(-3.0, 10.0, 101))
+
+    def test_overflow_is_a_truncation_error(self):
+        fields = grid_fields(make_harmonic(), make_grid(-40.0, 40.0, 1001))
+        with pytest.raises(TruncationError, match="overflows float64"):
+            fields.sample(-2000.0)
 
 
 class TestNormalize:

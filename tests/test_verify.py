@@ -17,8 +17,8 @@ from anhosc.families import (
     make_wei_hua,
 )
 from anhosc.numerics import make_grid
-from anhosc import states
-from anhosc.states import auto_grid
+from anhosc import cli, models, states, verify
+from anhosc.states import auto_grid, grid_fields
 from anhosc.verify import Tolerances, default_tolerances, verify_coherent, verify_model
 
 
@@ -151,17 +151,33 @@ class TestReports:
 
 
 class TestSampleOnce:
-    @pytest.fixture
-    def counter(self, monkeypatch):
+    @staticmethod
+    def _count(monkeypatch, fn):
+        """Record the model of every call to fn, under any name a module of
+        the package binds it to."""
         calls = []
-        inner = states._log_ground_amplitude
 
         def counting(model, q):
             calls.append(model)
-            return inner(model, q)
+            return fn(model, q)
 
-        monkeypatch.setattr(states, "_log_ground_amplitude", counting)
+        for module in (models, states, verify, cli):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, counting)
         return calls
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        return self._count(monkeypatch, states._log_ground_amplitude)
+
+    @pytest.fixture
+    def x_counter(self, monkeypatch):
+        return self._count(monkeypatch, models.eval_superpotential)
+
+    @pytest.fixture
+    def xp_counter(self, monkeypatch):
+        return self._count(monkeypatch, models.eval_superpotential_derivative)
 
     @pytest.mark.parametrize("model", desk_models(), ids=lambda m: m.family)
     def test_verify_coherent_evaluates_the_state_once(self, counter, model):
@@ -177,21 +193,57 @@ class TestSampleOnce:
         verify_model(model, grid)
         assert len(counter) == 1
 
-    def test_cli_verify_on_explicit_grid_evaluates_each_state_once(self, counter, tmp_path):
-        # verify_model's ground state plus one coherent state per alpha.
+    def test_cli_verify_on_explicit_grid_evaluates_each_state_once(
+        self, counter, x_counter, xp_counter, tmp_path
+    ):
+        # One grid_fields record serves verify_model and every alpha, so log
+        # psi0, x and x' are evaluated once per job (1 + alphas before).
         code = main(["verify", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
                      "--qmin=-3", "--qmax=40", "--n", "2001", "--alphas", "0.1,0.05+0.1i",
                      "--report", str(tmp_path / "r.txt")])
         assert code == 0
-        assert len(counter) == 3
+        assert (len(counter), len(x_counter), len(xp_counter)) == (1, 1, 1)
 
     def test_cli_coherent_on_explicit_grid(self, counter, tmp_path):
-        # Once for the table and once more inside verify_coherent.
+        # The table and verify_coherent share one record (twice before).
         code = main(["coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
                      "--qmin=-3", "--qmax=40", "--n", "2001", "--alpha", "0.1",
                      "--out", str(tmp_path / "c.csv"), "--report", str(tmp_path / "c.txt")])
         assert code == 0
-        assert len(counter) == 2
+        assert len(counter) == 1
+
+
+class TestSharedFields:
+    @pytest.mark.parametrize("model", desk_models(), ids=lambda m: m.family)
+    def test_passing_the_record_changes_no_report(self, model):
+        # One wide grid shared by every alpha, as on an explicit-grid sweep.
+        tol = Tolerances(eigenstate=1e-7)
+        alphas = (0.0, 0.1, -0.1 + 0.2j)
+        edges = [auto_grid(model, alpha) for alpha in alphas]
+        grid = make_grid(min(g.q_min for g in edges), max(g.q_max for g in edges), 4001)
+        fields = grid_fields(model, grid)
+        assert (verify_model(model, grid, tol, fields=fields).to_text()
+                == verify_model(model, grid, tol).to_text())
+        for alpha in alphas:
+            assert (verify_coherent(model, alpha, grid, tol, fields=fields).to_text()
+                    == verify_coherent(model, alpha, grid, tol).to_text())
+
+    def test_a_record_for_another_model_or_grid_is_refused(self):
+        m = make_generalized_morse(1.0, 0.5)
+        grid = auto_grid(m)
+        for other in (grid_fields(make_harmonic(), grid), grid_fields(m, replace(grid, n=2001)),
+                      grid_fields(make_generalized_morse(1.0, 0.25), grid)):
+            with pytest.raises(InvalidParameterError, match="another model or grid"):
+                verify_model(m, grid, fields=other)
+            with pytest.raises(InvalidParameterError, match="another model or grid"):
+                verify_coherent(m, 0.1, grid, fields=other)
+
+    def test_inadmissible_alpha_is_refused_before_the_grid(self):
+        from anhosc.errors import InadmissibleAlphaError
+        m = make_kratzer_fues(0.5)
+        outside = make_grid(-3.0, 10.0, 101)  # crosses the q = -2 boundary
+        with pytest.raises(InadmissibleAlphaError, match="state not normalizable"):
+            verify_coherent(m, 5.0, outside)
 
 
 # SHA-256 of verify_model / verify_coherent reports for the README desk
