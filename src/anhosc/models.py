@@ -99,12 +99,12 @@ def _check_domain(model: OscillatorModel, q) -> np.float64 | np.ndarray:
         # Scalar fast path (also np.float64): the same comparisons without
         # building arrays. Evaluating on np.float64 keeps numpy's arithmetic,
         # so results and overflow behaviour match the array path bit for bit.
-        outside = q <= model.q_lower or q >= model.q_upper
+        inside = model.q_lower < q < model.q_upper
         qa = np.float64(q)
     else:
         qa = np.asarray(q, dtype=float)
-        outside = np.any(qa <= model.q_lower) or np.any(qa >= model.q_upper)
-    if outside:
+        inside = np.all(qa > model.q_lower) and np.all(qa < model.q_upper)
+    if not inside:  # written so that NaN, which compares False, is outside
         raise DomainViolationError(
             f"coordinate outside open domain ({model.q_lower!r}, {model.q_upper!r})"
         )

@@ -372,7 +372,10 @@ def default_interval(model: OscillatorModel) -> tuple[float, float]:
 
 
 def _log_amplitude(model: OscillatorModel, t: float, q: float) -> float:
-    return float(_log_ground_amplitude(model, np.asarray(q, dtype=float))) + t * q
+    # A numpy scalar runs the same ufunc loops as a 0-d array, bit for bit,
+    # at about a third of the call overhead; math.exp/log1p would round
+    # differently from numpy on some inputs and move the grid edges.
+    return float(_log_ground_amplitude(model, np.float64(q))) + t * q
 
 
 def _find_peak(model: OscillatorModel, t: float) -> float:

@@ -1,12 +1,18 @@
 """Command-line contract: exit codes, file formats, byte stability."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anhosc.cli import main, parse_complex
+from anhosc import cli
+from anhosc.cli import build_parser, main, parse_complex
 from anhosc.errors import InvalidParameterError
 from anhosc.generator import ExpansionRangeWarning
 
@@ -376,6 +382,99 @@ class TestFitCommand:
     def test_missing_file(self, tmp_path):
         assert run("fit", "--data", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "f.txt")) == 2
+
+
+# A sequence of in-process calls sharing main()'s parser: the same argv
+# twice, append options (--param, --tol) followed by calls without them, an
+# argparse error followed by a valid call, and --help.
+_REUSE_SEQUENCE = [
+    "verify --family morse --param s=1 --param xe=0.5 --alphas 0,0.1 --n 1001 --report r.txt",
+    "verify --family morse --param s=1 --param xe=0.5 --alphas 0,0.1 --n 1001 --report r.txt",
+    "verify --family harmonic --alphas 0.1 --qmin -8 --qmax 8 --n 1001"
+    " --tol product=1e-12 --tol annihilation=1 --report r.txt",
+    "verify --family harmonic --alphas 0.1 --qmin -8 --qmax 8 --n 1001 --report r.txt",
+    "coherent --family kratzer --param c1=0.5 --alpha 0.1 --n 1001 --out t.csv --report r.txt",
+    "construct --family harmonic --n 1001 --out t.csv",
+    "verify --family harmonic --report r.txt",
+    "verify --family harmonic --alphas 0 --n 1001 --report r.txt",
+    "construct --family harmonic --n 1001 --out t.csv --bogus",
+    "fit --order 1",
+    "construct --family kratzer --param c1=0.5 --n 1001 --out t.csv",
+    "--help",
+]
+
+
+def _run_sequence(tmp_path, capsys):
+    """(exit code, stdout, stderr, output files) after each call."""
+    seen = []
+    for line in _REUSE_SEQUENCE:
+        for p in tmp_path.iterdir():
+            p.unlink()
+        argv = [str(tmp_path / a) if a in ("r.txt", "t.csv") else a for a in line.split()]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        seen.append((code, out, err, {p.name: p.read_bytes() for p in tmp_path.iterdir()}))
+    return seen
+
+
+class TestParserReuse:
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_calls_match_fresh_parser_runs(self, tmp_path, capsys, monkeypatch):
+        shared = _run_sequence(tmp_path, capsys)
+        assert [case[0] for case in shared] == [0, 0, 1, 0, 0, 0, 2, 0, 2, 2, 0, 0]
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        assert _run_sequence(tmp_path, capsys) == shared
+
+    def test_concurrent_calls_match_sequential_ones(self, tmp_path):
+        # More threads than cores and a short switch interval, so that
+        # parses interleave; any state a parse left behind would show.
+        argvs = [
+            ["construct", "--family", "harmonic", "--n", str(101 + 2 * k),
+             *(["--param", f"k={k}"] if k % 3 == 0 else []),
+             "--out", str(tmp_path / f"t{k}.csv")]
+            for k in range(12)
+        ]
+        expected = [main(argv) for argv in argvs]
+        assert expected == [2 if k % 3 == 0 else 0 for k in range(12)]
+        tables = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for p in tmp_path.iterdir():
+            p.unlink()
+        results = [None] * len(argvs)
+
+        def worker(k):
+            for _ in range(5):
+                results[k] = main(argvs[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(argvs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == expected
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == tables
+
+
+def test_module_entry_point_matches_in_process_main(tmp_path):
+    # A source checkout runs the CLI cold with PYTHONPATH=src python -m anhosc.
+    argv = ["verify", "--family", "harmonic", "--alphas", "0.1", "--qmin", "-8",
+            "--qmax", "8", "--n", "201", "--tol", "product=1e-12"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cold = subprocess.run(
+        [sys.executable, "-m", "anhosc", *argv, "--report", "cold.txt"],
+        cwd=tmp_path, env=env, capture_output=True, timeout=120,
+    )
+    assert cold.returncode == main(argv + ["--report", str(tmp_path / "warm.txt")]) == 1
+    assert cold.stderr == b""
+    assert (tmp_path / "cold.txt").read_bytes() == (tmp_path / "warm.txt").read_bytes()
 
 
 # (argv, exit code, ExpansionRangeWarning raised, SHA-256 of every output

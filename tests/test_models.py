@@ -250,6 +250,23 @@ def test_scalar_fast_path_matches_zero_dim_array_path(evaluate, m):
         _assert_same_outcome(scalar, zero_dim, q)
 
 
+@pytest.mark.parametrize("evaluate", [
+    eval_superpotential,
+    eval_superpotential_derivative,
+    commutator_value,
+    riccati_potential,
+    closed_form_potential,
+])
+@pytest.mark.parametrize("m", _PARITY_MODELS, ids=lambda m: m.family)
+def test_nan_coordinate_is_outside_the_domain(evaluate, m):
+    inside = 1.0
+    evaluate(m, np.array([inside, inside]))  # the rejection below is NaN's alone
+    for q in (math.nan, np.float64(math.nan), np.array(math.nan),
+              np.array([inside, math.nan, inside])):
+        with pytest.raises(DomainViolationError, match="outside open domain"):
+            evaluate(m, q)
+
+
 def _reference_riccati_potential(m, q):
     """riccati_potential as it was before it was built from eval_superpotential
     and eval_superpotential_derivative: its own copy of the closed forms."""

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from anhosc import states
 from anhosc.errors import (
     DomainViolationError,
     InadmissibleAlphaError,
@@ -28,10 +29,13 @@ from anhosc.models import eval_superpotential
 from anhosc.states import (
     ANNIHILATION,
     CREATION,
+    _log_amplitude,
+    _log_ground_amplitude,
     admissible_bound,
     apply_ladder,
     auto_grid,
     coherent_state,
+    default_interval,
     expectation,
     grid_fields,
     ground_state,
@@ -465,3 +469,72 @@ _GOLDEN_EDGES = [
 def test_auto_grid_edges_are_pinned(name, alpha, n, q_min, q_max):
     g = auto_grid(_DESK_MODELS[name], alpha, n)
     assert (g.q_min.hex(), g.q_max.hex(), g.n) == (q_min, q_max, n)
+
+
+def _reference_log_amplitude(model, t, q):
+    """_log_amplitude as it was before the searches evaluated on numpy
+    scalars: the closed form on a 0-d array."""
+    return float(_log_ground_amplitude(model, np.asarray(q, dtype=float))) + t * q
+
+
+_SEARCH_MODELS = [*_DESK_MODELS.values(), make_wei_hua(0.2, 1.0, -0.5)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # far-tail overflow
+@pytest.mark.parametrize("m", _SEARCH_MODELS, ids=lambda m: m.family)
+def test_log_amplitude_matches_zero_dim_reference(m):
+    rng = np.random.default_rng(17)
+    a0, b0 = default_interval(m)
+    qs = [*np.linspace(a0, b0, 401), *rng.uniform(a0, b0, 400), b0 * 1e3, 1e200]
+    if math.isfinite(m.q_lower):
+        # Next to the boundary log psi0 runs to -inf (a power-law zero).
+        qs += [float(np.nextafter(m.q_lower, math.inf))]
+        qs += [m.q_lower + 10.0 ** -k for k in range(1, 17)]
+    else:
+        qs += [a0 * 1e3, -1e200]
+    for t in (0.0, 0.3, -1.2):
+        for q in map(float, qs):
+            assert (_log_amplitude(m, t, q).hex()
+                    == _reference_log_amplitude(m, t, q).hex()), (t, q)
+
+
+def _search_draws(count, seed):
+    """Seeded (model, alpha) pairs well beyond the desk models, with Re(alpha)
+    anywhere in the admissible interval."""
+    rng = np.random.default_rng(seed)
+    makers = [
+        lambda: make_harmonic(),
+        lambda: make_generalized_morse(*sorted(rng.uniform(0.05, 3.0, 2))[::-1]),
+        lambda: make_wei_hua(rng.uniform(0.05, 1.0), rng.uniform(0.3, 2.0),
+                             rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.9)),
+        lambda: make_kratzer_fues(rng.uniform(0.1, 0.95)),
+        lambda: make_generalized_kratzer_fues(rng.uniform(0.1, 2.0), rng.uniform(0.1, 0.95)),
+    ]
+    draws = []
+    while len(draws) < count:
+        try:
+            m = makers[len(draws) % len(makers)]()
+        except InvalidParameterError:
+            continue
+        b = admissible_bound(m)
+        lo = max(b.inf_re_alpha, -3.0)
+        hi = min(b.sup_re_alpha, 3.0)
+        t = lo + (hi - lo) * rng.uniform(0.001, 0.999)
+        draws.append((m, complex(t / SQRT2, rng.uniform(-1.0, 1.0))))
+    return draws
+
+
+def _grid_outcome(m, alpha):
+    try:
+        g = auto_grid(m, alpha, 2001)
+    except TruncationError as exc:
+        return str(exc)
+    return g.q_min.hex(), g.q_max.hex()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_auto_grid_matches_zero_dim_reference_search(monkeypatch):
+    draws = _search_draws(300, seed=2024)
+    new = [_grid_outcome(m, alpha) for m, alpha in draws]
+    monkeypatch.setattr(states, "_log_amplitude", _reference_log_amplitude)
+    assert [_grid_outcome(m, alpha) for m, alpha in draws] == new
