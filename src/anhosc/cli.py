@@ -208,7 +208,8 @@ def cmd_coherent(args) -> int:
     _write_table(args.out, header, columns, data)
     if args.emit == "plotscript":
         _write_plotscript(args.out, columns)
-    report = verify_coherent(model, alpha, grid, _tolerances(args), fields=fields)
+    report = verify_coherent(model, alpha, grid, _tolerances(args), fields=fields,
+                             normalized=sampled)
     _write_text(args.report, report.to_text())
     return _EXIT_OK if report.passed else _EXIT_CHECK_FAILED
 

@@ -1,6 +1,7 @@
-"""Oscillator model abstraction: superpotential x(q), its analytic derivative,
-the Riccati combination (V - E0) = (x^2 + x')/2, and per-family closed-form
-potentials used as an independent cross-check.
+"""Oscillator model abstraction: superpotential x(q), its analytic derivative
+and the log ground-state amplitude from one kernel per family, the Riccati
+combination (V - E0) = (x^2 + x')/2, and per-family closed-form potentials
+used as an independent cross-check.
 
 Models are immutable after construction and all evaluations are pure, so
 instances can be shared freely across threads. Evaluation accepts scalars or
@@ -10,6 +11,7 @@ numpy arrays of coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -62,6 +64,7 @@ class KratzerFuesParams:
 
 
 FamilyParams = HarmonicParams | MorseParams | WeiHuaParams | KratzerFuesParams
+Kernel = Callable[..., tuple]
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,9 @@ def describe(model: OscillatorModel) -> str:
     return f"generalized_kratzer_fues(c0={p.c0!r}, c1={p.c1!r})"
 
 
-def _check_domain(model: OscillatorModel, q) -> np.float64 | np.ndarray:
+def check_domain(model: OscillatorModel, q) -> np.float64 | np.ndarray:
+    """q as np.float64 or a float array; DomainViolationError unless every
+    coordinate lies in the open domain."""
     if isinstance(q, float):
         # Scalar fast path (also np.float64): the same comparisons without
         # building arrays. Evaluating on np.float64 keeps numpy's arithmetic,
@@ -115,36 +120,79 @@ def _as_input_shape(value: np.ndarray, q) -> float | np.ndarray:
     return float(value) if isinstance(q, float) or not np.ndim(q) else value
 
 
+def _harmonic_kernel(p: HarmonicParams) -> Kernel:
+    def fields(q, x=True, xp=False, log_psi0=False):
+        return (-q if x else None,
+                -np.ones_like(q) if xp else None,
+                -0.5 * q * q if log_psi0 else None)
+    return fields
+
+
+def _morse_kernel(p: MorseParams) -> Kernel:
+    neg_c1, c0, c1, c1_sq, slope = -p.c1, p.c0, p.c1, p.c1 ** 2, p.c0 / p.c1
+
+    def fields(q, x=True, xp=False, log_psi0=False):
+        u = np.exp(neg_c1 * q)
+        return ((u - c0) / c1 if x else None,
+                -u if xp else None,
+                (1.0 - u) / c1_sq - slope * q if log_psi0 else None)
+    return fields
+
+
+def _wei_hua_kernel(p: WeiHuaParams) -> Kernel:
+    neg_c1, big_c, c2, slope = -p.c1, p.big_c, p.c2, p.c0 / p.c1
+    x_scale, xp_scale, w0 = p.c1 / p.c2, -(p.c1 ** 2 / p.c2), 1.0 - p.big_c
+
+    def fields(q, x=True, xp=False, log_psi0=False):
+        ce = big_c * np.exp(neg_c1 * q)
+        w = 1.0 - ce
+        return (x_scale * ce / w - slope if x else None,
+                xp_scale * ce / w ** 2 if xp else None,
+                np.log(w / w0) / c2 - slope * q if log_psi0 else None)
+    return fields
+
+
+def _kratzer_kernel(p: KratzerFuesParams) -> Kernel:
+    c1, c1_sq, slope = p.c1, p.c1 ** 2, p.c0 / p.c1
+
+    def fields(q, x=True, xp=False, log_psi0=False):
+        c1q = c1 * q
+        w = c1q + 1.0
+        return (1.0 / (c1 * w) - slope if x else None,
+                -1.0 / w ** 2 if xp else None,
+                np.log1p(c1q) / c1_sq - slope * q if log_psi0 else None)
+    return fields
+
+
+_KERNELS = {
+    HARMONIC: _harmonic_kernel,
+    GENERALIZED_MORSE: _morse_kernel,
+    WEI_HUA: _wei_hua_kernel,
+    KRATZER_FUES: _kratzer_kernel,
+    GENERALIZED_KRATZER_FUES: _kratzer_kernel,
+}
+
+
+def kernel(model: OscillatorModel) -> Kernel:
+    """The model's closed forms of x, x' and log psi0 (psi0 = exp of the
+    integral of x from 0), constants bound: kernel(model)(q, x=True,
+    xp=False, log_psi0=False) returns (x, x', log psi0), None where not
+    asked for. One exp(-c1 q) or c1 q + 1 serves all three, in the operand
+    order of the separate formulas, so each output has the bits it has
+    alone. q must lie in the open domain; the kernel does not check it."""
+    return _KERNELS[model.family](model.params)
+
+
 def eval_superpotential(model: OscillatorModel, q) -> float | np.ndarray:
     """Superpotential x(q) from the family closed form."""
-    qa = _check_domain(model, q)
-    p = model.params
-    if model.family == HARMONIC:
-        x = -qa
-    elif model.family == GENERALIZED_MORSE:
-        x = (np.exp(-p.c1 * qa) - p.c0) / p.c1
-    elif model.family == WEI_HUA:
-        ce = p.big_c * np.exp(-p.c1 * qa)
-        x = (p.c1 / p.c2) * ce / (1.0 - ce) - p.c0 / p.c1
-    else:
-        x = 1.0 / (p.c1 * (p.c1 * qa + 1.0)) - p.c0 / p.c1
+    x, _, _ = kernel(model)(check_domain(model, q))
     return _as_input_shape(x, q)
 
 
 def eval_superpotential_derivative(model: OscillatorModel, q) -> float | np.ndarray:
     """Analytic dx/dq; strictly negative everywhere on the domain."""
-    qa = _check_domain(model, q)
-    p = model.params
-    if model.family == HARMONIC:
-        d = -np.ones_like(qa)
-    elif model.family == GENERALIZED_MORSE:
-        d = -np.exp(-p.c1 * qa)
-    elif model.family == WEI_HUA:
-        ce = p.big_c * np.exp(-p.c1 * qa)
-        d = -(p.c1 ** 2 / p.c2) * ce / (1.0 - ce) ** 2
-    else:
-        d = -1.0 / (p.c1 * qa + 1.0) ** 2
-    return _as_input_shape(d, q)
+    _, xp, _ = kernel(model)(check_domain(model, q), x=False, xp=True)
+    return _as_input_shape(xp, q)
 
 
 def commutator_value(model: OscillatorModel, q) -> float | np.ndarray:
@@ -164,7 +212,7 @@ def closed_form_potential(model: OscillatorModel, q) -> float | np.ndarray:
     This is a different algebraic route than riccati_potential; agreement of
     the two is the Riccati consistency check.
     """
-    qa = _check_domain(model, q)
+    qa = check_domain(model, q)
     p = model.params
     if model.family == HARMONIC:
         v = 0.5 * (qa * qa - 1.0)

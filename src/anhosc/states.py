@@ -32,9 +32,10 @@ from .models import (
     HARMONIC,
     WEI_HUA,
     OscillatorModel,
+    check_domain,
     commutator_value,
     eval_superpotential,
-    eval_superpotential_derivative,
+    kernel,
 )
 from .numerics import Grid, SampledFunction, differentiate, integrate_samples, make_grid
 
@@ -149,15 +150,7 @@ def require_admissible(model: OscillatorModel, alpha: complex) -> None:
 
 def _log_ground_amplitude(model: OscillatorModel, q: np.ndarray) -> np.ndarray:
     """log psi0(q) in closed form (psi0 is positive on the domain)."""
-    p = model.params
-    if model.family == HARMONIC:
-        return -0.5 * q * q
-    if model.family == GENERALIZED_MORSE:
-        return (1.0 - np.exp(-p.c1 * q)) / p.c1 ** 2 - (p.c0 / p.c1) * q
-    if model.family == WEI_HUA:
-        u = p.big_c * np.exp(-p.c1 * q)
-        return np.log((1.0 - u) / (1.0 - p.big_c)) / p.c2 - (p.c0 / p.c1) * q
-    return np.log1p(p.c1 * q) / p.c1 ** 2 - (p.c0 / p.c1) * q
+    return kernel(model)(check_domain(model, q), x=False, log_psi0=True)[2]
 
 
 def _state_values(log_psi0: np.ndarray, q: np.ndarray, alpha: complex | None) -> np.ndarray:
@@ -215,13 +208,11 @@ class GridFields:
 
 
 def grid_fields(model: OscillatorModel, grid: Grid) -> GridFields:
-    """Evaluate q, x, x' and log psi0 once on a grid inside the open domain."""
+    """Evaluate q, x, x' and log psi0 once on a grid inside the open domain,
+    in one kernel call: one exponential per point for all three."""
     require_grid_in_domain(model, grid)
     q = grid.points()
-    x = eval_superpotential(model, q)
-    xp = eval_superpotential_derivative(model, q)
-    with np.errstate(over="ignore"):
-        log_psi0 = _log_ground_amplitude(model, q)
+    x, xp, log_psi0 = kernel(model)(q, xp=True, log_psi0=True)
     for array in (q, x, xp, log_psi0):
         array.setflags(write=False)
     return GridFields(model, grid, q, x, xp, log_psi0)
@@ -371,20 +362,36 @@ def default_interval(model: OscillatorModel) -> tuple[float, float]:
     return (model.q_lower + _POLE_OFFSET / p.c1, 80.0 / p.c1)
 
 
-def _log_amplitude(model: OscillatorModel, t: float, q: float) -> float:
-    # A numpy scalar runs the same ufunc loops as a 0-d array, bit for bit,
-    # at about a third of the call overhead; math.exp/log1p would round
-    # differently from numpy on some inputs and move the grid edges.
-    return float(_log_ground_amplitude(model, np.float64(q))) + t * q
+def _search_functions(model: OscillatorModel, t: float):
+    """The searches' evaluations at a float q: x(q), and x(q) with
+    log |psi_alpha(q)| from one kernel call. The kernel runs on np.float64,
+    which takes the ufunc loops of a 0-d array (same bits, same warnings) at
+    a third of the call overhead; math.exp/log1p round differently from
+    numpy on some inputs and would move the grid edges."""
+    fields = kernel(model)
+    lower, upper, float64 = model.q_lower, model.q_upper, np.float64
+
+    def x_at(q: float) -> float:
+        if not lower < q < upper:
+            check_domain(model, q)  # raises DomainViolationError
+        return float(fields(float64(q))[0])
+
+    def x_and_log_amplitude(q: float) -> tuple[float, float]:
+        if not lower < q < upper:
+            check_domain(model, q)  # raises DomainViolationError
+        x, _, log_psi0 = fields(float64(q), log_psi0=True)
+        return float(x), float(log_psi0) + t * q
+
+    return x_at, x_and_log_amplitude
 
 
-def _find_peak(model: OscillatorModel, t: float) -> float:
+def _find_peak(model: OscillatorModel, t: float, x_at: Callable[[float], float]) -> float:
     """Locate the |psi_alpha| maximum by bisecting x(q) = -t (x is strictly
     decreasing on the domain)."""
     a0, b0 = default_interval(model)
 
     def g(q: float) -> float:
-        return float(eval_superpotential(model, q)) + t
+        return x_at(q) + t
 
     lo = a0
     if math.isfinite(model.q_lower):
@@ -425,7 +432,7 @@ def _find_peak(model: OscillatorModel, t: float) -> float:
 
 
 def _edge_by_mass(
-    model: OscillatorModel,
+    x_and_log_amplitude: Callable[[float], tuple[float, float]],
     t: float,
     q_peak: float,
     start: float,
@@ -436,12 +443,12 @@ def _edge_by_mass(
     direction = 1.0 if start > q_peak else -1.0
 
     def excess(q: float) -> float:
-        x = float(eval_superpotential(model, q))
+        x, log_amplitude = x_and_log_amplitude(q)
         kappa = abs(x + t)
         if kappa == 0.0:
             return math.inf
         lever = 2.0 * (1.0 + x * x)
-        return 2.0 * _log_amplitude(model, t, q) + math.log(lever / (2.0 * kappa)) - log_budget
+        return 2.0 * log_amplitude + math.log(lever / (2.0 * kappa)) - log_budget
 
     outer = start if direction * (start - q_peak) > 0 else q_peak + direction
     for _ in range(400):
@@ -485,20 +492,16 @@ def auto_grid(
     offset.
     """
     alpha = complex(alpha)
-    if not is_admissible(model, alpha):
-        b = admissible_bound(model)
-        raise InadmissibleAlphaError(
-            f"sqrt(2) Re(alpha) = {SQRT2 * alpha.real:.6g} outside "
-            f"({b.inf_re_alpha:.6g}, {b.sup_re_alpha:.6g})"
-        )
+    require_admissible(model, alpha)
     t = SQRT2 * alpha.real
     a0, b0 = default_interval(model)
-    q_peak = _find_peak(model, t)
-    log_mass = 2.0 * _log_amplitude(model, t, q_peak) + 0.5 * math.log(
+    x_at, x_and_log_amplitude = _search_functions(model, t)
+    q_peak = _find_peak(model, t, x_at)
+    log_mass = 2.0 * x_and_log_amplitude(q_peak)[1] + 0.5 * math.log(
         math.pi / float(commutator_value(model, q_peak))
     )
     log_budget = math.log(mass_tol) + log_mass
-    b_mass = _edge_by_mass(model, t, q_peak, max(b0, q_peak + 1.0), log_budget)
+    b_mass = _edge_by_mass(x_and_log_amplitude, t, q_peak, max(b0, q_peak + 1.0), log_budget)
     if math.isfinite(model.q_lower):
         # Half-line family: fixed pole offset on the left; the far edge comes
         # from the mass rule alone, since the generous family default would
@@ -509,7 +512,7 @@ def auto_grid(
     else:
         # Full-line family: tails die at least as fast as a Gaussian on one
         # side, so the family default envelope is kept and only ever widened.
-        a_mass = _edge_by_mass(model, t, q_peak, min(a0, q_peak - 1.0), log_budget)
+        a_mass = _edge_by_mass(x_and_log_amplitude, t, q_peak, min(a0, q_peak - 1.0), log_budget)
         a = min(a0, a_mass)
         b = max(b0, b_mass)
     return make_grid(a, b, n)

@@ -205,6 +205,7 @@ def verify_coherent(
     tolerances: Tolerances | None = None,
     *,
     fields: GridFields | None = None,
+    normalized: SampledFunction | None = None,
 ) -> VerificationReport:
     """Coherent-state identities for one admissible alpha.
 
@@ -213,13 +214,17 @@ def verify_coherent(
     samples the eigenvalue relation, the sign-corrected first-moment
     identities, the quadratic-moment identities, Delta x = Delta p, and the
     uncertainty product against the independently integrated quarter-squared
-    commutator expectation.
+    commutator expectation. A caller that already holds the samples of
+    fields.normalized(alpha) passes them as normalized, and psi_alpha is
+    not formed again.
     """
     tol = tolerances or default_tolerances()
     alpha = complex(alpha)
     require_admissible(model, alpha)
     fields = _fields_for(model, grid, fields)
-    s, _ = fields.normalized(alpha)
+    s = fields.normalized(alpha)[0] if normalized is None else normalized
+    if s.grid != grid:
+        raise InvalidParameterError("normalized samples were taken on another grid")
     psi = s.values
     x = fields.x
 

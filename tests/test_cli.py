@@ -156,6 +156,17 @@ class TestCoherent:
                    "--report", str(tmp_path / "c.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize("grid", [(), ("--qmin=-3", "--qmax=40")], ids=["auto", "explicit"])
+    def test_inadmissible_alpha_has_one_message(self, tmp_path, capsys, grid):
+        code = run("coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
+                   "--alpha=2", *grid, "--out", str(tmp_path / "c.csv"),
+                   "--report", str(tmp_path / "c.txt"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sqrt(2) Re(alpha) = 2.82843 outside (-inf, 0.5); state not normalizable\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_kratzer_complex_alpha(self, tmp_path):
         code = run("coherent", "--family", "kratzer", "--param", "c1=0.5",
                    "--alpha", "0.1+0.2i", "--out", str(tmp_path / "c.csv"),

@@ -275,10 +275,10 @@ def _reference_riccati_potential(m, q):
         HARMONIC,
         WEI_HUA,
         _as_input_shape,
-        _check_domain,
+        check_domain,
     )
 
-    qa = _check_domain(m, q)
+    qa = check_domain(m, q)
     p = m.params
     if m.family == HARMONIC:
         x = -qa
@@ -325,3 +325,148 @@ def test_riccati_potential_matches_its_former_closed_forms(m):
             assert type(got) is float and math.isnan(got), (q, got)
         else:
             _assert_same_outcome(got, ref, q)
+
+
+def _former_superpotential(m, qa):
+    """x(q) as eval_superpotential had it before x, x' and log psi0 shared
+    one kernel per family, copied verbatim."""
+    from anhosc.models import GENERALIZED_MORSE, HARMONIC, WEI_HUA
+
+    p = m.params
+    if m.family == HARMONIC:
+        x = -qa
+    elif m.family == GENERALIZED_MORSE:
+        x = (np.exp(-p.c1 * qa) - p.c0) / p.c1
+    elif m.family == WEI_HUA:
+        ce = p.big_c * np.exp(-p.c1 * qa)
+        x = (p.c1 / p.c2) * ce / (1.0 - ce) - p.c0 / p.c1
+    else:
+        x = 1.0 / (p.c1 * (p.c1 * qa + 1.0)) - p.c0 / p.c1
+    return x
+
+
+def _former_superpotential_derivative(m, qa):
+    """dx/dq as eval_superpotential_derivative had it, copied verbatim."""
+    from anhosc.models import GENERALIZED_MORSE, HARMONIC, WEI_HUA
+
+    p = m.params
+    if m.family == HARMONIC:
+        d = -np.ones_like(qa)
+    elif m.family == GENERALIZED_MORSE:
+        d = -np.exp(-p.c1 * qa)
+    elif m.family == WEI_HUA:
+        ce = p.big_c * np.exp(-p.c1 * qa)
+        d = -(p.c1 ** 2 / p.c2) * ce / (1.0 - ce) ** 2
+    else:
+        d = -1.0 / (p.c1 * qa + 1.0) ** 2
+    return d
+
+
+def _former_log_ground_amplitude(model, q):
+    """log psi0(q) as states had it, copied verbatim."""
+    from anhosc.models import GENERALIZED_MORSE, HARMONIC, WEI_HUA
+
+    p = model.params
+    if model.family == HARMONIC:
+        return -0.5 * q * q
+    if model.family == GENERALIZED_MORSE:
+        return (1.0 - np.exp(-p.c1 * q)) / p.c1 ** 2 - (p.c0 / p.c1) * q
+    if model.family == WEI_HUA:
+        u = p.big_c * np.exp(-p.c1 * q)
+        return np.log((1.0 - u) / (1.0 - p.big_c)) / p.c2 - (p.c0 / p.c1) * q
+    return np.log1p(p.c1 * q) / p.c1 ** 2 - (p.c0 / p.c1) * q
+
+
+def _bits(value):
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, np.ndarray) and value.ndim:
+        return value.dtype.str, value.tobytes()
+    return float(value).hex()
+
+
+def _bits_and_warnings(call):
+    """(bits of the result or the exception type, the set of warnings)."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = _bits(call())
+        except Exception as exc:  # the exception type is part of the contract
+            result = type(exc)
+    return result, {(w.category, str(w.message)) for w in caught}
+
+
+def _kernel_inputs(m):
+    """Coordinates across the search interval, next to a finite boundary,
+    and in far tails where exp(-c1 q) overflows (full-line families) or
+    q * q does (harmonic)."""
+    from anhosc.states import default_interval
+
+    a0, b0 = default_interval(m)
+    qs = [*np.linspace(a0, b0, 61), b0 * 1e3, 1e200]
+    if math.isfinite(m.q_lower):
+        qs += [float(np.nextafter(m.q_lower, math.inf))]
+        qs += [m.q_lower + 10.0 ** -k for k in range(1, 16)]
+    else:
+        qs += [a0 * 1e3, -1e200]
+    return [q for q in map(float, qs) if m.q_lower < q]
+
+
+_KERNEL_MODELS = _PARITY_MODELS + [
+    make_generalized_morse(50.0, 0.01),
+    make_wei_hua(0.2, 1.0, 0.3),
+    make_kratzer_fues(0.9),
+]
+
+
+@pytest.mark.parametrize("m", _KERNEL_MODELS, ids=lambda m: m.family)
+def test_kernel_matches_the_former_closed_forms(m):
+    """x, x' and log psi0 from the family kernel: the public evaluators
+    (scalar and array), the fused call grid_fields makes, and the searches'
+    float evaluations give the bits, warnings and exceptions of the former
+    separate closed forms."""
+    from anhosc.models import _as_input_shape, check_domain, kernel
+    from anhosc.states import _log_ground_amplitude, _search_functions
+
+    def former(closed_form):
+        return lambda q: _as_input_shape(closed_form(m, check_domain(m, q)), q)
+
+    pairs = [
+        (lambda q: eval_superpotential(m, q), former(_former_superpotential)),
+        (lambda q: eval_superpotential_derivative(m, q), former(_former_superpotential_derivative)),
+        (lambda q: _log_ground_amplitude(m, q), former(_former_log_ground_amplitude)),
+    ]
+    inside = _kernel_inputs(m)
+    outside = [math.nan, -math.inf, math.inf]
+    if math.isfinite(m.q_lower):
+        outside += [m.q_lower, m.q_lower - 1.0]
+    qa = np.array(inside)
+    for new, old in pairs:
+        for q in [*map(np.float64, inside), *outside, qa]:
+            assert _bits_and_warnings(lambda: new(q)) == _bits_and_warnings(lambda: old(q)), q
+
+    def fused():
+        return kernel(m)(qa, xp=True, log_psi0=True)
+
+    def separate():
+        return tuple(f(m, qa) for f in (_former_superpotential, _former_superpotential_derivative,
+                                        _former_log_ground_amplitude))
+
+    assert _bits_and_warnings(fused) == _bits_and_warnings(separate)
+
+    for t in (0.0, 0.3, -1.2):
+        x_at, x_and_log_amplitude = _search_functions(m, t)
+
+        def former_x_at(q):
+            return float(former(_former_superpotential)(q))
+
+        def former_x_and_log_amplitude(q):
+            x = former_x_at(q)
+            return x, float(_former_log_ground_amplitude(m, np.float64(q))) + t * q
+
+        for q in inside + outside:
+            assert _bits_and_warnings(lambda: x_at(q)) == _bits_and_warnings(lambda: former_x_at(q)), q
+            assert (_bits_and_warnings(lambda: x_and_log_amplitude(q))
+                    == _bits_and_warnings(lambda: former_x_and_log_amplitude(q))), q

@@ -25,12 +25,16 @@ from anhosc.families import (
     make_wei_hua,
 )
 from anhosc.numerics import SampledFunction, make_grid, solve_first_order_ode
-from anhosc.models import eval_superpotential
+from anhosc.models import (
+    GENERALIZED_MORSE,
+    HARMONIC,
+    WEI_HUA,
+    eval_superpotential,
+)
 from anhosc.states import (
     ANNIHILATION,
     CREATION,
-    _log_amplitude,
-    _log_ground_amplitude,
+    _search_functions,
     admissible_bound,
     apply_ladder,
     auto_grid,
@@ -471,10 +475,127 @@ def test_auto_grid_edges_are_pinned(name, alpha, n, q_min, q_max):
     assert (g.q_min.hex(), g.q_max.hex(), g.n) == (q_min, q_max, n)
 
 
-def _reference_log_amplitude(model, t, q):
-    """_log_amplitude as it was before the searches evaluated on numpy
-    scalars: the closed form on a 0-d array."""
-    return float(_log_ground_amplitude(model, np.asarray(q, dtype=float))) + t * q
+_WIDE_MODELS = {
+    "kratzer_0.6": make_kratzer_fues(0.6),
+    "kratzer_0.9": make_kratzer_fues(0.9),
+    "weihua_c2_0.3": make_wei_hua(0.2, 1.0, 0.3),
+    "weihua_c2_0.55": make_wei_hua(0.2, 1.0, 0.55),
+    "weihua_full_line": make_wei_hua(0.2, 1.0, -0.5),
+    "gkf_1.5_0.7": make_generalized_kratzer_fues(1.5, 0.7),
+    "morse_50_0.01": make_generalized_morse(50.0, 0.01),
+    "morse_2_0.3": make_generalized_morse(2.0, 0.3),
+}
+
+# Edges of models away from the desk set, recorded before the searches
+# shared one exponential between x and log psi0. The last alphas of each
+# model sit at 0.99 of its admissibility bounds (sqrt(2) Re(alpha)).
+_WIDE_EDGES = [
+    ("kratzer_0.6", 0.0, "-0x1.aa3d70a3d70a4p+0", "0x1.acfc6fbb062c4p+3"),
+    ("kratzer_0.6", 0.1, "-0x1.aa3d70a3d70a4p+0", "0x1.f743e75ac0a71p+3"),
+    ("kratzer_0.6", -0.3, "-0x1.aa3d70a3d70a4p+0", "0x1.22b3bb18a09afp+3"),
+    ("kratzer_0.6", (0.2+0.3j), "-0x1.aa3d70a3d70a4p+0", "0x1.2e2c9dc1e5824p+4"),
+    ("kratzer_0.6", 0.7467047609329942, "-0x1.aa3d70a3d70a4p+0", "0x1.7b3672a79337fp+10"),
+    ("kratzer_0.9", 0.0, "-0x1.1c28f5c28f5c3p+0", "0x1.caed2eabaed17p+5"),
+    ("kratzer_0.9", 0.1, "-0x1.1c28f5c28f5c3p+0", "0x1.6028d44905355p+7"),
+    ("kratzer_0.9", -0.3, "-0x1.1c28f5c28f5c3p+0", "0x1.24e2acdac5ecdp+4"),
+    ("kratzer_0.9", (0.1+0.3j), "-0x1.1c28f5c28f5c3p+0", "0x1.6028d44905355p+7"),
+    ("kratzer_0.9", 0.14778531726798838, "-0x1.1c28f5c28f5c3p+0", "0x1.6d8e66e26fe5cp+12"),
+    ("weihua_c2_0.3", 0.0, "-0x1.772054841592ep+0", "0x1.6c31fe76858e8p+5"),
+    ("weihua_c2_0.3", 0.1, "-0x1.772054841592ep+0", "0x1.3834e7454f07ep+7"),
+    ("weihua_c2_0.3", -0.3, "-0x1.772054841592ep+0", "0x1.d70a933e70635p+3"),
+    ("weihua_c2_0.3", (0.1+0.3j), "-0x1.772054841592ep+0", "0x1.3834e7454f07ep+7"),
+    ("weihua_c2_0.3", 0.1400071426749364, "-0x1.772054841592ep+0", "0x1.331cc5e7261cbp+12"),
+    ("weihua_c2_0.55", 0.0, "-0x1.08fbc8eaf2bb2p+0", "0x1.6b73d7d8f894ep+5"),
+    ("weihua_c2_0.55", 0.1, "-0x1.08fbc8eaf2bb2p+0", "0x1.37ff2369a9209p+7"),
+    ("weihua_c2_0.55", -0.3, "-0x1.08fbc8eaf2bb2p+0", "0x1.d51ce5c3a0a3ap+3"),
+    ("weihua_c2_0.55", (0.1+0.3j), "-0x1.08fbc8eaf2bb2p+0", "0x1.37ff2369a9209p+7"),
+    ("weihua_c2_0.55", 0.1400071426749364, "-0x1.08fbc8eaf2bb2p+0", "0x1.331b02ffae4d1p+12"),
+    ("weihua_full_line", 0.0, "-0x1.32ae1068de657p+5", "0x1.71813f5210069p+5"),
+    ("weihua_full_line", 0.1, "-0x1.32ae1068de657p+5", "0x1.39a682e68a19bp+7"),
+    ("weihua_full_line", -0.3, "-0x1.32ae1068de657p+5", "0x1.4d51ef97219a9p+5"),
+    ("weihua_full_line", (0.1+0.3j), "-0x1.32ae1068de657p+5", "0x1.39a682e68a19bp+7"),
+    ("weihua_full_line", 0.1400071426749364, "-0x1.32ae1068de657p+5", "0x1.3328b03b717e0p+12"),
+    ("weihua_full_line", -1.2600642840744276, "-0x1.17e178492039ep+9", "0x1.4d51ef97219a9p+5"),
+    ("gkf_1.5_0.7", 0.0, "-0x1.6d593bfa2608dp+0", "0x1.6680f9d549253p+2"),
+    ("gkf_1.5_0.7", 0.1, "-0x1.6d593bfa2608dp+0", "0x1.869fad78d12d0p+2"),
+    ("gkf_1.5_0.7", -0.3, "-0x1.6d593bfa2608dp+0", "0x1.1b5db6036c449p+2"),
+    ("gkf_1.5_0.7", (0.2+0.3j), "-0x1.6d593bfa2608dp+0", "0x1.aba016bbccf64p+2"),
+    ("gkf_1.5_0.7", 1.5000765286600328, "-0x1.6d593bfa2608dp+0", "0x1.6233dd98e3567p+9"),
+    ("morse_50_0.01", 0.0, "-0x1.c54ccc470f5e5p+4", "0x1.1ad7bc01366b8p+8"),
+    ("morse_50_0.01", 0.1, "-0x1.c54129e26f338p+4", "0x1.1ad7bc01366b8p+8"),
+    ("morse_50_0.01", -0.3, "-0x1.c56fa7f4ee1a9p+4", "0x1.1ad7bc01366b8p+8"),
+    ("morse_50_0.01", (0.2+0.3j), "-0x1.c535858f40f47p+4", "0x1.1ad7bc01366b8p+8"),
+    ("morse_50_0.01", 247.45049999999998, "-0x1.8000000000000p+1", "0x1.1ad7bc01366b8p+8"),
+    ("morse_2_0.3", 0.0, "-0x1.8ecb5e9fb6434p+1", "0x1.9d1e43e6cc1b5p+5"),
+    ("morse_2_0.3", 0.1, "-0x1.8ac7e00e8b7aep+1", "0x1.9d1e43e6cc1b5p+5"),
+    ("morse_2_0.3", -0.3, "-0x1.99f0be3860edcp+1", "0x1.9d1e43e6cc1b5p+5"),
+    ("morse_2_0.3", (0.2+0.3j), "-0x1.8697e24697286p+1", "0x1.9d1e43e6cc1b5p+5"),
+    ("morse_2_0.3", 1.5363617738019906, "-0x1.8000000000000p+1", "0x1.cf3c00c6e94e4p+8"),
+]
+
+
+@pytest.mark.parametrize("name, alpha, q_min, q_max", _WIDE_EDGES)
+def test_auto_grid_edges_away_from_the_desk_models_are_pinned(name, alpha, q_min, q_max):
+    g = auto_grid(_WIDE_MODELS[name], alpha, 2001)
+    assert (g.q_min.hex(), g.q_max.hex()) == (q_min, q_max)
+
+
+def _reference_superpotential(model, q):
+    """eval_superpotential's domain check and closed form as they were before
+    x, x' and log psi0 shared one kernel, copied verbatim."""
+    qa = np.asarray(q, dtype=float)
+    if not (np.all(qa > model.q_lower) and np.all(qa < model.q_upper)):
+        raise DomainViolationError(
+            f"coordinate outside open domain ({model.q_lower!r}, {model.q_upper!r})"
+        )
+    p = model.params
+    if model.family == HARMONIC:
+        x = -qa
+    elif model.family == GENERALIZED_MORSE:
+        x = (np.exp(-p.c1 * qa) - p.c0) / p.c1
+    elif model.family == WEI_HUA:
+        ce = p.big_c * np.exp(-p.c1 * qa)
+        x = (p.c1 / p.c2) * ce / (1.0 - ce) - p.c0 / p.c1
+    else:
+        x = 1.0 / (p.c1 * (p.c1 * qa + 1.0)) - p.c0 / p.c1
+    return x
+
+
+def _reference_log_ground_amplitude(model, q):
+    """log psi0 in closed form as it was before it shared the kernel of x,
+    copied verbatim."""
+    p = model.params
+    if model.family == HARMONIC:
+        return -0.5 * q * q
+    if model.family == GENERALIZED_MORSE:
+        return (1.0 - np.exp(-p.c1 * q)) / p.c1 ** 2 - (p.c0 / p.c1) * q
+    if model.family == WEI_HUA:
+        u = p.big_c * np.exp(-p.c1 * q)
+        return np.log((1.0 - u) / (1.0 - p.big_c)) / p.c2 - (p.c0 / p.c1) * q
+    return np.log1p(p.c1 * q) / p.c1 ** 2 - (p.c0 / p.c1) * q
+
+
+def _reference_search_functions(model, t):
+    """The searches' evaluations as they were before the kernel: x and log
+    psi0 from their own closed forms, each with its own exponential, on 0-d
+    arrays."""
+    def x_at(q):
+        return float(_reference_superpotential(model, q))
+
+    def x_and_log_amplitude(q):
+        x = x_at(q)
+        return x, float(_reference_log_ground_amplitude(model, np.asarray(q, dtype=float))) + t * q
+
+    return x_at, x_and_log_amplitude
+
+
+def _hex_outcome(evaluate, q):
+    """The float results of evaluate(q) as hex strings, or the exception type."""
+    try:
+        result = evaluate(q)
+    except DomainViolationError as exc:
+        return type(exc)
+    return tuple(v.hex() for v in result) if isinstance(result, tuple) else result.hex()
 
 
 _SEARCH_MODELS = [*_DESK_MODELS.values(), make_wei_hua(0.2, 1.0, -0.5)]
@@ -493,9 +614,13 @@ def test_log_amplitude_matches_zero_dim_reference(m):
     else:
         qs += [a0 * 1e3, -1e200]
     for t in (0.0, 0.3, -1.2):
+        x_at, x_and_log_amplitude = _search_functions(m, t)
+        ref_x_at, ref_x_and_log_amplitude = _reference_search_functions(m, t)
         for q in map(float, qs):
-            assert (_log_amplitude(m, t, q).hex()
-                    == _reference_log_amplitude(m, t, q).hex()), (t, q)
+            # q_lower + 1e-16 may round onto the boundary: both refuse it.
+            assert _hex_outcome(x_at, q) == _hex_outcome(ref_x_at, q), (t, q)
+            assert (_hex_outcome(x_and_log_amplitude, q)
+                    == _hex_outcome(ref_x_and_log_amplitude, q)), (t, q)
 
 
 def _search_draws(count, seed):
@@ -532,9 +657,21 @@ def _grid_outcome(m, alpha):
     return g.q_min.hex(), g.q_max.hex()
 
 
+@pytest.mark.parametrize("b0, t", [(1e308, 1.2e308), (1.5e308, 1e308)])
+def test_a_search_reaching_infinity_is_a_domain_violation(monkeypatch, b0, t):
+    # Bracketing the peak doubles the interval (first case), and bisecting
+    # it halves a sum (second case); near 1e308 either reaches +inf.
+    monkeypatch.setattr(states, "default_interval", lambda model: (-8.0, b0))
+    with pytest.raises(DomainViolationError, match="outside open domain"):
+        auto_grid(make_harmonic(), t / SQRT2)
+    monkeypatch.setattr(states, "_search_functions", _reference_search_functions)
+    with pytest.raises(DomainViolationError, match="outside open domain"):
+        auto_grid(make_harmonic(), t / SQRT2)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_auto_grid_matches_zero_dim_reference_search(monkeypatch):
     draws = _search_draws(300, seed=2024)
     new = [_grid_outcome(m, alpha) for m, alpha in draws]
-    monkeypatch.setattr(states, "_log_amplitude", _reference_log_amplitude)
+    monkeypatch.setattr(states, "_search_functions", _reference_search_functions)
     assert [_grid_outcome(m, alpha) for m, alpha in draws] == new

@@ -5,6 +5,7 @@ import hashlib
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from anhosc.cli import main
@@ -151,66 +152,104 @@ class TestReports:
 
 
 class TestSampleOnce:
-    @staticmethod
-    def _count(monkeypatch, fn):
-        """Record the model of every call to fn, under any name a module of
-        the package binds it to."""
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """(model, q, outputs asked for) of every family-kernel evaluation,
+        under any name a module of the package binds the kernel to; outputs
+        is the (x, xp, log_psi0) flags."""
         calls = []
+        make = models.kernel
 
-        def counting(model, q):
-            calls.append(model)
-            return fn(model, q)
+        def counting_kernel(model):
+            fields = make(model)
+
+            def counted(q, x=True, xp=False, log_psi0=False):
+                calls.append((model, q, (x, xp, log_psi0)))
+                return fields(q, x, xp, log_psi0)
+
+            return counted
 
         for module in (models, states, verify, cli):
             for name, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, name, counting)
+                if value is make:
+                    monkeypatch.setattr(module, name, counting_kernel)
         return calls
 
-    @pytest.fixture
-    def counter(self, monkeypatch):
-        return self._count(monkeypatch, states._log_ground_amplitude)
-
-    @pytest.fixture
-    def x_counter(self, monkeypatch):
-        return self._count(monkeypatch, models.eval_superpotential)
-
-    @pytest.fixture
-    def xp_counter(self, monkeypatch):
-        return self._count(monkeypatch, models.eval_superpotential_derivative)
+    @staticmethod
+    def _on_arrays(calls):
+        return [(model, outputs) for model, q, outputs in calls if np.ndim(q)]
 
     @pytest.mark.parametrize("model", desk_models(), ids=lambda m: m.family)
-    def test_verify_coherent_evaluates_the_state_once(self, counter, model):
+    def test_verify_coherent_evaluates_the_state_once(self, kernel_calls, model):
         grid = auto_grid(model, 0.1 + 0.2j)
-        counter.clear()
+        kernel_calls.clear()
         verify_coherent(model, 0.1 + 0.2j, grid)
-        assert len(counter) == 1
+        assert self._on_arrays(kernel_calls) == [(model, (True, True, True))]
 
     @pytest.mark.parametrize("model", desk_models(), ids=lambda m: m.family)
-    def test_verify_model_evaluates_the_ground_state_once(self, counter, model):
+    def test_verify_model_evaluates_the_ground_state_once(self, kernel_calls, model):
         grid = auto_grid(model)
-        counter.clear()
+        kernel_calls.clear()
         verify_model(model, grid)
-        assert len(counter) == 1
+        assert self._on_arrays(kernel_calls) == [(model, (True, True, True))]
 
-    def test_cli_verify_on_explicit_grid_evaluates_each_state_once(
-        self, counter, x_counter, xp_counter, tmp_path
-    ):
-        # One grid_fields record serves verify_model and every alpha, so log
-        # psi0, x and x' are evaluated once per job (1 + alphas before).
+    def test_cli_verify_on_explicit_grid_evaluates_each_state_once(self, kernel_calls, tmp_path):
+        # One grid_fields record serves verify_model and every alpha, and
+        # one kernel call fills its x, x' and log psi0 (1 + alphas calls of
+        # each before the record, one call of each before the kernel).
         code = main(["verify", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
                      "--qmin=-3", "--qmax=40", "--n", "2001", "--alphas", "0.1,0.05+0.1i",
                      "--report", str(tmp_path / "r.txt")])
         assert code == 0
-        assert (len(counter), len(x_counter), len(xp_counter)) == (1, 1, 1)
+        assert [outputs for _, _, outputs in kernel_calls] == [(True, True, True)]
 
-    def test_cli_coherent_on_explicit_grid(self, counter, tmp_path):
+    def test_cli_coherent_on_explicit_grid(self, kernel_calls, tmp_path):
         # The table and verify_coherent share one record (twice before).
         code = main(["coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
                      "--qmin=-3", "--qmax=40", "--n", "2001", "--alpha", "0.1",
                      "--out", str(tmp_path / "c.csv"), "--report", str(tmp_path / "c.txt")])
         assert code == 0
-        assert len(counter) == 1
+        assert [outputs for _, _, outputs in kernel_calls] == [(True, True, True)]
+
+    @pytest.mark.parametrize("grid", [[], ["--qmin=-3", "--qmax=40"]], ids=["auto", "explicit"])
+    def test_cli_coherent_forms_the_state_once(self, monkeypatch, tmp_path, grid):
+        # The table's normalized samples are the ones verify_coherent checks
+        # (psi_alpha was formed twice before).
+        formed = []
+        state_values = states._state_values
+
+        def counting(log_psi0, q, alpha):
+            formed.append(alpha)
+            return state_values(log_psi0, q, alpha)
+
+        monkeypatch.setattr(states, "_state_values", counting)
+        code = main(["coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
+                     *grid, "--n", "2001", "--alpha", "0.1+0.2i",
+                     "--out", str(tmp_path / "c.csv"), "--report", str(tmp_path / "c.txt")])
+        assert code == 0
+        assert formed == [0.1 + 0.2j]
+
+    def test_a_search_point_is_one_kernel_call_and_one_exponential(self, kernel_calls, monkeypatch):
+        # x and log psi0 of an edge-search point share one exp(-c1 q) (two
+        # exponentials and two evaluations before); a peak-search point
+        # evaluates x alone.
+        exps = []
+        exp = np.exp
+
+        def counting_exp(value):
+            exps.append(value)
+            return exp(value)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        model = make_generalized_morse(1.0, 0.5)
+        auto_grid(model, 0.1)
+        assert all(np.ndim(q) == 0 for _, q, _ in kernel_calls)
+        peak = [q for _, q, outputs in kernel_calls if outputs == (True, False, False)]
+        edge = [q for _, q, outputs in kernel_calls if outputs == (True, False, True)]
+        # The one other call is x' at the peak, for the Laplace mass estimate.
+        assert len(peak) + len(edge) == len(kernel_calls) - 1
+        assert len(peak) > 20 and len(edge) > 20
+        assert len(exps) == len(kernel_calls)
 
 
 class TestSharedFields:
@@ -237,6 +276,17 @@ class TestSharedFields:
                 verify_model(m, grid, fields=other)
             with pytest.raises(InvalidParameterError, match="another model or grid"):
                 verify_coherent(m, 0.1, grid, fields=other)
+
+    def test_passing_the_normalized_samples_changes_no_report(self):
+        m = make_generalized_morse(1.0, 0.5)
+        grid = auto_grid(m, 0.1)
+        fields = grid_fields(m, grid)
+        samples, _ = fields.normalized(0.1)
+        assert (verify_coherent(m, 0.1, grid, fields=fields, normalized=samples).to_text()
+                == verify_coherent(m, 0.1, grid).to_text())
+        elsewhere, _ = grid_fields(m, replace(grid, n=2001)).normalized(0.1)
+        with pytest.raises(InvalidParameterError, match="another grid"):
+            verify_coherent(m, 0.1, grid, fields=fields, normalized=elsewhere)
 
     def test_inadmissible_alpha_is_refused_before_the_grid(self):
         from anhosc.errors import InadmissibleAlphaError
