@@ -20,13 +20,7 @@ import numpy as np
 
 from ._format import fmt_float
 from .errors import AnhoscError, InvalidParameterError
-from .families import (
-    make_generalized_kratzer_fues,
-    make_generalized_morse,
-    make_harmonic,
-    make_kratzer_fues,
-    make_wei_hua,
-)
+from .families import FAMILIES, family_of
 from .fit import PotentialSample, fit_expansion
 from .generator import (
     FORM_CONSTANT,
@@ -34,7 +28,7 @@ from .generator import (
     closed_form_from_series,
     superpotential_from_series,
 )
-from .models import WEI_HUA, OscillatorModel, closed_form_potential, describe
+from .models import OscillatorModel, closed_form_potential, describe
 from .models import eval_superpotential as model_superpotential
 from .numerics import Grid, make_grid
 from .states import (
@@ -79,36 +73,23 @@ def _parse_params(items: list[str] | None) -> dict[str, float]:
     return params
 
 
-_FAMILY_PARAMS = {
-    "harmonic": (),
-    "morse": ("s", "xe"),
-    "weihua": ("c0", "c1", "c2"),
-    "kratzer": ("c1",),
-    "gkf": ("c0", "c1"),
-}
+#: The family records by their --family spelling, in the order --help lists them.
+_CLI_FAMILIES = {family.cli_name: family for family in FAMILIES.values()}
 
 
-def _build_model(family: str, params: dict[str, float]) -> OscillatorModel:
-    if family not in _FAMILY_PARAMS:
+def _build_model(name: str, params: dict[str, float]) -> OscillatorModel:
+    if name not in _CLI_FAMILIES:
         raise InvalidParameterError(
-            f"unknown family {family!r}; expected one of {sorted(_FAMILY_PARAMS)}"
+            f"unknown family {name!r}; expected one of {sorted(_CLI_FAMILIES)}"
         )
-    expected = _FAMILY_PARAMS[family]
-    missing = [name for name in expected if name not in params]
+    expected = _CLI_FAMILIES[name].cli_params
+    missing = [key for key in expected if key not in params]
     if missing:
-        raise InvalidParameterError(f"family {family!r} needs --param {missing[0]}=...")
-    extra = [name for name in params if name not in expected]
+        raise InvalidParameterError(f"family {name!r} needs --param {missing[0]}=...")
+    extra = [key for key in params if key not in expected]
     if extra:
-        raise InvalidParameterError(f"unknown parameter {extra[0]!r} for family {family!r}")
-    if family == "harmonic":
-        return make_harmonic()
-    if family == "morse":
-        return make_generalized_morse(params["s"], params["xe"])
-    if family == "weihua":
-        return make_wei_hua(params["c0"], params["c1"], params["c2"])
-    if family == "kratzer":
-        return make_kratzer_fues(params["c1"])
-    return make_generalized_kratzer_fues(params["c0"], params["c1"])
+        raise InvalidParameterError(f"unknown parameter {extra[0]!r} for family {name!r}")
+    return _CLI_FAMILIES[name].make(*(params[key] for key in expected))
 
 
 def _resolve_grid(args, model: OscillatorModel, alpha: complex = 0.0) -> Grid:
@@ -123,23 +104,16 @@ def _resolve_grid(args, model: OscillatorModel, alpha: complex = 0.0) -> Grid:
 
 
 def _model_header_lines(model: OscillatorModel) -> list[str]:
-    lines = [f"# model: {describe(model)}"]
     consts = [f"e0={_fmt(model.e0)}"]
     if model.d_const is not None:
         consts.append(f"d={_fmt(model.d_const)}")
-    p = model.params
-    if model.family == WEI_HUA:
-        consts += [
-            f"W={_fmt(p.w)}", f"B={_fmt(p.b)}", f"C={_fmt(p.big_c)}",
-            f"c={_fmt(p.c)}", f"q0={_fmt(p.q0)}",
-        ]
-    elif hasattr(p, "c0"):
-        consts += [f"c0={_fmt(p.c0)}", f"c1={_fmt(p.c1)}"]
-        if hasattr(p, "s"):
-            consts.append(f"s={_fmt(p.s)}")
-    lines.append("# constants: " + " ".join(consts))
-    lines.append(f"# domain: ({_fmt(model.q_lower)}, {_fmt(model.q_upper)})")
-    return lines
+    consts += [f"{label}={_fmt(getattr(model.params, field))}"
+               for label, field in family_of(model).header]
+    return [
+        f"# model: {describe(model)}",
+        "# constants: " + " ".join(consts),
+        f"# domain: ({_fmt(model.q_lower)}, {_fmt(model.q_upper)})",
+    ]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -360,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--family", required=True, help="harmonic|morse|weihua|kratzer|gkf")
+        p.add_argument("--family", required=True, help="|".join(_CLI_FAMILIES))
         p.add_argument("--param", action="append", metavar="NAME=VALUE")
         p.add_argument("--qmin", type=float, default=None)
         p.add_argument("--qmax", type=float, default=None)

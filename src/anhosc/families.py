@@ -1,5 +1,13 @@
-"""Validated constructors for the five oscillator families, plus the
+"""The five oscillator families, one record each, plus the
 physical-to-dimensionless parameter map for the Morse oscillator.
+
+Each family differs from the others only in its superpotential x(q) and the
+constants derived from it. Everything family-specific lives here: the
+validating constructor, the kernel of x, x' and log psi0, the closed-form
+V - E0, the admissibility bound, the search's default interval, the
+descriptor template, the header fields and the CLI spelling. The Family
+record in FAMILIES gathers them per family name, and family_of(model) looks
+it up, so adding a family means editing this module alone.
 
 Constructors are pure and deterministic; invalid parameter combinations are
 rejected eagerly with a message naming the violated condition.
@@ -8,23 +16,107 @@ rejected eagerly with a message naming the violated condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
+
+import numpy as np
 
 from .errors import InvalidParameterError
-from .models import (
-    GENERALIZED_KRATZER_FUES,
-    GENERALIZED_MORSE,
-    HARMONIC,
-    KRATZER_FUES,
-    WEI_HUA,
-    HarmonicParams,
-    KratzerFuesParams,
-    MorseParams,
-    OscillatorModel,
-    WeiHuaParams,
-)
 
-INF = math.inf
+HARMONIC = "harmonic"
+GENERALIZED_MORSE = "generalized_morse"
+WEI_HUA = "wei_hua"
+KRATZER_FUES = "kratzer_fues"
+GENERALIZED_KRATZER_FUES = "generalized_kratzer_fues"
+
+#: Fixed offset (in units of 1/c1) between a finite domain boundary and the
+#: grid edge. Keeping it at 1e-3 bounds the superpotential magnitude near the
+#: pole so the Riccati check stays within float64 headroom, while the omitted
+#: power-law tail mass is negligible for every admissible family.
+POLE_OFFSET = 1e-3
+
+
+@dataclass(frozen=True)
+class HarmonicParams:
+    pass
+
+
+@dataclass(frozen=True)
+class MorseParams:
+    s: float
+    x_e: float
+    c0: float  # s - x_e
+    c1: float  # sqrt(2 x_e)
+
+
+@dataclass(frozen=True)
+class WeiHuaParams:
+    c0: float
+    c1: float
+    c2: float
+    w: float        # (2 c0 + c1^2) / (2 c1 (1 - c2))
+    b: float        # c1 / (c1^2 + c2)
+    big_c: float    # c2 / (c1^2 + c2)
+    c: float        # big_c / (b/w - big_c)
+    q0: float       # ln(b/w - big_c) / c1
+    pot_num: float  # b/w + big_c, numerator constant of the closed-form potential
+    two_d: float    # (1 - c2) w^2
+    two_e0: float   # (1 - c2) w^2 - c0^2/c1^2
+
+
+@dataclass(frozen=True)
+class KratzerFuesParams:
+    c0: float
+    c1: float
+    s: float       # (1 - c0 - c1^2) / c0
+    two_d: float   # c0^2 / (c1^2 (1 - c1^2))
+    two_e0: float  # c0^2 / (1 - c1^2)
+
+
+@dataclass(frozen=True)
+class OscillatorModel:
+    """One oscillator family instance with its derived constants.
+
+    The domain is the open interval (q_lower, q_upper); the commutator
+    -x'(q) is strictly positive everywhere on it.
+    """
+
+    family: str
+    params: HarmonicParams | MorseParams | WeiHuaParams | KratzerFuesParams
+    q_lower: float
+    q_upper: float
+    e0: float
+    d_const: float | None
+
+
+@dataclass(frozen=True)
+class AdmissibilityBound:
+    """Open interval of sqrt(2) Re(alpha) giving a normalizable coherent state.
+
+    sup_re_alpha is c0/c1 for the anharmonic families (the +infinity limit of
+    -x) and +infinity for the harmonic oscillator. inf_re_alpha is -infinity
+    except for the full-line Wei Hua branch (c < 0), where the left tail
+    imposes its own lower bound.
+    """
+
+    sup_re_alpha: float
+    inf_re_alpha: float = -math.inf
+
+
+@dataclass(frozen=True)
+class Family:
+    """What one family contributes to the scheme, looked up by family_of()."""
+
+    name: str                              # OscillatorModel.family
+    cli_name: str                          # --family spelling
+    cli_params: tuple[str, ...]            # --param names, in make's argument order
+    make: Callable[..., OscillatorModel]
+    descriptor: str                        # describe()'s template, formatted with p=params
+    header: tuple[tuple[str, str], ...]    # (label, params field) header constants
+    kernel: Callable[[object], Callable]   # params -> the fields() of models.kernel
+    potential: Callable[[object, np.ndarray], np.ndarray]  # (params, q) -> closed-form V - E0
+    bound: Callable[[OscillatorModel], AdmissibilityBound]
+    interval: Callable[[OscillatorModel], tuple[float, float]]
 
 
 def make_harmonic() -> OscillatorModel:
@@ -32,11 +124,19 @@ def make_harmonic() -> OscillatorModel:
     return OscillatorModel(
         family=HARMONIC,
         params=HarmonicParams(),
-        q_lower=-INF,
-        q_upper=INF,
+        q_lower=-math.inf,
+        q_upper=math.inf,
         e0=0.5,
         d_const=None,
     )
+
+
+def _harmonic_kernel(p: HarmonicParams) -> Callable:
+    def fields(q, x=True, xp=False, log_psi0=False):
+        return (-q if x else None,
+                -np.ones_like(q) if xp else None,
+                -0.5 * q * q if log_psi0 else None)
+    return fields
 
 
 def make_generalized_morse(s: float, x_e: float) -> OscillatorModel:
@@ -57,11 +157,27 @@ def make_generalized_morse(s: float, x_e: float) -> OscillatorModel:
     return OscillatorModel(
         family=GENERALIZED_MORSE,
         params=MorseParams(s=s, x_e=x_e, c0=c0, c1=c1),
-        q_lower=-INF,
-        q_upper=INF,
+        q_lower=-math.inf,
+        q_upper=math.inf,
         e0=0.5 * (s - 0.5 * x_e),
         d_const=s * s / (4.0 * x_e),
     )
+
+
+def _morse_kernel(p: MorseParams) -> Callable:
+    neg_c1, c0, c1, c1_sq, slope = -p.c1, p.c0, p.c1, p.c1 ** 2, p.c0 / p.c1
+
+    def fields(q, x=True, xp=False, log_psi0=False):
+        u = np.exp(neg_c1 * q)
+        return ((u - c0) / c1 if x else None,
+                -u if xp else None,
+                (1.0 - u) / c1_sq - slope * q if log_psi0 else None)
+    return fields
+
+
+def _morse_potential(p: MorseParams, q: np.ndarray) -> np.ndarray:
+    u = np.exp(-p.c1 * q)
+    return 0.5 * ((p.s - u) ** 2 / (2.0 * p.x_e) - p.s + 0.5 * p.x_e)
 
 
 def make_wei_hua(c0: float, c1: float, c2: float) -> OscillatorModel:
@@ -98,7 +214,7 @@ def make_wei_hua(c0: float, c1: float, c2: float) -> OscillatorModel:
         raise InvalidParameterError(f"c/c2 = {c / c2!r} must be positive")
     two_d = (1.0 - c2) * w * w
     two_e0 = two_d - (c0 / c1) ** 2
-    q_lower = math.log(big_c) / c1 if c > 0.0 else -INF
+    q_lower = math.log(big_c) / c1 if c > 0.0 else -math.inf
     return OscillatorModel(
         family=WEI_HUA,
         params=WeiHuaParams(
@@ -106,10 +222,44 @@ def make_wei_hua(c0: float, c1: float, c2: float) -> OscillatorModel:
             pot_num=b / w + big_c, two_d=two_d, two_e0=two_e0,
         ),
         q_lower=q_lower,
-        q_upper=INF,
+        q_upper=math.inf,
         e0=0.5 * two_e0,
         d_const=0.5 * two_d,
     )
+
+
+def _wei_hua_kernel(p: WeiHuaParams) -> Callable:
+    neg_c1, big_c, c2, slope = -p.c1, p.big_c, p.c2, p.c0 / p.c1
+    x_scale, xp_scale, w0 = p.c1 / p.c2, -(p.c1 ** 2 / p.c2), 1.0 - p.big_c
+
+    def fields(q, x=True, xp=False, log_psi0=False):
+        ce = big_c * np.exp(neg_c1 * q)
+        w = 1.0 - ce
+        return (x_scale * ce / w - slope if x else None,
+                xp_scale * ce / w ** 2 if xp else None,
+                np.log(w / w0) / c2 - slope * q if log_psi0 else None)
+    return fields
+
+
+def _wei_hua_potential(p: WeiHuaParams, q: np.ndarray) -> np.ndarray:
+    u = np.exp(-p.c1 * q)
+    ratio = (1.0 - p.pot_num * u) / (1.0 - p.big_c * u)
+    return 0.5 * (p.two_d * ratio * ratio - p.two_e0)
+
+
+def _wei_hua_bound(model: OscillatorModel) -> AdmissibilityBound:
+    p = model.params
+    sup = p.c0 / p.c1
+    # Full-line branch: the left tail decays only for sqrt(2) Re(alpha) > -x(-inf).
+    inf = p.c1 / p.c2 + sup if not math.isfinite(model.q_lower) else -math.inf
+    return AdmissibilityBound(sup_re_alpha=sup, inf_re_alpha=inf)
+
+
+def _wei_hua_interval(model: OscillatorModel) -> tuple[float, float]:
+    p = model.params
+    half_line = math.isfinite(model.q_lower)
+    lo = model.q_lower + POLE_OFFSET / p.c1 if half_line else p.q0 - 40.0 / p.c1
+    return (lo, p.q0 + 40.0 / p.c1)
 
 
 def make_generalized_kratzer_fues(c0: float, c1: float) -> OscillatorModel:
@@ -119,18 +269,6 @@ def make_generalized_kratzer_fues(c0: float, c1: float) -> OscillatorModel:
     The shape parameter is s = (1 - c0 - c1^2)/c0; c0 = 1 - c1^2 gives the
     plain Kratzer-Fues oscillator (s = 0).
     """
-    return _make_kratzer(GENERALIZED_KRATZER_FUES, c0, c1)
-
-
-def make_kratzer_fues(c1: float) -> OscillatorModel:
-    """Kratzer-Fues oscillator: the c0 = 1 - c1^2 special case (s = 0)."""
-    c1 = float(c1)
-    if not (0.0 < c1 < 1.0):
-        raise InvalidParameterError(f"c1 must satisfy 0 < c1 < 1, got {c1!r}")
-    return _make_kratzer(KRATZER_FUES, 1.0 - c1 * c1, c1)
-
-
-def _make_kratzer(family: str, c0: float, c1: float) -> OscillatorModel:
     c0 = float(c0)
     c1 = float(c1)
     if not (0.0 < c1 < 1.0):
@@ -142,13 +280,79 @@ def _make_kratzer(family: str, c0: float, c1: float) -> OscillatorModel:
     two_d = c0 * c0 / (c1 * c1 * one_m)
     two_e0 = c0 * c0 / one_m
     return OscillatorModel(
-        family=family,
+        family=GENERALIZED_KRATZER_FUES,
         params=KratzerFuesParams(c0=c0, c1=c1, s=s, two_d=two_d, two_e0=two_e0),
         q_lower=-1.0 / c1,
-        q_upper=INF,
+        q_upper=math.inf,
         e0=0.5 * two_e0,
         d_const=0.5 * two_d,
     )
+
+
+def make_kratzer_fues(c1: float) -> OscillatorModel:
+    """Kratzer-Fues oscillator: the c0 = 1 - c1^2 special case (s = 0)."""
+    c1 = float(c1)
+    # The generalized constructor checks c1 before the derived c0, so it names a bad c1.
+    return replace(make_generalized_kratzer_fues(1.0 - c1 * c1, c1), family=KRATZER_FUES)
+
+
+def _kratzer_kernel(p: KratzerFuesParams) -> Callable:
+    c1, c1_sq, slope = p.c1, p.c1 ** 2, p.c0 / p.c1
+
+    def fields(q, x=True, xp=False, log_psi0=False):
+        c1q = c1 * q
+        w = c1q + 1.0
+        return (1.0 / (c1 * w) - slope if x else None,
+                -1.0 / w ** 2 if xp else None,
+                np.log1p(c1q) / c1_sq - slope * q if log_psi0 else None)
+    return fields
+
+
+def _kratzer_potential(p: KratzerFuesParams, q: np.ndarray) -> np.ndarray:
+    w = p.c1 * q + 1.0
+    ratio = (p.c1 * q - p.s) / w
+    return 0.5 * (p.two_d * ratio * ratio - p.two_e0)
+
+
+def _right_tail_bound(model: OscillatorModel) -> AdmissibilityBound:
+    return AdmissibilityBound(sup_re_alpha=model.params.c0 / model.params.c1)
+
+
+_C0_C1_S = (("c0", "c0"), ("c1", "c1"), ("s", "s"))
+# Kratzer-Fues is generalized Kratzer-Fues at c0 = 1 - c1^2: one set of closed forms.
+_KRATZER = dict(header=_C0_C1_S, kernel=_kratzer_kernel, potential=_kratzer_potential,
+                bound=_right_tail_bound,
+                interval=lambda model: (model.q_lower + POLE_OFFSET / model.params.c1,
+                                        80.0 / model.params.c1))
+
+#: The family records by OscillatorModel.family, in the order --help lists them.
+FAMILIES = {family.name: family for family in (
+    Family(name=HARMONIC, cli_name="harmonic", cli_params=(), make=make_harmonic,
+           descriptor="harmonic", header=(), kernel=_harmonic_kernel,
+           potential=lambda p, q: 0.5 * (q * q - 1.0),
+           bound=lambda model: AdmissibilityBound(sup_re_alpha=math.inf),
+           interval=lambda model: (-8.0, 8.0)),
+    Family(name=GENERALIZED_MORSE, cli_name="morse", cli_params=("s", "xe"),
+           make=make_generalized_morse,
+           descriptor="generalized_morse(s={p.s!r}, x_e={p.x_e!r})", header=_C0_C1_S,
+           kernel=_morse_kernel, potential=_morse_potential, bound=_right_tail_bound,
+           interval=lambda model: (-3.0, 40.0 / model.params.c1)),
+    Family(name=WEI_HUA, cli_name="weihua", cli_params=("c0", "c1", "c2"),
+           make=make_wei_hua, descriptor="wei_hua(c0={p.c0!r}, c1={p.c1!r}, c2={p.c2!r})",
+           header=(("W", "w"), ("B", "b"), ("C", "big_c"), ("c", "c"), ("q0", "q0")),
+           kernel=_wei_hua_kernel, potential=_wei_hua_potential, bound=_wei_hua_bound,
+           interval=_wei_hua_interval),
+    Family(name=KRATZER_FUES, cli_name="kratzer", cli_params=("c1",),
+           make=make_kratzer_fues, descriptor="kratzer_fues(c1={p.c1!r})", **_KRATZER),
+    Family(name=GENERALIZED_KRATZER_FUES, cli_name="gkf", cli_params=("c0", "c1"),
+           make=make_generalized_kratzer_fues,
+           descriptor="generalized_kratzer_fues(c0={p.c0!r}, c1={p.c1!r})", **_KRATZER),
+)}
+
+
+def family_of(model: OscillatorModel) -> Family:
+    """The record of the model's family."""
+    return FAMILIES[model.family]
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,8 @@ from .errors import (
     InvalidParameterError,
     TruncationError,
 )
+from .families import POLE_OFFSET, AdmissibilityBound, family_of
 from .models import (
-    GENERALIZED_MORSE,
-    HARMONIC,
-    WEI_HUA,
     OscillatorModel,
     check_domain,
     commutator_value,
@@ -44,12 +42,6 @@ SQRT2 = math.sqrt(2.0)
 ANNIHILATION = "annihilation"
 CREATION = "creation"
 
-#: Fixed offset (in units of 1/c1) between a finite domain boundary and the
-#: grid edge. Keeping it at 1e-3 bounds the superpotential magnitude near the
-#: pole so the Riccati check stays within float64 headroom, while the omitted
-#: power-law tail mass is negligible for every admissible family.
-_POLE_OFFSET = 1e-3
-
 #: Target for the relative L2 mass allowed outside the grid (times a local
 #: moment lever) when choosing the far edge automatically.
 _MASS_TOL = 1e-7
@@ -58,20 +50,6 @@ _MASS_TOL = 1e-7
 #: the peak, or when the estimated beyond-edge mass is negligible.
 _EDGE_RATIO = 1e-12
 _EDGE_MASS_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class AdmissibilityBound:
-    """Open interval of sqrt(2) Re(alpha) giving a normalizable coherent state.
-
-    sup_re_alpha is c0/c1 for the anharmonic families (the +infinity limit of
-    -x) and +infinity for the harmonic oscillator. inf_re_alpha is -infinity
-    except for the full-line Wei Hua branch (c < 0), where the left tail
-    imposes its own lower bound.
-    """
-
-    sup_re_alpha: float
-    inf_re_alpha: float = -math.inf
 
 
 @dataclass(frozen=True)
@@ -121,15 +99,7 @@ def _state_samples(grid: Grid, values: np.ndarray) -> SampledFunction:
 
 def admissible_bound(model: OscillatorModel) -> AdmissibilityBound:
     """Normalizability bounds on sqrt(2) Re(alpha) for coherent states."""
-    if model.family == HARMONIC:
-        return AdmissibilityBound(sup_re_alpha=math.inf)
-    p = model.params
-    sup = p.c0 / p.c1
-    if model.family == WEI_HUA and not math.isfinite(model.q_lower):
-        # Full-line branch: the left tail decays only for
-        # sqrt(2) Re(alpha) > x(-inf) flipped in sign.
-        return AdmissibilityBound(sup_re_alpha=sup, inf_re_alpha=p.c1 / p.c2 + sup)
-    return AdmissibilityBound(sup_re_alpha=sup)
+    return family_of(model).bound(model)
 
 
 def is_admissible(model: OscillatorModel, alpha: complex) -> bool:
@@ -348,18 +318,7 @@ def expectation(psi: WaveFunction, observable: str, grid: Grid) -> complex:
 
 def default_interval(model: OscillatorModel) -> tuple[float, float]:
     """Family-specific starting interval for truncation searches."""
-    if model.family == HARMONIC:
-        return (-8.0, 8.0)
-    p = model.params
-    if model.family == GENERALIZED_MORSE:
-        return (-3.0, 40.0 / p.c1)
-    if model.family == WEI_HUA:
-        if math.isfinite(model.q_lower):
-            lo = model.q_lower + _POLE_OFFSET / p.c1
-        else:
-            lo = p.q0 - 40.0 / p.c1
-        return (lo, p.q0 + 40.0 / p.c1)
-    return (model.q_lower + _POLE_OFFSET / p.c1, 80.0 / p.c1)
+    return family_of(model).interval(model)
 
 
 def _search_functions(model: OscillatorModel, t: float):
@@ -390,45 +349,50 @@ def _find_peak(model: OscillatorModel, t: float, x_at: Callable[[float], float])
     decreasing on the domain)."""
     a0, b0 = default_interval(model)
 
-    def g(q: float) -> float:
-        return x_at(q) + t
+    def left_of_peak(q: float) -> bool:
+        return x_at(q) + t > 0.0
 
     lo = a0
     if math.isfinite(model.q_lower):
         # The left end sits at the pole offset; x decreases, so a peak left
         # of it has x + t < 0 there and bisection would return a0 itself.
-        if not g(lo) > 0.0:
+        if not left_of_peak(lo):
             raise TruncationError(
-                f"wavefunction peak lies inside the pole offset {_POLE_OFFSET!r}/c1 "
+                f"wavefunction peak lies inside the pole offset {POLE_OFFSET!r}/c1 "
                 "from the domain boundary; Re(alpha) is too negative to truncate"
             )
     else:
         for _ in range(300):
-            if g(lo) > 0.0:
+            if left_of_peak(lo):
                 break
             lo = b0 - 2.0 * (b0 - lo)
         else:
             raise TruncationError("could not bracket the wavefunction peak")
     hi = b0
     for _ in range(300):
-        if g(hi) < 0.0:
+        if x_at(hi) + t < 0.0:
             break
         hi = lo + 2.0 * (hi - lo)
     else:
         raise TruncationError("could not bracket the wavefunction peak")
-    # Stop once an update would leave the bracket unchanged: every later
-    # step would repeat that no-op, so the result equals the full count.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            if mid == lo:
-                break
-            lo = mid
-        else:
-            if mid == hi:
-                break
-            hi = mid
+    lo, hi = _bisect(left_of_peak, lo, hi, 200)
     return 0.5 * (lo + hi)
+
+
+def _bisect(keep: Callable[[float], bool], a: float, b: float, steps: int) -> tuple[float, float]:
+    """Shrink the bracket (a, b), either order, with keep(a) true and keep(b)
+    false, by at most steps bisections; return it. Stops once the midpoint is
+    an end: its side is known, so the update would leave the bracket
+    unchanged, and so would every later step."""
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        if keep(mid):
+            a = mid
+        else:
+            b = mid
+    return a, b
 
 
 def _edge_by_mass(
@@ -438,9 +402,8 @@ def _edge_by_mass(
     start: float,
     log_budget: float,
 ) -> float:
-    """Move outward from the peak until the estimated tail mass (weighted by a
-    local moment lever) drops below the budget, then bisect the crossing."""
-    direction = 1.0 if start > q_peak else -1.0
+    """Move outward from the peak, from start on, until the estimated tail mass
+    (weighted by a local moment lever) drops below the budget, then bisect."""
 
     def excess(q: float) -> float:
         x, log_amplitude = x_and_log_amplitude(q)
@@ -450,24 +413,16 @@ def _edge_by_mass(
         lever = 2.0 * (1.0 + x * x)
         return 2.0 * log_amplitude + math.log(lever / (2.0 * kappa)) - log_budget
 
-    outer = start if direction * (start - q_peak) > 0 else q_peak + direction
+    outer = start
     for _ in range(400):
         if excess(outer) < 0.0:
             break
         outer = q_peak + 2.0 * (outer - q_peak)
     else:
         raise TruncationError("tail does not decay; cannot truncate the domain")
-    inner = q_peak
-    for _ in range(120):  # stops early as in _find_peak
-        mid = 0.5 * (inner + outer)
-        if excess(mid) >= 0.0:
-            if mid == inner:
-                break
-            inner = mid
-        else:
-            if mid == outer:
-                break
-            outer = mid
+    # The excess at the peak itself is left unevaluated: it is positive,
+    # since kappa = |x + t| vanishes there to rounding.
+    outer = _bisect(lambda q: excess(q) >= 0.0, q_peak, outer, 120)[1]
     return q_peak + 1.05 * (outer - q_peak)
 
 
@@ -501,7 +456,10 @@ def auto_grid(
         math.pi / float(commutator_value(model, q_peak))
     )
     log_budget = math.log(mass_tol) + log_mass
-    b_mass = _edge_by_mass(x_and_log_amplitude, t, q_peak, max(b0, q_peak + 1.0), log_budget)
+    # The first outward step is 1, or |q_peak| 2^-50 (4 to 8 ulps) where that
+    # is larger: beyond 2^53, q_peak + 1 rounds back to q_peak.
+    step = max(1.0, abs(q_peak) * 2.0 ** -50)
+    b_mass = _edge_by_mass(x_and_log_amplitude, t, q_peak, max(b0, q_peak + step), log_budget)
     if math.isfinite(model.q_lower):
         # Half-line family: fixed pole offset on the left; the far edge comes
         # from the mass rule alone, since the generous family default would
@@ -512,7 +470,7 @@ def auto_grid(
     else:
         # Full-line family: tails die at least as fast as a Gaussian on one
         # side, so the family default envelope is kept and only ever widened.
-        a_mass = _edge_by_mass(x_and_log_amplitude, t, q_peak, min(a0, q_peak - 1.0), log_budget)
+        a_mass = _edge_by_mass(x_and_log_amplitude, t, q_peak, min(a0, q_peak - step), log_budget)
         a = min(a0, a_mass)
         b = max(b0, b_mass)
     return make_grid(a, b, n)

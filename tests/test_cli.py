@@ -150,6 +150,19 @@ class TestCoherent:
         )
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("alpha", ["1e15", "1e17", "-1e17"])
+    def test_peak_beyond_two_to_the_53_is_an_overflow(self, tmp_path, capsys, alpha):
+        # Past |q_peak| = 2^53 the edge search still leaves the peak (it
+        # stalled there and said "tail does not decay"), and the state's
+        # overflow is named as it is at 1e15.
+        code = run("coherent", "--family", "harmonic", f"--alpha={alpha}",
+                   "--n", "1001", "--out", str(tmp_path / "c.csv"),
+                   "--report", str(tmp_path / "c.txt"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: state overflows float64 on the grid; reduce |Re(alpha)|\n"
+        )
+
     def test_inadmissible_alpha(self, tmp_path):
         code = run("coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
                    "--alpha", "0.5+0i", "--out", str(tmp_path / "c.csv"),

@@ -127,6 +127,15 @@ class TestKratzerFamilies:
         with pytest.raises(InvalidParameterError):
             make_kratzer_fues(1.0)
 
+    @pytest.mark.parametrize("c1", [0.0, 1.0, 2.0, -0.5, math.nan, math.inf])
+    def test_plain_out_of_range_c1_is_named(self, c1):
+        # The check lives in the shared constructor, which tests c1 before
+        # the derived c0 = 1 - c1^2.
+        with pytest.raises(InvalidParameterError) as caught:
+            make_kratzer_fues(c1)
+        assert type(caught.value) is InvalidParameterError
+        assert str(caught.value) == f"c1 must satisfy 0 < c1 < 1, got {c1!r}"
+
     def test_rejects_nonpositive_c0(self):
         with pytest.raises(InvalidParameterError):
             make_generalized_kratzer_fues(0.0, 0.5)

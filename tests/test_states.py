@@ -675,3 +675,76 @@ def test_auto_grid_matches_zero_dim_reference_search(monkeypatch):
     new = [_grid_outcome(m, alpha) for m, alpha in draws]
     monkeypatch.setattr(states, "_search_functions", _reference_search_functions)
     assert [_grid_outcome(m, alpha) for m, alpha in draws] == new
+
+
+def _points_per_bisection(monkeypatch, model, alpha):
+    """The coordinates each bisection of one auto_grid call evaluated, one
+    list per bisection (the peak's, then each edge's)."""
+    bisections = []
+    bisect = states._bisect
+
+    def recording_bisect(keep, a, b, steps):
+        points = []
+        bisections.append(points)
+
+        def recorded(q):
+            points.append(q)
+            return keep(q)
+
+        return bisect(recorded, a, b, steps)
+
+    monkeypatch.setattr(states, "_bisect", recording_bisect)
+    auto_grid(model, alpha, 2001)
+    return bisections
+
+
+@pytest.mark.parametrize("m, alpha", [
+    (make_generalized_morse(1.0, 0.5), 0.1),
+    *_search_draws(60, seed=91),
+], ids=lambda v: getattr(v, "family", None))
+def test_no_point_is_evaluated_twice_within_one_bisection(monkeypatch, m, alpha):
+    # A bisection stops when its midpoint is a bracket end, whose side is
+    # known, instead of evaluating that point again (once per bisection
+    # before).
+    bisections = _points_per_bisection(monkeypatch, m, alpha)
+    assert len(bisections) == (2 if math.isfinite(m.q_lower) else 3)
+    for points in bisections:
+        assert len(points) > 10
+        assert len(points) == len(set(points))
+
+
+def test_bisection_stops_before_a_bracket_end():
+    # keep() holds left of 1; the bracket shrinks onto (1 - ulp, 1) and the
+    # midpoint of two adjacent floats is one of them.
+    seen = []
+
+    def keep(q):
+        seen.append(q)
+        return q < 1.0
+
+    a, b = states._bisect(keep, 0.0, 3.0, 200)
+    assert (a, b) == (np.nextafter(1.0, 0.0), 1.0)
+    assert len(seen) == len(set(seen)) and a in seen and b in seen
+    # Either order: here the kept end is the right one.
+    seen.clear()
+    a, b = states._bisect(lambda q: not keep(q), 3.0, 0.0, 200)
+    assert (a, b) == (1.0, np.nextafter(1.0, 0.0))
+    assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("t", [1e17 * SQRT2, -1e17 * SQRT2])
+def test_edges_leave_a_peak_beyond_two_to_the_53(t):
+    # q_peak + 1 rounds back to q_peak here; the first outward step scales
+    # with |q_peak| instead, so each edge search moves away from the peak.
+    g = auto_grid(make_harmonic(), t / SQRT2)
+    assert g.q_min < t < g.q_max
+    assert math.isfinite(g.q_min) and math.isfinite(g.q_max)
+
+
+def test_half_line_peak_beyond_two_to_the_53_gets_a_grid():
+    m = make_generalized_kratzer_fues(1e-16, 0.5)
+    g = auto_grid(m)
+    assert g.q_min == default_interval(m)[0]
+    assert 2.0 ** 53 < g.q_max < math.inf
+    # The peak, where x = 0, lies inside the grid.
+    assert eval_superpotential(m, g.q_max) < 0.0
