@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -241,6 +242,9 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     params = _parse_params(args.param)
+    extra = [key for key in params if key not in ("c0", "c1", "c2", "x0")]
+    if extra:
+        raise InvalidParameterError(f"unknown parameter {extra[0]!r} for form {args.form!r}")
     series = GeneratingSeries(
         form=args.form,
         c0=params.get("c0", 0.0),
@@ -404,6 +408,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def app() -> None:
+    # The command prints each warning as one line, without the source
+    # location, which moves with every edit and install of the package.
+    warnings.formatwarning = lambda message, category, *_: (
+        f"warning: {category.__name__}: {message}\n")
     raise SystemExit(main())
 
 

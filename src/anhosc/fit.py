@@ -24,6 +24,7 @@ from .errors import (
 _RSS_REL_TOL = 1e-12
 _STEP_TOL = 1e-12
 _MAX_DAMPING = 1e12
+_MAX_ITER = 500
 
 # Lower bounds keeping the parameter vector inside the admissible region
 # (r_e > 0, s > -1, c0 > 0) during iteration.
@@ -176,10 +177,7 @@ def _default_init(r: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
 
 
 def fit_expansion(
-    data: Sequence[PotentialSample],
-    order: int = 0,
-    init: ExpansionParams | None = None,
-    max_iter: int = 500,
+    data: Sequence[PotentialSample], order: int = 0, init: ExpansionParams | None = None
 ) -> FitResult:
     """Fit the expansion of the given order to the samples.
 
@@ -187,7 +185,7 @@ def fit_expansion(
     increased whenever a step would raise the residual sum of squares and
     decreased after success, so accepted steps never increase the rss.
     Converged means the relative rss change or the step norm fell below 1e-12
-    within the iteration cap.
+    within 500 iterations.
     """
     if order < 0:
         raise InvalidParameterError(f"order must be >= 0, got {order}")
@@ -214,7 +212,7 @@ def fit_expansion(
     lam = 1e-3
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         jac = _jacobian(theta, r)
         grad = jac.T @ res
         hess = jac.T @ jac

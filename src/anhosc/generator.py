@@ -102,9 +102,7 @@ def eval_generating_function(series: GeneratingSeries, x) -> float | np.ndarray:
     return np.ones_like(x) if series.form == FORM_CONSTANT else f(x)
 
 
-def superpotential_from_series(
-    series: GeneratingSeries, grid: Grid, substeps: int = 1
-) -> SampledFunction:
+def superpotential_from_series(series: GeneratingSeries, grid: Grid) -> SampledFunction:
     """Integrate dx/dq = -f(x) from x(0) = series.x0 over the grid.
 
     The grid must start at q = 0, where the initial condition is stated.
@@ -117,7 +115,7 @@ def superpotential_from_series(
         )
     f = _generating_function(series)
     rhs = lambda q, x: -f(x)
-    result = solve_first_order_ode(rhs, series.initial_value(), grid, substeps=substeps)
+    result = solve_first_order_ode(rhs, series.initial_value(), grid)
     if np.max(np.abs(result.values)) > 1.0:
         warnings.warn(
             "superpotential leaves |x| < 1, outside the guaranteed series "

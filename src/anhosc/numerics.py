@@ -148,52 +148,40 @@ def differentiate(f: SampledFunction, order: int = 1) -> SampledFunction:
 
 
 def solve_first_order_ode(
-    rhs: Callable[[float, float], float],
-    x0: float,
-    grid: Grid,
-    substeps: int = 1,
+    rhs: Callable[[float, float], float], x0: float, grid: Grid
 ) -> SampledFunction:
     """Integrate dx/dq = rhs(q, x) from q_min with x(q_min) = x0.
 
-    Classical fourth-order Runge-Kutta with a fixed step of grid.step/substeps;
-    global error is O(step^4). Raising substeps lets callers form their own
-    step-halving error estimates (see ode_step_halving_error).
+    Classical fourth-order Runge-Kutta, one step of grid.step per grid
+    interval; global error is O(step^4).
 
     Raises InvalidParameterError for a start beyond |x| = 1e150, and
     DivergenceError when the trajectory leaves that range, which signals a
     pole of x(q).
     """
-    if substeps < 1:
-        raise InvalidParameterError("substeps must be >= 1")
     if not math.isfinite(x0):
         raise InvalidParameterError("initial value must be finite")
     if abs(x0) > _ODE_OVERFLOW:
         raise InvalidParameterError(
             f"initial value {x0!r} outside the integrator's range |x| <= {_ODE_OVERFLOW:g}"
         )
-    h = grid.step / substeps
+    q_min, h = grid.q_min, grid.step
     x = float(x0)
     out = np.empty(grid.n, dtype=float)
     out[0] = x
     for i in range(1, grid.n):
-        # Resync q each outer step so accumulated float drift cannot build up.
-        q = grid.q_min + (i - 1) * grid.step
-        for k in range(substeps):
-            qk = q + k * h
-            try:
-                k1 = rhs(qk, x)
-                k2 = rhs(qk + 0.5 * h, x + 0.5 * h * k1)
-                k3 = rhs(qk + 0.5 * h, x + 0.5 * h * k2)
-                k4 = rhs(qk + h, x + h * k3)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise DivergenceError(
-                    f"trajectory diverged near q={qk:.6g} (pole of x(q))"
-                ) from exc
-            if not math.isfinite(x) or abs(x) > _ODE_OVERFLOW:
-                raise DivergenceError(
-                    f"trajectory diverged near q={qk:.6g} (pole of x(q))"
-                )
+        # Recompute q from the index so accumulated float drift cannot build up.
+        q = q_min + (i - 1) * h
+        try:
+            k1 = rhs(q, x)
+            k2 = rhs(q + 0.5 * h, x + 0.5 * h * k1)
+            k3 = rhs(q + 0.5 * h, x + 0.5 * h * k2)
+            k4 = rhs(q + h, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DivergenceError(f"trajectory diverged near q={q:.6g} (pole of x(q))") from exc
+        if not math.isfinite(x) or abs(x) > _ODE_OVERFLOW:
+            raise DivergenceError(f"trajectory diverged near q={q:.6g} (pole of x(q))")
         out[i] = x
     return SampledFunction(grid, out)
 
@@ -204,8 +192,13 @@ def ode_step_halving_error(
     """Max absolute difference between full-step and half-step integrations.
 
     A cheap a-posteriori error estimate for solve_first_order_ode on the same
-    grid; the half-step solution is roughly sixteen times more accurate.
+    grid: the half-step run, on the grid's 2n - 1 point refinement and
+    compared at every other point, is roughly sixteen times more accurate.
+    For an rhs of q as well as x, the refined midpoints q_min + (2i + 1) h/2
+    can round differently from (q_min + i h) + h/2, which moves the estimate
+    by a few ulps of x against two half steps inside each interval.
     """
-    full = solve_first_order_ode(rhs, x0, grid, substeps=1)
-    half = solve_first_order_ode(rhs, x0, grid, substeps=2)
-    return float(np.max(np.abs(full.values - half.values)))
+    full = solve_first_order_ode(rhs, x0, grid)
+    fine = make_grid(grid.q_min, grid.q_max, 2 * grid.n - 1)
+    half = solve_first_order_ode(rhs, x0, fine).values[::2]
+    return float(np.max(np.abs(full.values - half)))

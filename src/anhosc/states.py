@@ -426,16 +426,11 @@ def _edge_by_mass(
     return q_peak + 1.05 * (outer - q_peak)
 
 
-def auto_grid(
-    model: OscillatorModel,
-    alpha: complex = 0.0,
-    n: int = 4001,
-    mass_tol: float = _MASS_TOL,
-) -> Grid:
+def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Grid:
     """Grid whose truncation error is negligible for the verification suite.
 
     The far edges are placed where the estimated beyond-edge L2 mass, weighted
-    by a local moment lever 2(1 + x^2), falls below mass_tol of a Laplace
+    by a local moment lever 2(1 + x^2), falls below 1e-7 of a Laplace
     estimate of the total mass. A finite domain boundary gets a fixed offset
     of 1e-3/c1 instead, which keeps superpotential magnitudes within float64
     headroom while the omitted power-law tail stays negligible.
@@ -455,7 +450,7 @@ def auto_grid(
     log_mass = 2.0 * x_and_log_amplitude(q_peak)[1] + 0.5 * math.log(
         math.pi / float(commutator_value(model, q_peak))
     )
-    log_budget = math.log(mass_tol) + log_mass
+    log_budget = math.log(_MASS_TOL) + log_mass
     # The first outward step is 1, or |q_peak| 2^-50 (4 to 8 ulps) where that
     # is larger: beyond 2^53, q_peak + 1 rounds back to q_peak.
     step = max(1.0, abs(q_peak) * 2.0 ** -50)

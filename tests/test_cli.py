@@ -365,6 +365,25 @@ class TestGenerate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("form", ["constant", "linear", "parabolic", "squared_linear"])
+    def test_every_form_takes_c0_c1_c2_and_x0(self, tmp_path, form):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExpansionRangeWarning)
+            assert run("generate", "--form", form, "--param", "c0=0.5", "--param", "c1=1",
+                       "--param", "c2=0.5", "--param", "x0=0.5", "--qmax", "0.2",
+                       "--n", "11", "--out", str(tmp_path / "g.csv")) == 0
+
+    @pytest.mark.parametrize("form", ["constant", "linear", "parabolic", "squared_linear"])
+    @pytest.mark.parametrize("name", ["cc1", "C1", "x", "s"])
+    def test_unknown_parameter_is_a_usage_error(self, tmp_path, capsys, form, name):
+        # A misspelled c1 must not silently leave c1 = 0.
+        out = tmp_path / "g.csv"
+        assert run("generate", "--form", form, "--param", "c0=0.5", "--param", "c1=1",
+                   "--param", f"{name}=3", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: unknown parameter {name!r} for form {form!r}\n"
+        assert not out.exists()
+
+
 class TestFitCommand:
     @staticmethod
     def write_samples(path, params, r_values):
@@ -499,6 +518,39 @@ def test_module_entry_point_matches_in_process_main(tmp_path):
     assert cold.returncode == main(argv + ["--report", str(tmp_path / "warm.txt")]) == 1
     assert cold.stderr == b""
     assert (tmp_path / "cold.txt").read_bytes() == (tmp_path / "warm.txt").read_bytes()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("generate --form constant --n 5001",
+     "warning: ExpansionRangeWarning: superpotential leaves |x| < 1, outside the "
+     "guaranteed series convergence range\n"),
+    ("construct --family harmonic --qmin 0 --qmax 1e300",
+     "warning: RuntimeWarning: overflow encountered in multiply\n"
+     "warning: explicit grid edge magnitude exceeds 1e-12 of the peak; "
+     "normalization may reject this grid\n"
+     "warning: RuntimeWarning: overflow encountered in multiply\n"),
+])
+def test_command_prints_warnings_without_source_locations(tmp_path, argv, expected):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONWARNINGS", None)
+    cold = subprocess.run(
+        [sys.executable, "-m", "anhosc", *argv.split(), "--out", "t.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert cold.returncode == 0
+    assert cold.stderr == expected
+
+
+def test_main_leaves_the_warning_format_alone(tmp_path):
+    # Only the command's entry point formats warnings; in-process callers
+    # keep their own.
+    before = warnings.formatwarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("generate", "--form", "constant", "--out", str(tmp_path / "g.csv")) == 0
+    assert [w.category for w in caught] == [ExpansionRangeWarning]
+    assert warnings.formatwarning is before
 
 
 # (argv, exit code, ExpansionRangeWarning raised, SHA-256 of every output

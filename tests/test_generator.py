@@ -1,6 +1,7 @@
 """Generating-function route: series evaluation, ODE integration of
 dx/dq = -f(x), and dispatch to closed-form models."""
 
+import math
 import random
 import warnings
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from anhosc.errors import (
+    AnhoscError,
     DivergenceError,
     InvalidParameterError,
     UnsupportedFormError,
@@ -19,6 +21,7 @@ from anhosc.generator import (
     FORM_SQUARED_LINEAR,
     ExpansionRangeWarning,
     GeneratingSeries,
+    _generating_function,
     closed_form_from_series,
     eval_generating_function,
     superpotential_from_series,
@@ -31,7 +34,13 @@ from anhosc.models import (
     eval_superpotential,
     riccati_potential,
 )
-from anhosc.numerics import SampledFunction, differentiate, make_grid, solve_first_order_ode
+from anhosc.numerics import (
+    SampledFunction,
+    differentiate,
+    make_grid,
+    ode_step_halving_error,
+    solve_first_order_ode,
+)
 
 
 class TestSeries:
@@ -232,3 +241,128 @@ def test_eval_generating_function_types_and_values(series):
                 value = eval_generating_function(series, scalar)
                 assert type(value) is float
                 assert value.hex() == _numpy_scalar_f(series, scalar).hex()
+
+
+# The integrator as it was while it still took a substeps argument, kept
+# verbatim as the reference for the one-step-per-interval loop.
+_ODE_OVERFLOW = 1e150
+
+
+def _reference_solve_first_order_ode(rhs, x0, grid, substeps=1):
+    if substeps < 1:
+        raise InvalidParameterError("substeps must be >= 1")
+    if not math.isfinite(x0):
+        raise InvalidParameterError("initial value must be finite")
+    if abs(x0) > _ODE_OVERFLOW:
+        raise InvalidParameterError(
+            f"initial value {x0!r} outside the integrator's range |x| <= {_ODE_OVERFLOW:g}"
+        )
+    h = grid.step / substeps
+    x = float(x0)
+    out = np.empty(grid.n, dtype=float)
+    out[0] = x
+    for i in range(1, grid.n):
+        # Resync q each outer step so accumulated float drift cannot build up.
+        q = grid.q_min + (i - 1) * grid.step
+        for k in range(substeps):
+            qk = q + k * h
+            try:
+                k1 = rhs(qk, x)
+                k2 = rhs(qk + 0.5 * h, x + 0.5 * h * k1)
+                k3 = rhs(qk + 0.5 * h, x + 0.5 * h * k2)
+                k4 = rhs(qk + h, x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise DivergenceError(
+                    f"trajectory diverged near q={qk:.6g} (pole of x(q))"
+                ) from exc
+            if not math.isfinite(x) or abs(x) > _ODE_OVERFLOW:
+                raise DivergenceError(
+                    f"trajectory diverged near q={qk:.6g} (pole of x(q))"
+                )
+        out[i] = x
+    return SampledFunction(grid, out)
+
+
+def _reference_halving_error(rhs, x0, grid):
+    full = _reference_solve_first_order_ode(rhs, x0, grid, substeps=1)
+    half = _reference_solve_first_order_ode(rhs, x0, grid, substeps=2)
+    return float(np.max(np.abs(full.values - half.values)))
+
+
+def _result(compute):
+    """The result's bytes, or the exception's type and message."""
+    try:
+        value = compute()
+    except AnhoscError as exc:
+        return type(exc), str(exc)
+    return np.asarray(getattr(value, "values", value)).tobytes()
+
+
+_FORMS = (FORM_CONSTANT, FORM_LINEAR, FORM_PARABOLIC, FORM_SQUARED_LINEAR)
+
+
+def _seeded_cases(seed, per_form=6):
+    """(series, rhs, q_max) for per_form seeded series of each form."""
+    rng = random.Random(seed)
+    cases = {form: [] for form in _FORMS}
+    while any(len(found) < per_form for found in cases.values()):
+        try:
+            series = _random_series(rng)
+        except InvalidParameterError:
+            continue  # f(x0) <= 0
+        qmax = rng.uniform(1.0, 8.0)
+        if len(cases[series.form]) < per_form:
+            f = _generating_function(series)
+            cases[series.form].append((series, lambda q, x, f=f: -f(x), qmax))
+    return [case for found in cases.values() for case in found]
+
+
+@pytest.mark.parametrize("n", [5, 11, 101, 5001])
+def test_one_step_per_interval_matches_the_substep_reference(n):
+    diverged = []
+    for series, rhs, qmax in _seeded_cases(1000 + n):
+        grid = make_grid(0.0, qmax, n)
+        x0 = series.initial_value()
+        expected = _result(lambda: _reference_solve_first_order_ode(rhs, x0, grid, substeps=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExpansionRangeWarning)
+            assert _result(lambda: superpotential_from_series(series, grid)) == expected, series
+        assert _result(lambda: solve_first_order_ode(rhs, x0, grid)) == expected, series
+        diverged.append(isinstance(expected, tuple))
+    assert 0 < sum(diverged) < len(diverged)  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("n", [5, 11, 101, 5001])
+def test_step_halving_error_matches_the_two_substep_reference(n):
+    # Generator ODEs do not depend on q, and the refined grid's step equals
+    # half the coarse one in float64, so the estimate keeps every bit.
+    diverged = []
+    for series, rhs, qmax in _seeded_cases(2000 + n):
+        grid = make_grid(0.0, qmax, n)
+        x0 = series.initial_value()
+        expected = _result(lambda: _reference_halving_error(rhs, x0, grid))
+        assert _result(lambda: ode_step_halving_error(rhs, x0, grid)) == expected, series
+        diverged.append(isinstance(expected, tuple))
+    assert 0 < sum(diverged) < len(diverged)
+
+
+_Q_DEPENDENT_RHS = [
+    lambda q, x: -(x + 0.5) + math.sin(3.0 * q),
+    lambda q, x: q * q - x,
+    lambda q, x: -x * math.cos(q) / (1.0 + q * q),
+]
+
+
+@pytest.mark.parametrize("rhs", _Q_DEPENDENT_RHS)
+@pytest.mark.parametrize("grid", [make_grid(0.0, 3.0, 11), make_grid(-0.7, 2.3, 101)],
+                         ids=["n11", "n101"])
+def test_q_dependent_rhs(rhs, grid):
+    # One step per interval keeps every bit for any rhs. The refined grid's
+    # midpoints q_min + (2i + 1) h/2 may round differently from
+    # (q_min + i h) + h/2, which moves the estimate by rounding only.
+    expected = _reference_solve_first_order_ode(rhs, 0.3, grid, substeps=1)
+    assert solve_first_order_ode(rhs, 0.3, grid).values.tobytes() == expected.values.tobytes()
+    reference = _reference_halving_error(rhs, 0.3, grid)
+    ulp = np.spacing(np.max(np.abs(expected.values)))
+    assert abs(ode_step_halving_error(rhs, 0.3, grid) - reference) <= 8.0 * ulp

@@ -373,8 +373,3 @@ class TestOde:
         g = make_grid(0, 1, 11)
         out = solve_first_order_ode(lambda q, x: -(x + 0.5), -1e150, g)
         assert out.values[0] == -1e150
-
-    def test_substeps_validation(self):
-        g = make_grid(0, 1, 5)
-        with pytest.raises(InvalidParameterError):
-            solve_first_order_ode(lambda q, x: 0.0, 0.0, g, substeps=0)
