@@ -67,23 +67,19 @@ from .states import (
     GridFields,
     WaveFunction,
     admissible_bound,
-    apply_ladder,
     auto_grid,
     coherent_state,
     default_interval,
-    expectation,
     grid_fields,
     ground_state,
     is_admissible,
-    l2_norm,
+    l2_norm_of,
     ladder_values,
     normalize,
-    normalized_samples,
 )
 from .verify import (
     Tolerances,
     VerificationReport,
-    default_tolerances,
     verify_coherent,
     verify_model,
 )

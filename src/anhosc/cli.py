@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from ._format import fmt_float
-from .errors import AnhoscError, InvalidParameterError
+from .errors import AnhoscError, InadmissibleAlphaError, InvalidParameterError
 from .families import FAMILIES, family_of
 from .fit import PotentialSample, fit_expansion
 from .generator import (
@@ -33,6 +33,7 @@ from .models import OscillatorModel, closed_form_potential, describe
 from .models import eval_superpotential as model_superpotential
 from .numerics import Grid, make_grid
 from .states import (
+    admissible_bound,
     auto_grid,
     grid_fields,
     is_admissible,
@@ -93,7 +94,8 @@ def _build_model(name: str, params: dict[str, float]) -> OscillatorModel:
     return _CLI_FAMILIES[name].make(*(params[key] for key in expected))
 
 
-def _resolve_grid(args, model: OscillatorModel, alpha: complex = 0.0) -> Grid:
+def _resolve_grid(args, model: OscillatorModel, alpha: complex | None = None) -> Grid:
+    """The explicit grid, or the automatic one for psi_alpha (psi0 for None)."""
     explicit = args.qmin is not None or args.qmax is not None
     if explicit:
         if args.qmin is None or args.qmax is None:
@@ -101,6 +103,14 @@ def _resolve_grid(args, model: OscillatorModel, alpha: complex = 0.0) -> Grid:
         grid = make_grid(args.qmin, args.qmax, args.n)
         require_grid_in_domain(model, grid)
         return grid
+    if alpha is None:
+        if not is_admissible(model, 0.0):
+            b = admissible_bound(model)
+            raise InadmissibleAlphaError(
+                f"ground state not normalizable (coherent states need sqrt(2) Re(alpha) in "
+                f"({b.inf_re_alpha:.6g}, {b.sup_re_alpha:.6g})); give --qmin and --qmax"
+            )
+        alpha = 0.0
     return auto_grid(model, alpha=alpha, n=args.n)
 
 
@@ -213,12 +223,21 @@ def cmd_verify(args) -> int:
     tol = _tolerances(args)
     sections: list[str] = []
     all_passed = True
-    grid0 = _resolve_grid(args, model)
     # One record per distinct grid: every alpha on an explicit grid shares it.
-    fields = grid_fields(model, grid0)
-    report = verify_model(model, grid0, tol, fields=fields)
-    all_passed &= report.passed
-    sections.append(report.to_text())
+    fields = None
+    if is_admissible(model, 0.0):
+        grid0 = _resolve_grid(args, model)
+        fields = grid_fields(model, grid0)
+        report = verify_model(model, grid0, tol, fields=fields)
+        all_passed &= report.passed
+        sections.append(report.to_text())
+    else:
+        # psi0 itself is not normalizable; an explicit grid is still
+        # validated up front and shared by the alphas.
+        if args.qmin is not None or args.qmax is not None:
+            fields = grid_fields(model, _resolve_grid(args, model))
+        sections.append(f"model: {describe(model)}\nalpha: none\n"
+                        "result: skipped (ground state not normalizable)\n")
     for alpha in alphas:
         head = f"model: {describe(model)}\nalpha: {format_complex(alpha)}\n"
         if not is_admissible(model, alpha):
@@ -227,7 +246,7 @@ def cmd_verify(args) -> int:
         # A failing alpha must not abort the sweep: record it, exit 1.
         try:
             grid = _resolve_grid(args, model, alpha)
-            if grid != fields.grid:
+            if fields is None or grid != fields.grid:
                 fields = grid_fields(model, grid)
             rep = verify_coherent(model, alpha, grid, tol, fields=fields)
         except AnhoscError as exc:

@@ -1,16 +1,17 @@
-"""Ground states, coherent states, ladder-operator application, normalization,
-expectation values, and automatic grid truncation.
+"""Ground states, coherent states, their samples on a grid, normalization,
+the ladder operators on samples, and automatic grid truncation.
 
 Ground states solve A psi0 = 0, i.e. psi0 = exp(integral of x), fixed to
 psi0(0) = 1. Coherent states are psi0 * exp(sqrt(2) alpha q). Wavefunction
-objects are immutable and hold no samples, which keeps concurrent use
-trivially safe; callers that derive several quantities from one state on one
-grid sample it once with normalized_samples() and work on those arrays.
+objects are immutable closed-form evaluators and hold no samples.
 
 Only exp(sqrt(2) alpha q) depends on alpha, so grid_fields() evaluates q,
 x(q), x'(q) and log psi0(q) once per (model, grid) and every state of a sweep
-on that grid is formed from them. The record's arrays are read-only, so one
-record can be shared across threads as freely as a model.
+on that grid is formed from them. Callers that derive several quantities
+from one state sample it once with GridFields.normalized() and work on those
+arrays with ladder_values(), l2_norm_of() and the numerics functions on
+(grid, values). The record's arrays are read-only, so one record can be
+shared across threads as freely as a model.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from .models import (
     OscillatorModel,
     check_domain,
     commutator_value,
-    eval_superpotential,
     kernel,
 )
-from .numerics import Grid, SampledFunction, differentiate, integrate_samples, make_grid
+from .numerics import Grid, SampledFunction, integrate_samples, make_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,8 +46,8 @@ CREATION = "creation"
 #: moment lever) when choosing the far edge automatically.
 _MASS_TOL = 1e-7
 
-#: normalize() accepts a grid when each edge value is below this fraction of
-#: the peak, or when the estimated beyond-edge mass is negligible.
+#: Normalization accepts a grid when each edge value is below this fraction
+#: of the peak, or when the estimated beyond-edge mass is negligible.
 _EDGE_RATIO = 1e-12
 _EDGE_MASS_TOL = 1e-7
 
@@ -173,7 +173,8 @@ class GridFields:
         return _state_samples(self.grid, values)
 
     def normalized(self, alpha: complex | None = None) -> tuple[SampledFunction, float]:
-        """normalized_samples() of psi0 or psi_alpha, formed from the record."""
+        """psi0 or psi_alpha scaled to unit L2 norm on the grid, as complex
+        samples, and the norm before scaling; see _normalize()."""
         return _normalize(self.model, self.sample(alpha))
 
 
@@ -203,26 +204,10 @@ def ladder_values(dpsi: np.ndarray, x_psi: np.ndarray, which: str) -> np.ndarray
     return np.divide(out, SQRT2, out=out)
 
 
-def apply_ladder(
-    model: OscillatorModel, psi: WaveFunction, which: str, grid: Grid
-) -> SampledFunction:
-    """Apply the annihilation (psi' - x psi)/sqrt(2) or creation
-    (-psi' - x psi)/sqrt(2) operator on the grid, derivative by five-point
-    finite differences."""
-    sampled = psi.sample(grid)
-    d = differentiate(sampled, 1).values
-    x = eval_superpotential(model, grid.points())
-    return SampledFunction(grid, ladder_values(d, x * sampled.values, which))
-
-
-def l2_norm(sampled: SampledFunction) -> float:
-    """L2 norm of a sampled state by Simpson quadrature."""
-    return l2_norm_of(sampled.grid, sampled.values)
-
-
 def l2_norm_of(grid: Grid, values: np.ndarray) -> float:
-    """l2_norm of raw samples, such as a residual; InvalidParameterError
-    unless they and their squared magnitudes are finite."""
+    """L2 norm of samples on a grid, such as a state or a residual, by
+    Simpson quadrature; InvalidParameterError unless they and their squared
+    magnitudes are finite."""
     return math.sqrt(float(integrate_samples(grid, np.abs(values) ** 2)))
 
 
@@ -250,19 +235,14 @@ def _edge_covered(
     return tail <= _EDGE_MASS_TOL * mass
 
 
-def normalized_samples(psi: WaveFunction, grid: Grid) -> tuple[SampledFunction, float]:
-    """Sample the state once and scale the samples to unit L2 norm on the grid.
+def _normalize(model: OscillatorModel, raw: SampledFunction) -> tuple[SampledFunction, float]:
+    """The samples scaled to unit L2 norm on their grid, and the norm before
+    scaling.
 
-    Returns the scaled samples and the L2 norm the state had before scaling.
     Raises TruncationError when the grid does not cover the support, i.e.
     neither the edge-magnitude rule nor the estimated-tail-mass rule holds at
-    an edge; the caller must widen the grid. Also raises TruncationError when
-    the closed form overflows float64 somewhere on the grid.
+    an edge; the caller must widen the grid.
     """
-    return _normalize(psi.model, _sample_on(psi, grid))
-
-
-def _normalize(model: OscillatorModel, raw: SampledFunction) -> tuple[SampledFunction, float]:
     # Scale the evaluator's own output before the complex cast: a real ground
     # state divided after the cast would round differently.
     grid = raw.grid
@@ -281,39 +261,12 @@ def _normalize(model: OscillatorModel, raw: SampledFunction) -> tuple[SampledFun
 
 
 def normalize(psi: WaveFunction, grid: Grid) -> WaveFunction:
-    """Scale the state to unit L2 norm on the grid; see normalized_samples()."""
-    _, norm = normalized_samples(psi, grid)
+    """The state scaled to unit L2 norm on the grid, recording the norm
+    before scaling. TruncationError when the grid does not cover the support
+    (see _normalize()) or the closed form overflows float64 on it."""
+    _, norm = _normalize(psi.model, _sample_on(psi, grid))
     inner = psi.evaluator
     return replace(psi, evaluator=lambda q: inner(q) / norm, norm=norm)
-
-
-OBSERVABLES = ("x", "p", "x_squared", "p_squared", "x_prime")
-
-
-def expectation(psi: WaveFunction, observable: str, grid: Grid) -> complex:
-    """<psi| O |psi> by Simpson quadrature; psi should be normalized on grid.
-
-    Position-like observables multiply by x(q), x(q)^2 or x'(q); p and p^2 are
-    realized as -i d/dq and -d^2/dq^2 via finite differences.
-    """
-    sampled = psi.sample(grid)
-    v = sampled.values
-    q = grid.points()
-    if observable == "x":
-        acted = eval_superpotential(psi.model, q) * v
-    elif observable == "x_squared":
-        acted = eval_superpotential(psi.model, q) ** 2 * v
-    elif observable == "x_prime":
-        acted = -commutator_value(psi.model, q) * v
-    elif observable == "p":
-        acted = -1j * differentiate(sampled, 1).values
-    elif observable == "p_squared":
-        acted = -differentiate(sampled, 2).values
-    else:
-        raise InvalidParameterError(
-            f"unknown observable {observable!r}; expected one of {OBSERVABLES}"
-        )
-    return complex(integrate_samples(grid, np.conj(v) * acted))
 
 
 def default_interval(model: OscillatorModel) -> tuple[float, float]:
@@ -413,16 +366,21 @@ def _edge_by_mass(
         lever = 2.0 * (1.0 + x * x)
         return 2.0 * log_amplitude + math.log(lever / (2.0 * kappa)) - log_budget
 
-    outer = start
+    outer, inner = start, {}
     for _ in range(400):
-        if excess(outer) < 0.0:
+        value = excess(outer)
+        if value < 0.0:
             break
+        inner = {outer: value}
         outer = q_peak + 2.0 * (outer - q_peak)
     else:
         raise TruncationError("tail does not decay; cannot truncate the domain")
-    # The excess at the peak itself is left unevaluated: it is positive,
-    # since kappa = |x + t| vanishes there to rounding.
-    outer = _bisect(lambda q: excess(q) >= 0.0, q_peak, outer, 120)[1]
+    # The first midpoint can round back to the loop's last point before
+    # outer, so its excess is kept: the value, since a NaN excess must fail
+    # both < 0 and >= 0. The excess at the peak itself is left unevaluated:
+    # it is positive, since kappa = |x + t| vanishes there to rounding.
+    outer = _bisect(lambda q: (inner[q] if q in inner else excess(q)) >= 0.0,
+                    q_peak, outer, 120)[1]
     return q_peak + 1.05 * (outer - q_peak)
 
 

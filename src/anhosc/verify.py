@@ -25,7 +25,6 @@ from .states import (
     SQRT2,
     GridFields,
     grid_fields,
-    l2_norm,
     l2_norm_of,
     ladder_values,
     require_admissible,
@@ -50,10 +49,6 @@ class Tolerances:
         for f in dataclasses.fields(self):
             if not (getattr(self, f.name) > 0.0):
                 raise InvalidParameterError(f"tolerance {f.name} must be positive")
-
-
-def default_tolerances() -> Tolerances:
-    return Tolerances()
 
 
 @dataclass(frozen=True)
@@ -144,7 +139,7 @@ def verify_model(
     serves both the Riccati combination and the commutator term, x all ladder
     applications. The closed-form potential is evaluated once.
     """
-    tol = tolerances or default_tolerances()
+    tol = tolerances or Tolerances()
     fields = _fields_for(model, grid, fields)
     q, x, xp = fields.q, fields.x, fields.xp
     v = closed_form_potential(model, q)
@@ -154,7 +149,7 @@ def verify_model(
     # Normalization doubles as the truncation-sufficiency gate for the grid.
     s0, _ = fields.normalized()
     psi0 = s0.values
-    norm0 = l2_norm(s0)
+    norm0 = l2_norm_of(grid, psi0)
     d1 = differentiate(s0, 1).values
     ann = l2_norm_of(grid, ladder_values(d1, x * psi0, ANNIHILATION)) / norm0
     del d1
@@ -178,7 +173,7 @@ def verify_model(
     del up
     adag_a = ladder_values(differentiate(down, 1).values, x * down.values, CREATION)
     del down
-    comm = l2_norm_of(grid, (a_adag - adag_a) + xp * phi.values) / l2_norm(phi)
+    comm = l2_norm_of(grid, (a_adag - adag_a) + xp * phi.values) / l2_norm_of(grid, phi.values)
 
     checks = (
         _check("riccati", riccati, tol.riccati),
@@ -218,7 +213,7 @@ def verify_coherent(
     fields.normalized(alpha) passes them as normalized, and psi_alpha is
     not formed again.
     """
-    tol = tolerances or default_tolerances()
+    tol = tolerances or Tolerances()
     alpha = complex(alpha)
     require_admissible(model, alpha)
     fields = _fields_for(model, grid, fields)
@@ -228,7 +223,7 @@ def verify_coherent(
     psi = s.values
     x = fields.x
 
-    norm = l2_norm(s)
+    norm = l2_norm_of(grid, psi)
     d1 = differentiate(s, 1).values
     x_psi = x * psi
     eig = l2_norm_of(grid, ladder_values(d1, x_psi, ANNIHILATION) - alpha * psi) / norm

@@ -43,6 +43,11 @@ class TestParseComplex:
             parse_complex("1 + 2i")
 
 
+#: A full-line Wei Hua model whose ground state is not normalizable
+#: (coherent states need sqrt(2) Re(alpha) in (5/3, 5)).
+UNBOUNDED_WEI_HUA = ("--param", "c0=5", "--param", "c1=1", "--param", "c2=-0.3")
+
+
 class TestConstruct:
     def test_harmonic_table(self, tmp_path):
         out = tmp_path / "h.csv"
@@ -79,6 +84,18 @@ class TestConstruct:
 
     def test_unknown_family(self, tmp_path):
         assert run("construct", "--family", "poschl", "--out", str(tmp_path / "x.csv")) == 2
+
+    def test_auto_grid_for_a_ground_state_that_is_not_normalizable(self, tmp_path, capsys):
+        # Full-line Wei Hua with c1/c2 + c0/c1 > 0: psi0 grows to the left,
+        # so no mass rule places its grid; an explicit grid still gets a table.
+        argv = ("construct", "--family", "weihua", *UNBOUNDED_WEI_HUA)
+        assert run(*argv, "--out", str(tmp_path / "w.csv")) == 2
+        assert capsys.readouterr().err == (
+            "error: ground state not normalizable (coherent states need sqrt(2) Re(alpha) "
+            "in (1.66667, 5)); give --qmin and --qmax\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        assert run(*argv, "--qmin=-10", "--qmax=10", "--out", str(tmp_path / "w.csv")) == 0
 
     def test_loose_explicit_grid_warns(self, tmp_path, capsys):
         code = run("construct", "--family", "harmonic", "--qmin", "-1", "--qmax", "1",
@@ -230,6 +247,33 @@ class TestVerifyCommand:
                    "--alphas", "0,0.9", "--report", str(rep))
         assert code == 0
         assert "skipped (inadmissible)" in rep.read_text()
+
+    @pytest.mark.parametrize("grid", [(), ("--qmin=-30", "--qmax=40")], ids=["auto", "explicit"])
+    def test_ground_state_that_is_not_normalizable_is_skipped(self, tmp_path, grid):
+        # The model-level checks need psi0; the admissible alphas still run.
+        from anhosc.families import make_wei_hua
+        from anhosc.numerics import make_grid
+        from anhosc.states import auto_grid
+        from anhosc.verify import verify_coherent
+
+        rep = tmp_path / "r.txt"
+        code = run("verify", "--family", "weihua", *UNBOUNDED_WEI_HUA, *grid,
+                   "--alphas", "0,2", "--report", str(rep))
+        assert code == 0
+        m = make_wei_hua(5.0, 1.0, -0.3)
+        g = make_grid(-30.0, 40.0, 4001) if grid else auto_grid(m, 2.0)
+        assert rep.read_text().split("---\n") == [
+            "model: wei_hua(c0=5.0, c1=1.0, c2=-0.3)\nalpha: none\n"
+            "result: skipped (ground state not normalizable)\n",
+            "model: wei_hua(c0=5.0, c1=1.0, c2=-0.3)\nalpha: 0.0+0.0i\n"
+            "result: skipped (inadmissible)\n",
+            verify_coherent(m, 2.0, g).to_text(),
+        ]
+
+    def test_ground_state_not_normalizable_keeps_grid_usage_errors(self, tmp_path, capsys):
+        assert run("verify", "--family", "weihua", *UNBOUNDED_WEI_HUA, "--qmin=-30",
+                   "--alphas", "2", "--report", str(tmp_path / "r.txt")) == 2
+        assert capsys.readouterr().err == "error: --qmin and --qmax must be given together\n"
 
     def test_failing_alpha_is_isolated(self, tmp_path):
         # auto_grid raises for alpha = -2000 (peak inside the pole offset);

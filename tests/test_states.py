@@ -1,6 +1,7 @@
-"""Ground states, coherent states, ladder application, normalization, and
-expectation values. Expected numbers come from Gaussian-moment oracles and
-the closed-form wavefunctions evaluated independently here."""
+"""Ground states, coherent states, ladder operators on samples,
+normalization, and expectation values. Expected numbers come from
+Gaussian-moment oracles, closed-form norms and the closed-form wavefunctions
+evaluated independently here."""
 
 import math
 import tracemalloc
@@ -24,7 +25,7 @@ from anhosc.families import (
     make_kratzer_fues,
     make_wei_hua,
 )
-from anhosc.numerics import SampledFunction, make_grid, solve_first_order_ode
+from anhosc.numerics import differentiate, make_grid, solve_first_order_ode
 from anhosc.models import (
     GENERALIZED_MORSE,
     HARMONIC,
@@ -34,21 +35,20 @@ from anhosc.models import (
 from anhosc.states import (
     ANNIHILATION,
     CREATION,
+    _MASS_TOL,
     _search_functions,
     admissible_bound,
-    apply_ladder,
     auto_grid,
     coherent_state,
     default_interval,
-    expectation,
     grid_fields,
     ground_state,
     is_admissible,
-    l2_norm,
+    l2_norm_of,
     ladder_values,
     normalize,
-    normalized_samples,
 )
+from anhosc.verify import verify_coherent
 
 SQRT2 = math.sqrt(2.0)
 
@@ -154,42 +154,45 @@ class TestAdmissibility:
             coherent_state(m, -0.75)  # sqrt(2)(-0.75) < -1
 
 
-class TestLadder:
+def _ladder_inputs(model, alpha, grid):
+    """psi (psi0 for alpha None), psi' and x psi on a grid, from the record."""
+    fields = grid_fields(model, grid)
+    sampled = fields.sample(alpha)
+    return sampled.values, differentiate(sampled, 1).values, fields.x * sampled.values
+
+
+class TestLadderValues:
     def test_annihilation_kills_harmonic_ground_state(self):
         m = make_harmonic()
         grid = auto_grid(m)
-        psi = ground_state(m)
-        resid = l2_norm(apply_ladder(m, psi, ANNIHILATION, grid))
-        assert resid / l2_norm(psi.sample(grid)) < 1e-8
+        psi, dpsi, x_psi = _ladder_inputs(m, None, grid)
+        resid = l2_norm_of(grid, ladder_values(dpsi, x_psi, ANNIHILATION))
+        assert resid / l2_norm_of(grid, psi) < 1e-8
 
     def test_coherent_states_are_eigenstates(self):
         m = make_kratzer_fues(0.5)
         alpha = 0.1 + 0.2j
         grid = auto_grid(m, alpha)
-        psi = coherent_state(m, alpha)
-        acted = apply_ladder(m, psi, ANNIHILATION, grid)
-        resid = acted.values - alpha * psi.sample(grid).values
-        rel = l2_norm(SampledFunction(grid, resid)) / l2_norm(psi.sample(grid))
-        assert rel < 1e-6
+        psi, dpsi, x_psi = _ladder_inputs(m, alpha, grid)
+        resid = ladder_values(dpsi, x_psi, ANNIHILATION) - alpha * psi
+        assert l2_norm_of(grid, resid) / l2_norm_of(grid, psi) < 1e-6
 
     def test_creation_on_harmonic_ground_state(self):
         # (-d/dq + q) e^{-q^2/2} / sqrt(2) = sqrt(2) q e^{-q^2/2}, by hand.
         m = make_harmonic()
         grid = auto_grid(m)
-        created = apply_ladder(m, ground_state(m), CREATION, grid)
+        created = ladder_values(*_ladder_inputs(m, None, grid)[1:], CREATION)
         q = grid.points()
         expected = SQRT2 * q * np.exp(-0.5 * q**2)
-        assert np.max(np.abs(created.values - expected)) < 1e-8
+        assert np.max(np.abs(created - expected)) < 1e-8
 
     def test_unknown_operator_rejected(self):
         m = make_harmonic()
         with pytest.raises(InvalidParameterError):
-            apply_ladder(m, ground_state(m), "lower", auto_grid(m))
+            ladder_values(*_ladder_inputs(m, None, auto_grid(m))[1:], "lower")
 
-
-class TestLadderValues:
-    @pytest.mark.parametrize("dpsi_dtype", [float, complex])
-    def test_bits_match_the_written_out_expressions(self, dpsi_dtype):
+    @staticmethod
+    def _random_inputs(dpsi_dtype):
         rng = np.random.default_rng(5)
         dpsi = rng.standard_normal(2001)
         if dpsi_dtype is complex:
@@ -199,6 +202,17 @@ class TestLadderValues:
         x_psi = rng.standard_normal(2001) + 1j * rng.standard_normal(2001)
         x_psi[::5] = complex(0.0, -0.0)
         x_psi[1::5] = 0.0
+        return dpsi, x_psi
+
+    @pytest.mark.parametrize("inputs", [
+        lambda: TestLadderValues._random_inputs(float),
+        lambda: TestLadderValues._random_inputs(complex),
+        lambda: _ladder_inputs(make_harmonic(), None, auto_grid(make_harmonic()))[1:],
+        lambda: _ladder_inputs(make_kratzer_fues(0.5), 0.1 + 0.2j,
+                               auto_grid(make_kratzer_fues(0.5), 0.1 + 0.2j))[1:],
+    ], ids=["float", "complex", "harmonic-ground", "kratzer-coherent"])
+    def test_bits_match_the_written_out_expressions(self, inputs):
+        dpsi, x_psi = inputs()
         for which, ref in ((ANNIHILATION, (dpsi - x_psi) / SQRT2),
                            (CREATION, (-dpsi - x_psi) / SQRT2)):
             got = ladder_values(dpsi, x_psi, which)
@@ -222,38 +236,86 @@ class TestLadderValues:
         assert peak <= 1.5 * dpsi.nbytes
 
 
-def _parity_cases():
-    models = {
-        "harmonic": make_harmonic(),
-        "morse": make_generalized_morse(1.0, 0.5),
-        "weihua": make_wei_hua(0.2, 1.0, 0.5),
-        "weihua_full_line": make_wei_hua(1.0, 1.0, -0.5),
-        "kratzer": make_kratzer_fues(0.5),
-        "gkf": make_generalized_kratzer_fues(0.75, 0.5),
-    }
+_STATE_MODELS = {
+    "harmonic": make_harmonic(),
+    "morse": make_generalized_morse(1.0, 0.5),
+    "weihua": make_wei_hua(0.2, 1.0, 0.5),
+    "weihua_full_line": make_wei_hua(1.0, 1.0, -0.5),
+    "kratzer": make_kratzer_fues(0.5),
+    "gkf": make_generalized_kratzer_fues(0.75, 0.5),
+}
+
+
+def _parity_cases(models=_STATE_MODELS, alphas=(0.0, 0.1, -0.3, 0.2 + 0.3j)):
     for name, model in models.items():
-        for alpha in (0.0, 0.1, -0.3, 0.2 + 0.3j):
+        for alpha in alphas:
             if is_admissible(model, alpha):
                 yield pytest.param(model, alpha, id=f"{name}-{alpha}")
 
 
+def _log_norm_sq(model, alpha):
+    """ln of the squared L2 norm of psi_alpha over the whole domain, in
+    closed form. With t = sqrt(2) Re(alpha) and a = 2(c0/c1 - t)/c1, the
+    substitutions u = e^{-c1 q} (Morse), w = 1 + c1 q (Kratzer-Fues) and
+    u = |C| e^{-c1 q} (Wei Hua) turn the integral of |psi_alpha|^2 into
+    Euler's Gamma or Beta integral."""
+    t = SQRT2 * complex(alpha).real
+    p = model.params
+    if model.family == HARMONIC:
+        return t * t + 0.5 * math.log(math.pi)
+    a = 2.0 * (p.c0 / p.c1 - t) / p.c1
+    if model.family == GENERALIZED_MORSE:
+        return 2.0 / p.c1 ** 2 + a * math.log(p.c1 ** 2 / 2.0) + math.lgamma(a) - math.log(p.c1)
+    if model.family == WEI_HUA:
+        # Beta(a, 1 + 2/c2) on the half line (C > 0), Beta(a, -2/c2 - a) on
+        # the full line (C < 0).
+        y = 1.0 + 2.0 / p.c2 if p.big_c > 0.0 else -2.0 / p.c2 - a
+        log_beta = math.lgamma(a) + math.lgamma(y) - math.lgamma(a + y)
+        return (-(2.0 / p.c2) * math.log(1.0 - p.big_c) - a * math.log(abs(p.big_c))
+                - math.log(p.c1) + log_beta)
+    power = 2.0 / p.c1 ** 2
+    return a + math.lgamma(power + 1.0) - (power + 1.0) * math.log(a) - math.log(p.c1)
+
+
+#: The state models plus wider parameters: non-integer power laws at a
+#: finite boundary (Wei Hua c2 = 0.3, Kratzer-Fues c1 = 0.9, gkf c1 = 0.7),
+#: and a full-line Wei Hua model whose psi0 is not normalizable.
+_NORM_MODELS = {
+    **_STATE_MODELS,
+    "morse_1.2_0.125": make_generalized_morse(1.2, 0.125),
+    "weihua_c2_0.3": make_wei_hua(0.2, 1.0, 0.3),
+    "weihua_full_line_0.2": make_wei_hua(0.2, 1.0, -0.5),
+    "weihua_full_line_c0_5": make_wei_hua(5.0, 1.0, -0.3),
+    "kratzer_0.9": make_kratzer_fues(0.9),
+    "gkf_1.5_0.7": make_generalized_kratzer_fues(1.5, 0.7),
+}
+
+
 class TestGridFields:
+    @pytest.mark.parametrize("model, alpha", _parity_cases(
+        _NORM_MODELS, (0.0, 0.1, -0.3, 0.2 + 0.3j, 1.2, 2.0)))
+    def test_norm_matches_the_closed_form(self, model, alpha):
+        # Independent of the sampling and the quadrature; what is left is the
+        # tail mass auto_grid drops on purpose (at most 1.9e-8 here).
+        _, norm = grid_fields(model, auto_grid(model, alpha)).normalized(alpha)
+        assert abs(2.0 * math.log(norm) - _log_norm_sq(model, alpha)) < _MASS_TOL
+
     @pytest.mark.parametrize("model, alpha", _parity_cases())
     def test_states_are_bit_equal_to_the_wavefunction_path(self, model, alpha):
         grid = auto_grid(model, alpha)
         fields = grid_fields(model, grid)
         got, norm = fields.normalized(alpha)
-        ref, ref_norm = normalized_samples(coherent_state(model, alpha), grid)
-        assert got.values.tobytes() == ref.values.tobytes()
-        assert norm == ref_norm
+        ref = normalize(coherent_state(model, alpha), grid)
+        assert got.values.tobytes() == ref.sample(grid).values.tobytes()
+        assert norm == ref.norm
         assert fields.sample(alpha).values.tobytes() == coherent_state(model, alpha).sample(grid).values.tobytes()
         if alpha != 0.0:
             return
         # alpha None is the real ground state, not the complex alpha = 0 state.
         got0, norm0 = fields.normalized()
-        ref0, ref_norm0 = normalized_samples(ground_state(model), grid)
-        assert got0.values.tobytes() == ref0.values.tobytes()
-        assert norm0 == ref_norm0
+        ref0 = normalize(ground_state(model), grid)
+        assert got0.values.tobytes() == ref0.sample(grid).values.tobytes()
+        assert norm0 == ref0.norm
         assert fields.sample().values.dtype == float
         ground = ground_state(model).sample(grid).values
         assert fields.sample().values.astype(complex).tobytes() == ground.tobytes()
@@ -287,7 +349,7 @@ class TestNormalize:
         grid = make_grid(-8.0, 8.0, 4001)
         psi = normalize(ground_state(m), grid)
         assert abs(psi.norm - math.pi**0.25) < 1e-8
-        assert abs(l2_norm(psi.sample(grid)) - 1.0) < 1e-12
+        assert abs(l2_norm_of(grid, psi.sample(grid).values) - 1.0) < 1e-12
 
     def test_idempotent(self):
         m = make_harmonic()
@@ -310,7 +372,7 @@ class TestNormalize:
         grid = auto_grid(m, alpha, n=1001)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for sample in (psi.sample, lambda g: normalized_samples(psi, g)):
+            for sample in (psi.sample, lambda g: normalize(psi, g)):
                 with pytest.raises(TruncationError, match="overflows float64"):
                     sample(grid)
 
@@ -321,14 +383,14 @@ class TestNormalize:
 
     @pytest.mark.parametrize("alpha", [None, 0.0, 0.1, -0.1 + 0.2j])
     def test_samples_match_normalize_bit_for_bit(self, alpha):
-        # The verification suite and the coherent table work on these samples;
-        # they must equal what normalize() followed by sample() gives, also for
-        # the real-valued ground state, where scaling after the complex cast
-        # would round differently.
+        # The verification suite and the coherent table work on the record's
+        # samples; they must equal what normalize() followed by sample()
+        # gives, also for the real-valued ground state, where scaling after
+        # the complex cast would round differently.
         for m in (make_harmonic(), make_wei_hua(0.2, 1.0, 0.5), make_kratzer_fues(0.5)):
             psi = ground_state(m) if alpha is None else coherent_state(m, alpha)
             grid = auto_grid(m, alpha or 0.0, n=2001)
-            sampled, norm = normalized_samples(psi, grid)
+            sampled, norm = grid_fields(m, grid).normalized(alpha)
             scaled = normalize(psi, grid)
             assert norm == scaled.norm
             assert sampled.values.dtype == complex
@@ -347,37 +409,31 @@ class TestNormalize:
 
 
 class TestExpectation:
+    # The moments as verify_coherent reports them: delta_x^2 = <x^2> - <x>^2,
+    # exp_x_err = |<x> + sqrt(2) Re(alpha)|, exp_p_err = |<p> - sqrt(2) Im(alpha)|
+    # and bound = <x'>^2 / 4.
     def test_harmonic_ground_state_moments(self):
         m = make_harmonic()
-        grid = auto_grid(m)
-        psi = normalize(ground_state(m), grid)
-        assert abs(expectation(psi, "x", grid)) < 1e-10
-        assert abs(expectation(psi, "x_squared", grid) - 0.5) < 1e-8
-        assert abs(expectation(psi, "p_squared", grid) - 0.5) < 1e-8
-        assert abs(expectation(psi, "x_prime", grid) - (-1.0)) < 1e-10
+        report = verify_coherent(m, 0.0, auto_grid(m))
+        assert report.exp_x_err < 1e-10
+        assert abs(report.delta_x ** 2 - 0.5) < 1e-8
+        assert abs(report.delta_p ** 2 - 0.5) < 1e-8
+        assert abs(report.bound - 0.25) < 1e-10
 
     def test_harmonic_coherent_position(self):
         # Oracle: |psi_alpha|^2 is a Gaussian centered at sqrt(2) alpha, so
         # <q> = sqrt(2) alpha = 1 and the superpotential x = -q averages to -1.
         m = make_harmonic()
         alpha = 1.0 / SQRT2
-        grid = auto_grid(m, alpha)
-        psi = normalize(coherent_state(m, alpha), grid)
-        assert abs(expectation(psi, "x", grid) - (-1.0)) < 1e-8
+        report = verify_coherent(m, alpha, auto_grid(m, alpha))
+        assert report.exp_x_err < 1e-8
 
     def test_momentum_of_complex_alpha(self):
         # <p> = sqrt(2) Im(alpha) for the harmonic coherent state.
         m = make_harmonic()
         alpha = 0.3j
-        grid = auto_grid(m, alpha)
-        psi = normalize(coherent_state(m, alpha), grid)
-        assert abs(expectation(psi, "p", grid) - SQRT2 * 0.3) < 1e-8
-
-    def test_unknown_observable(self):
-        m = make_harmonic()
-        grid = auto_grid(m)
-        with pytest.raises(InvalidParameterError):
-            expectation(ground_state(m), "energy", grid)
+        report = verify_coherent(m, alpha, auto_grid(m, alpha))
+        assert report.exp_p_err < 1e-8
 
 
 class TestAutoGrid:
@@ -710,6 +766,40 @@ def test_no_point_is_evaluated_twice_within_one_bisection(monkeypatch, m, alpha)
     assert len(bisections) == (2 if math.isfinite(m.q_lower) else 3)
     for points in bisections:
         assert len(points) > 10
+        assert len(points) == len(set(points))
+
+
+def _points_per_edge_search(monkeypatch, model, alpha):
+    """The coordinates each edge search of one auto_grid call evaluated,
+    outward steps and bisection together, one list per search."""
+    searches = []
+    edge_by_mass = states._edge_by_mass
+
+    def recording_edge_by_mass(x_and_log_amplitude, *args):
+        points = []
+        searches.append(points)
+
+        def recorded(q):
+            points.append(q)
+            return x_and_log_amplitude(q)
+
+        return edge_by_mass(recorded, *args)
+
+    monkeypatch.setattr(states, "_edge_by_mass", recording_edge_by_mass)
+    auto_grid(model, alpha, 2001)
+    return searches
+
+
+@pytest.mark.parametrize("m, alpha", [
+    (make_generalized_morse(1.0, 0.5), 0.1),
+    *_search_draws(60, seed=91),
+], ids=lambda v: getattr(v, "family", None))
+def test_no_point_is_evaluated_twice_within_one_edge_search(monkeypatch, m, alpha):
+    # The first bisection midpoint can round back to the outward loop's last
+    # point; its excess is reused (evaluated twice in 3 of these draws before).
+    searches = _points_per_edge_search(monkeypatch, m, alpha)
+    assert len(searches) == (1 if math.isfinite(m.q_lower) else 2)
+    for points in searches:
         assert len(points) == len(set(points))
 
 

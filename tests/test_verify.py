@@ -20,7 +20,7 @@ from anhosc.families import (
 from anhosc.numerics import make_grid
 from anhosc import cli, models, states, verify
 from anhosc.states import auto_grid, grid_fields
-from anhosc.verify import Tolerances, default_tolerances, verify_coherent, verify_model
+from anhosc.verify import Tolerances, verify_coherent, verify_model
 
 
 def desk_models():
@@ -127,7 +127,7 @@ class TestReports:
         assert "result: pass" in text
 
     def test_default_tolerances(self):
-        tol = default_tolerances()
+        tol = Tolerances()
         assert tol.riccati == 1e-8
         assert tol.annihilation == 1e-6
         assert tol.eigenstate == 1e-6
@@ -139,10 +139,10 @@ class TestReports:
     def test_override_recomputes_flags(self):
         m = make_harmonic()
         grid = auto_grid(m)
-        strict = replace(default_tolerances(), riccati=1e-30)
+        strict = replace(Tolerances(), riccati=1e-30)
         report = verify_model(m, grid, strict)
         # Harmonic riccati is exactly zero, so tighten annihilation instead.
-        strict = replace(default_tolerances(), annihilation=1e-30)
+        strict = replace(Tolerances(), annihilation=1e-30)
         report = verify_model(m, grid, strict)
         assert not report.passed
 
