@@ -362,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--qmin", type=float, default=None)
         p.add_argument("--qmax", type=float, default=None)
         p.add_argument("--n", type=int, default=4001)
-        p.add_argument("--grid", choices=["auto"], default="auto",
-                       help="auto truncation (default when --qmin/--qmax absent)")
 
     p_construct = sub.add_parser("construct", help="emit q, x, x', V-E0, psi0 table")
     add_model_flags(p_construct)

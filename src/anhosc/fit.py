@@ -2,9 +2,9 @@
 expansion V(r) = c0 u^2 (1 + sum c_n u^n), u = (r - r_e(s+1))/r, to sampled
 potential data, plus the convergence-radius bound of the expansion variable.
 
-Note that r_e and s enter the model only through the product r_e(s+1); the
-fitter treats both as free parameters, with the damping term selecting the
-minimum-norm step along the unidentifiable direction.
+r_e and s enter the model only through the product m = r_e(s+1), so the
+fitter solves for (m, c0, c_1..c_N) and keeps s at the start's value (0 without
+an init), reporting r_e = m/(s+1).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ _STEP_TOL = 1e-12
 _MAX_DAMPING = 1e12
 _MAX_ITER = 500
 
-# Lower bounds keeping the parameter vector inside the admissible region
-# (r_e > 0, s > -1, c0 > 0) during iteration.
+# Lower bound keeping m = r_e(s+1) and c0 positive during iteration.
 _FLOOR = 1e-12
 
 
@@ -98,35 +97,33 @@ def convergence_radius_lower(r_e: float, s: float) -> float:
 
 
 def _pack(params: ExpansionParams) -> np.ndarray:
-    return np.array([params.r_e, params.s, params.c0, *params.c_n], dtype=float)
+    """theta = (m, c0, c_1..c_N), the parameters the data determine."""
+    return np.array([params.r_e * (params.s + 1.0), params.c0, *params.c_n], dtype=float)
 
 
-def _unpack(theta: np.ndarray) -> ExpansionParams:
+def _unpack(theta: np.ndarray, s: float) -> ExpansionParams:
     return ExpansionParams(
-        r_e=float(theta[0]), s=float(theta[1]), c0=float(theta[2]),
-        c_n=tuple(float(c) for c in theta[3:]),
+        r_e=float(theta[0]) / (s + 1.0), s=s, c0=float(theta[1]),
+        c_n=tuple(float(c) for c in theta[2:]),
     )
 
 
 def _eval_raw(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
-    r_e, s, c0 = theta[0], theta[1], theta[2]
-    u = (r - r_e * (s + 1.0)) / r
+    u = (r - theta[0]) / r
     series = np.ones_like(u)
     u_pow = np.ones_like(u)
-    for c in theta[3:]:
+    for c in theta[2:]:
         u_pow = u_pow * u
         series = series + c * u_pow
-    return c0 * u * u * series
+    return theta[1] * u * u * series
 
 
 def _jacobian(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Analytic derivatives of the model in all parameters, one column each
-    in the order (r_e, s, c0, c_1..c_N)."""
-    r_e, s, c0 = theta[0], theta[1], theta[2]
-    cs = theta[3:]
-    u = (r - r_e * (s + 1.0)) / r
-    n_par = 3 + cs.size
-    jac = np.empty((r.size, n_par), dtype=float)
+    in the order (m, c0, c_1..c_N)."""
+    c0, cs = theta[1], theta[2:]
+    u = (r - theta[0]) / r
+    jac = np.empty((r.size, theta.size), dtype=float)
 
     series = np.ones_like(u)        # 1 + sum c_n u^n
     dseries = np.zeros_like(u)      # sum n c_n u^(n-1)
@@ -135,26 +132,23 @@ def _jacobian(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
         dseries = dseries + idx * c * u_pow
         u_pow = u_pow * u
         series = series + c * u_pow
-        jac[:, 2 + idx] = c0 * u * u * u_pow  # d/dc_n = c0 u^(2+n)
+        jac[:, 1 + idx] = c0 * u * u * u_pow  # d/dc_n = c0 u^(2+n)
 
     dv_du = c0 * (2.0 * u * series + u * u * dseries)
-    jac[:, 0] = dv_du * (-(s + 1.0) / r)
-    jac[:, 1] = dv_du * (-r_e / r)
-    jac[:, 2] = u * u * series
+    jac[:, 0] = -dv_du / r
+    jac[:, 1] = u * u * series
     return jac
 
 
 def _clamp(theta: np.ndarray) -> np.ndarray:
     out = theta.copy()
-    out[0] = max(out[0], _FLOOR)          # r_e
-    out[1] = max(out[1], -1.0 + _FLOOR)   # s
-    out[2] = max(out[2], _FLOOR)          # c0
+    out[:2] = np.maximum(out[:2], _FLOOR)  # m, c0
     return out
 
 
 def _default_init(r: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
-    """Starting point: equilibrium from the sampled minimum with a parabolic
-    refinement, s = 0, c0 from the large-r plateau, c_n = 0."""
+    """Starting point: m from the sampled minimum with a parabolic
+    refinement, c0 from the large-r plateau, c_n = 0."""
     order_idx = np.argsort(r, kind="stable")
     r_sorted = r[order_idx]
     v_sorted = v[order_idx]
@@ -173,7 +167,7 @@ def _default_init(r: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
     top = max(1, r.size // 10)
     c0 = float(np.mean(v_sorted[-top:]))
     c0 = c0 if c0 > 0.0 else max(float(np.max(v)), _FLOOR)
-    return np.array([m0, 0.0, c0, *([0.0] * order)], dtype=float)
+    return np.array([m0, c0, *([0.0] * order)], dtype=float)
 
 
 def fit_expansion(
@@ -185,11 +179,12 @@ def fit_expansion(
     increased whenever a step would raise the residual sum of squares and
     decreased after success, so accepted steps never increase the rss.
     Converged means the relative rss change or the step norm fell below 1e-12
-    within 500 iterations.
+    within 500 iterations. The data fix only m = r_e(s+1): s stays at
+    init.s (0.0 without init) and r_e = m/(s+1).
     """
     if order < 0:
         raise InvalidParameterError(f"order must be >= 0, got {order}")
-    n_par = 3 + order
+    n_par = 2 + order
     if len(data) < n_par:
         raise UnderdeterminedError(
             f"{len(data)} samples cannot determine {n_par} parameters"
@@ -203,9 +198,9 @@ def fit_expansion(
             raise InvalidParameterError(
                 f"init has order {init.order}, expected {order}"
             )
-        theta = _pack(init)
+        theta, s = _pack(init), init.s
     else:
-        theta = _default_init(r, v, order)
+        theta, s = _default_init(r, v, order), 0.0
 
     res = _eval_raw(theta, r) - v
     rss = float(res @ res)
@@ -242,5 +237,5 @@ def fit_expansion(
             break
 
     return FitResult(
-        params=_unpack(theta), rss=rss, iterations=iterations, converged=converged
+        params=_unpack(theta, s), rss=rss, iterations=iterations, converged=converged
     )

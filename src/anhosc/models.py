@@ -27,19 +27,12 @@ def describe(model: OscillatorModel) -> str:
     return family_of(model).descriptor.format(p=model.params)
 
 
-def check_domain(model: OscillatorModel, q) -> np.float64 | np.ndarray:
-    """q as np.float64 or a float array; DomainViolationError unless every
-    coordinate lies in the open domain."""
-    if isinstance(q, float):
-        # Scalar fast path (also np.float64): the same comparisons without
-        # building arrays. Evaluating on np.float64 keeps numpy's arithmetic,
-        # so results and overflow behaviour match the array path bit for bit.
-        inside = model.q_lower < q < model.q_upper
-        qa = np.float64(q)
-    else:
-        qa = np.asarray(q, dtype=float)
-        inside = np.all(qa > model.q_lower) and np.all(qa < model.q_upper)
-    if not inside:  # written so that NaN, which compares False, is outside
+def check_domain(model: OscillatorModel, q) -> np.ndarray:
+    """q as a float array (0-d for a scalar); DomainViolationError unless
+    every coordinate lies in the open domain."""
+    qa = np.asarray(q, dtype=float)
+    # Written so that NaN, which compares False, is outside.
+    if not (np.all(qa > model.q_lower) and np.all(qa < model.q_upper)):
         raise DomainViolationError(
             f"coordinate outside open domain ({model.q_lower!r}, {model.q_upper!r})"
         )
@@ -47,7 +40,7 @@ def check_domain(model: OscillatorModel, q) -> np.float64 | np.ndarray:
 
 
 def _as_input_shape(value: np.ndarray, q) -> float | np.ndarray:
-    return float(value) if isinstance(q, float) or not np.ndim(q) else value
+    return value if np.ndim(q) else float(value)
 
 
 def kernel(model: OscillatorModel) -> Callable:

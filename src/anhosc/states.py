@@ -32,7 +32,6 @@ from .families import POLE_OFFSET, AdmissibilityBound, family_of
 from .models import (
     OscillatorModel,
     check_domain,
-    commutator_value,
     kernel,
 )
 from .numerics import Grid, SampledFunction, integrate_samples, make_grid
@@ -405,8 +404,10 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
     a0, b0 = default_interval(model)
     x_at, x_and_log_amplitude = _search_functions(model, t)
     q_peak = _find_peak(model, t, x_at)
+    # -x'(q_peak) from the kernel on np.float64: the bits of commutator_value
+    # without its 0-d array domain check, which the left operand has made.
     log_mass = 2.0 * x_and_log_amplitude(q_peak)[1] + 0.5 * math.log(
-        math.pi / float(commutator_value(model, q_peak))
+        math.pi / -float(kernel(model)(np.float64(q_peak), x=False, xp=True)[1])
     )
     log_budget = math.log(_MASS_TOL) + log_mass
     # The first outward step is 1, or |q_peak| 2^-50 (4 to 8 ulps) where that

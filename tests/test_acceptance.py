@@ -261,7 +261,7 @@ def test_criterion_11_cli_contract(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     base = ["construct", "--family", "weihua", "--param", "c0=0.2",
-            "--param", "c1=1", "--param", "c2=0.5", "--grid", "auto"]
+            "--param", "c1=1", "--param", "c2=0.5"]
     ok0 = main(base + ["--out", str(out_a)]) == 0
     ok0 &= main(base + ["--out", str(out_b)]) == 0
     identical = out_a.read_bytes() == out_b.read_bytes()

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -68,8 +69,7 @@ class TestConstruct:
     def test_weihua_auto_grid_header(self, tmp_path):
         out = tmp_path / "w.csv"
         code = run("construct", "--family", "weihua", "--param", "c0=0.2",
-                   "--param", "c1=1", "--param", "c2=0.5", "--grid", "auto",
-                   "--out", str(out))
+                   "--param", "c1=1", "--param", "c2=0.5", "--out", str(out))
         assert code == 0
         text = out.read_text()
         assert "W=1.4" in text
@@ -77,7 +77,7 @@ class TestConstruct:
     def test_byte_stable(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        args = ("construct", "--family", "kratzer", "--param", "c1=0.5", "--grid", "auto")
+        args = ("construct", "--family", "kratzer", "--param", "c1=0.5")
         assert run(*args, "--out", str(a)) == 0
         assert run(*args, "--out", str(b)) == 0
         assert read(a) == read(b)
@@ -132,6 +132,19 @@ class TestConstruct:
         else:
             expected = "invalid choice: 'report'"
         assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ("construct", "--out"),
+        ("coherent", "--alpha", "0.1", "--out"),
+        ("verify", "--alphas", "0.1", "--report"),
+    ])
+    def test_grid_flag_is_gone(self, tmp_path, capsys, command):
+        # The automatic grid is the default; --grid had no other choice.
+        out = tmp_path / "o.txt"
+        argv = (command[0], "--family", "harmonic", "--grid", "auto", *command[1:])
+        assert run(*argv, str(out)) == 2
+        assert "unrecognized arguments: --grid auto" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -451,9 +464,9 @@ class TestFitCommand:
         eq = float([l for l in text.splitlines() if l.startswith("equilibrium")][0].split(":")[1])
         assert abs(eq - 1.32) < 1e-4
 
-    def test_two_rows_underdetermined(self, tmp_path):
+    def test_one_row_underdetermined(self, tmp_path):
         data = tmp_path / "d.csv"
-        data.write_text("1.0,0.5\n2.0,0.1\n")
+        data.write_text("1.0,0.5\n")
         assert run("fit", "--data", str(data), "--out", str(tmp_path / "f.txt")) == 2
 
     def test_header_only_file(self, tmp_path):
@@ -641,6 +654,55 @@ def test_tables_are_pinned(tmp_path, argv, code, warns, digests):
         warnings.simplefilter("always")
         assert run(*argv) == code
     assert any(issubclass(w.category, ExpansionRangeWarning) for w in caught) == warns
+    prefix = str(tmp_path).encode()
+    assert {
+        p.name: hashlib.sha256(p.read_bytes().replace(prefix, b"")).hexdigest()
+        for p in tmp_path.iterdir()
+    } == digests
+
+
+def _fit_rows(order, seed):
+    """60 samples of a fixed expansion of the given order on a fixed r grid,
+    each moved by a seeded perturbation of at most 1e-4 c0 (random.random
+    gives the same sequence for a seed across Python versions)."""
+    from anhosc.fit import ExpansionParams, eval_expansion
+
+    params = ExpansionParams(r_e=1.2, s=0.1, c0=3.0, c_n=(-0.2, 0.15, -0.1)[:order])
+    rng = random.Random(seed)
+    r = np.linspace(0.8, 6.0, 60)
+    v = eval_expansion(params, r)
+    return [(a, b + 3e-4 * (2.0 * rng.random() - 1.0)) for a, b in zip(r, v)]
+
+
+# (order, sample rows, SHA-256 of the sample file and the report
+# with the output directory taken out), recorded when the fit moved to the
+# parameters the data determine, (r_e (s + 1), c0, c_n).
+_PINNED_FITS = [
+    (0, _fit_rows(0, 1), {
+        'd.csv': '21e36c6b4f4d3a2996dd3fb886838902e222d101775a41787b221cc809fd7b93',
+        'f.txt': '8c0025a2484933f1ec36f42b765ef1172b7825e3c9d6cfd0cc96e356fa2df704'}),
+    (1, _fit_rows(1, 2), {
+        'd.csv': 'cd745db196bf4531285048bf19fbd04907f1911dfff7704253482946354834b7',
+        'f.txt': '887580c024c5d287821ff1c7dd79d3520911293c04a38ad8c51e67577356625b'}),
+    (2, _fit_rows(2, 3), {
+        'd.csv': 'cd515fb3837efda9f767b5081a28bf63d42809d8a3aa5b54dfd8dfaf477b33b7',
+        'f.txt': '25b79988f6fce98ed61a155b9629510e9a8e133c435475de7f6be105a6e22257'}),
+    (3, _fit_rows(3, 4), {
+        'd.csv': '5fca752e3663fc3bd9d6316d2f26b6868b964b32907ceb942ef8eeb4ada1d976',
+        'f.txt': '77459962950aad31d111317f885367d80e2310f0f5f09529f2fa8448be9f7b67'}),
+    (0, [(1.0, 0.5), (2.0, 0.1)], {
+        'd.csv': 'b95d4e992c1e3fec07ff2cbf77d9d8c456f1dcfe0415a36ef350ebc44aac3bb3',
+        'f.txt': 'bf4b26a753d8eed8a83474d77218f5f5496fb219d992fcf3fb0ed824d83f832d'}),
+]
+
+
+@pytest.mark.parametrize("order, rows, digests", _PINNED_FITS,
+                         ids=[f"order{c[0]}-{len(c[1])}rows" for c in _PINNED_FITS])
+def test_fit_reports_are_pinned(tmp_path, order, rows, digests):
+    data = tmp_path / "d.csv"
+    data.write_text("# r,v\n" + "".join(f"{float(r)!r},{float(v)!r}\n" for r, v in rows))
+    assert run("fit", "--data", str(data), "--order", str(order),
+               "--out", str(tmp_path / "f.txt")) == 0
     prefix = str(tmp_path).encode()
     assert {
         p.name: hashlib.sha256(p.read_bytes().replace(prefix, b"")).hexdigest()

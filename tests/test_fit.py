@@ -140,12 +140,65 @@ class TestFitRoundTrip:
         assert eval_expansion(result.params, eq) == 0.0
 
 
+def noisy_samples(order, seed, n=60):
+    """n samples of a known expansion with Gaussian noise of 1e-4 c0."""
+    rng = np.random.default_rng(seed)
+    truth = ExpansionParams(r_e=1.2, s=0.1, c0=3.0, c_n=(-0.2, 0.15, -0.1)[:order])
+    r = np.sort(rng.uniform(0.8, 6.0, n))
+    v = eval_expansion(truth, r) + rng.normal(0.0, 1e-4 * truth.c0, n)
+    return [PotentialSample(float(a), float(b)) for a, b in zip(r, v)]
+
+
+class TestIdentifiableParameters:
+    """The data fix m = r_e (s + 1), c0 and c_n; s is the start's value."""
+
+    @pytest.mark.parametrize("order", range(4))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_jacobian_is_well_conditioned(self, order, seed):
+        data = noisy_samples(order, seed)
+        result = fit_expansion(data, order=order)
+        assert result.converged
+        r = np.array([d.r for d in data])
+        assert np.linalg.cond(_jacobian(_pack(result.params), r)) < 1e6
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_s_is_the_start_value(self, order):
+        data = noisy_samples(order, seed=7)
+        assert fit_expansion(data, order=order).params.s == 0.0
+        init = ExpansionParams(r_e=1.0, s=0.3, c0=2.5, c_n=(0.0,) * order)
+        assert fit_expansion(data, order=order, init=init).params.s == 0.3
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_the_split_does_not_move_the_fit(self, order):
+        # A start with s = 0.3 and one with s = 0 at the same product follow
+        # the same path, so r_e (s + 1) reproduces the fitted product.
+        data = noisy_samples(order, seed=11)
+        init = ExpansionParams(r_e=1.0, s=0.3, c0=2.5, c_n=(0.0,) * order)
+        split = fit_expansion(data, order=order, init=init)
+        flat = fit_expansion(data, order=order, init=ExpansionParams(
+            r_e=init.r_e * (init.s + 1.0), s=0.0, c0=init.c0, c_n=init.c_n))
+        m = flat.params.r_e
+        assert flat.params.r_e * (flat.params.s + 1.0) == m
+        assert split.params.r_e == m / (0.3 + 1.0)
+        assert split.params.r_e * (split.params.s + 1.0) == pytest.approx(m, rel=4e-16)
+        assert (split.params.c0, split.params.c_n) == (flat.params.c0, flat.params.c_n)
+        assert (split.rss, split.iterations) == (flat.rss, flat.iterations)
+
+
 class TestFitValidation:
     def test_underdetermined(self):
         truth = ExpansionParams(r_e=1.0, s=0.0, c0=2.0)
-        data = make_samples(truth, [0.9, 1.5])
+        data = make_samples(truth, [0.9])
         with pytest.raises(UnderdeterminedError):
             fit_expansion(data, order=0)
+
+    def test_two_samples_determine_order_zero(self):
+        truth = ExpansionParams(r_e=1.2, s=0.0, c0=3.0)
+        result = fit_expansion(make_samples(truth, [0.9, 2.5]), order=0)
+        assert result.converged
+        assert result.rss < 1e-30
+        with pytest.raises(UnderdeterminedError):
+            fit_expansion(make_samples(truth, [0.9, 2.5]), order=1)
 
     def test_degenerate_abscissas(self):
         data = [PotentialSample(1.0, 0.1), PotentialSample(1.0, 0.2),
