@@ -315,6 +315,8 @@ def _read_samples(path: str) -> list[PotentialSample]:
                     )
                 try:
                     samples.append(PotentialSample(float(parts[0]), float(parts[1])))
+                except InvalidParameterError as exc:  # a ValueError: numbers PotentialSample refuses
+                    raise InvalidParameterError(f"{path}:{line_no}: {exc}") from exc
                 except ValueError as exc:
                     raise InvalidParameterError(
                         f"{path}:{line_no}: non-numeric row {text!r}"

@@ -4,10 +4,11 @@ physical-to-dimensionless parameter map for the Morse oscillator.
 Each family differs from the others only in its superpotential x(q) and the
 constants derived from it. Everything family-specific lives here: the
 validating constructor, the kernel of x, x' and log psi0, the closed-form
-V - E0, the admissibility bound, the search's default interval, the
-descriptor template, the header fields and the CLI spelling. The Family
-record in FAMILIES gathers them per family name, and family_of(model) looks
-it up, so adding a family means editing this module alone.
+V - E0, the admissibility bound, the closed-form peak of |psi_alpha|, the
+search's default interval, the descriptor template, the header fields and
+the CLI spelling. The Family record in FAMILIES gathers them per family
+name, and family_of(model) looks it up, so adding a family means editing
+this module alone.
 
 Constructors are pure and deterministic; invalid parameter combinations are
 rejected eagerly with a message naming the violated condition.
@@ -116,6 +117,7 @@ class Family:
     kernel: Callable[[object], Callable]   # params -> the fields() of models.kernel
     potential: Callable[[object, np.ndarray], np.ndarray]  # (params, q) -> closed-form V - E0
     bound: Callable[[OscillatorModel], AdmissibilityBound]
+    peak: Callable[[object, float], float]  # (params, t) -> the root q of x(q) = -t
     interval: Callable[[OscillatorModel], tuple[float, float]]
 
 
@@ -255,6 +257,15 @@ def _wei_hua_bound(model: OscillatorModel) -> AdmissibilityBound:
     return AdmissibilityBound(sup_re_alpha=sup, inf_re_alpha=inf)
 
 
+def _wei_hua_peak(p: WeiHuaParams, t: float) -> float:
+    # C e^{-c1 q} = r/(1 + r), r = (c0/c1 - t) c2/c1. On the full line (C, c2 < 0),
+    # 1 + r is c2/c1 times inf_re_alpha - t, which cannot round to zero.
+    sup = p.c0 / p.c1
+    r = (sup - t) * p.c2 / p.c1
+    one_plus_r = 1.0 + r if p.big_c > 0.0 else p.c2 / p.c1 * (p.c1 / p.c2 + sup - t)
+    return math.log(p.big_c * one_plus_r / r) / p.c1
+
+
 def _wei_hua_interval(model: OscillatorModel) -> tuple[float, float]:
     p = model.params
     half_line = math.isfinite(model.q_lower)
@@ -322,6 +333,7 @@ _C0_C1_S = (("c0", "c0"), ("c1", "c1"), ("s", "s"))
 # Kratzer-Fues is generalized Kratzer-Fues at c0 = 1 - c1^2: one set of closed forms.
 _KRATZER = dict(header=_C0_C1_S, kernel=_kratzer_kernel, potential=_kratzer_potential,
                 bound=_right_tail_bound,
+                peak=lambda p, t: (1.0 / (p.c1 * (p.c0 / p.c1 - t)) - 1.0) / p.c1,
                 interval=lambda model: (model.q_lower + POLE_OFFSET / model.params.c1,
                                         80.0 / model.params.c1))
 
@@ -331,17 +343,19 @@ FAMILIES = {family.name: family for family in (
            descriptor="harmonic", header=(), kernel=_harmonic_kernel,
            potential=lambda p, q: 0.5 * (q * q - 1.0),
            bound=lambda model: AdmissibilityBound(sup_re_alpha=math.inf),
+           peak=lambda p, t: t,
            interval=lambda model: (-8.0, 8.0)),
     Family(name=GENERALIZED_MORSE, cli_name="morse", cli_params=("s", "xe"),
            make=make_generalized_morse,
            descriptor="generalized_morse(s={p.s!r}, x_e={p.x_e!r})", header=_C0_C1_S,
            kernel=_morse_kernel, potential=_morse_potential, bound=_right_tail_bound,
+           peak=lambda p, t: -(math.log(p.c1) + math.log(p.c0 / p.c1 - t)) / p.c1,
            interval=lambda model: (-3.0, 40.0 / model.params.c1)),
     Family(name=WEI_HUA, cli_name="weihua", cli_params=("c0", "c1", "c2"),
            make=make_wei_hua, descriptor="wei_hua(c0={p.c0!r}, c1={p.c1!r}, c2={p.c2!r})",
            header=(("W", "w"), ("B", "b"), ("C", "big_c"), ("c", "c"), ("q0", "q0")),
            kernel=_wei_hua_kernel, potential=_wei_hua_potential, bound=_wei_hua_bound,
-           interval=_wei_hua_interval),
+           peak=_wei_hua_peak, interval=_wei_hua_interval),
     Family(name=KRATZER_FUES, cli_name="kratzer", cli_params=("c1",),
            make=make_kratzer_fues, descriptor="kratzer_fues(c1={p.c1!r})", **_KRATZER),
     Family(name=GENERALIZED_KRATZER_FUES, cli_name="gkf", cli_params=("c0", "c1"),

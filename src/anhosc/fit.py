@@ -40,6 +40,8 @@ class PotentialSample:
     def __post_init__(self) -> None:
         if not (self.r > 0.0):
             raise InvalidParameterError(f"r must be positive, got {self.r!r}")
+        if not math.isfinite(self.r):
+            raise InvalidParameterError(f"r must be finite, got {self.r!r}")
         if not math.isfinite(self.v):
             raise InvalidParameterError(f"v must be finite, got {self.v!r}")
 

@@ -274,18 +274,13 @@ def default_interval(model: OscillatorModel) -> tuple[float, float]:
 
 
 def _search_functions(model: OscillatorModel, t: float):
-    """The searches' evaluations at a float q: x(q), and x(q) with
-    log |psi_alpha(q)| from one kernel call. The kernel runs on np.float64,
-    which takes the ufunc loops of a 0-d array (same bits, same warnings) at
-    a third of the call overhead; math.exp/log1p round differently from
-    numpy on some inputs and would move the grid edges."""
+    """The edge searches' evaluation at a float q: x(q) and log |psi_alpha(q)|
+    from one kernel call. The kernel runs on np.float64, which takes the ufunc
+    loops of a 0-d array (same bits, same warnings) at a third of the call
+    overhead; math.exp/log1p round differently from numpy on some inputs and
+    would move the grid edges."""
     fields = kernel(model)
     lower, upper, float64 = model.q_lower, model.q_upper, np.float64
-
-    def x_at(q: float) -> float:
-        if not lower < q < upper:
-            check_domain(model, q)  # raises DomainViolationError
-        return float(fields(float64(q))[0])
 
     def x_and_log_amplitude(q: float) -> tuple[float, float]:
         if not lower < q < upper:
@@ -293,42 +288,25 @@ def _search_functions(model: OscillatorModel, t: float):
         x, _, log_psi0 = fields(float64(q), log_psi0=True)
         return float(x), float(log_psi0) + t * q
 
-    return x_at, x_and_log_amplitude
+    return x_and_log_amplitude
 
 
-def _find_peak(model: OscillatorModel, t: float, x_at: Callable[[float], float]) -> float:
-    """Locate the |psi_alpha| maximum by bisecting x(q) = -t (x is strictly
-    decreasing on the domain)."""
-    a0, b0 = default_interval(model)
-
-    def left_of_peak(q: float) -> bool:
-        return x_at(q) + t > 0.0
-
-    lo = a0
-    if math.isfinite(model.q_lower):
-        # The left end sits at the pole offset; x decreases, so a peak left
-        # of it has x + t < 0 there and bisection would return a0 itself.
-        if not left_of_peak(lo):
-            raise TruncationError(
-                f"wavefunction peak lies inside the pole offset {POLE_OFFSET!r}/c1 "
-                "from the domain boundary; Re(alpha) is too negative to truncate"
-            )
-    else:
-        for _ in range(300):
-            if left_of_peak(lo):
-                break
-            lo = b0 - 2.0 * (b0 - lo)
-        else:
-            raise TruncationError("could not bracket the wavefunction peak")
-    hi = b0
-    for _ in range(300):
-        if x_at(hi) + t < 0.0:
-            break
-        hi = lo + 2.0 * (hi - lo)
-    else:
-        raise TruncationError("could not bracket the wavefunction peak")
-    lo, hi = _bisect(left_of_peak, lo, hi, 200)
-    return 0.5 * (lo + hi)
+def _peak(model: OscillatorModel, t: float) -> float:
+    """The |psi_alpha| maximum, where x(q) = -t, from the family's closed form;
+    TruncationError unless it is a finite float right of any pole offset."""
+    try:
+        q_peak = family_of(model).peak(model.params, t)
+    except (ZeroDivisionError, ValueError):  # a quotient or log of an underflowed zero
+        q_peak = math.nan
+    if not math.isfinite(q_peak):
+        raise TruncationError("wavefunction peak lies beyond float64 range; "
+                              "move Re(alpha) away from its admissibility bound")
+    if math.isfinite(model.q_lower) and not q_peak > default_interval(model)[0]:
+        raise TruncationError(
+            f"wavefunction peak lies inside the pole offset {POLE_OFFSET!r}/c1 "
+            "from the domain boundary; Re(alpha) is too negative to truncate"
+        )
+    return q_peak
 
 
 def _bisect(keep: Callable[[float], bool], a: float, b: float, steps: int) -> tuple[float, float]:
@@ -392,18 +370,20 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
     of 1e-3/c1 instead, which keeps superpotential magnitudes within float64
     headroom while the omitted power-law tail stays negligible.
 
-    The peak of |psi_alpha| and each mass-rule edge are found by bisection,
-    run until the bracket stops shrinking in float64. Raises TruncationError
-    when the peak lies inside the pole offset, i.e. Re(alpha) is so negative
-    that x(q) = -sqrt(2) Re(alpha) holds only between the boundary and the
-    offset.
+    The peak of |psi_alpha|, where x(q) = -sqrt(2) Re(alpha), comes from the
+    family's closed-form inverse of x; each mass-rule edge is found by
+    bisection, run until the bracket stops shrinking in float64. Raises
+    TruncationError when the peak is not a finite float (Re(alpha) at its
+    admissibility bound to float64 precision) or lies inside the pole
+    offset, i.e. Re(alpha) is so negative that x(q) = -sqrt(2) Re(alpha)
+    holds only between the boundary and the offset.
     """
     alpha = complex(alpha)
     require_admissible(model, alpha)
     t = SQRT2 * alpha.real
     a0, b0 = default_interval(model)
-    x_at, x_and_log_amplitude = _search_functions(model, t)
-    q_peak = _find_peak(model, t, x_at)
+    x_and_log_amplitude = _search_functions(model, t)
+    q_peak = _peak(model, t)
     # -x'(q_peak) from the kernel on np.float64: the bits of commutator_value
     # without its 0-d array domain check, which the left operand has made.
     log_mass = 2.0 * x_and_log_amplitude(q_peak)[1] + 0.5 * math.log(

@@ -479,6 +479,21 @@ class TestFitCommand:
         data.write_text("1.0,0.5\nnot,numbers\n")
         assert run("fit", "--data", str(data), "--out", str(tmp_path / "f.txt")) == 2
 
+    @pytest.mark.parametrize("row, reason", [
+        ("-1.0,0.1", "r must be positive, got -1.0"),
+        ("2.0,nan", "v must be finite, got nan"),
+        ("inf,0.3", "r must be finite, got inf"),
+    ])
+    def test_a_numeric_row_the_fit_refuses_names_its_reason(self, tmp_path, capsys, row, reason):
+        # A float row that PotentialSample refuses is not "non-numeric"; inf
+        # used to reach the solver, which warned and then gave up.
+        data = tmp_path / "neg.csv"
+        data.write_text(f"1.0,0.5\n{row}\n3.0,0.2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("fit", "--data", str(data), "--out", str(tmp_path / "f.txt")) == 2
+        assert capsys.readouterr().err == f"error: {data}:2: {reason}\n"
+
     def test_missing_file(self, tmp_path):
         assert run("fit", "--data", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "f.txt")) == 2

@@ -15,6 +15,7 @@ from anhosc.fit import (
     convergence_radius_lower,
     eval_expansion,
     fit_expansion,
+    _FLOOR,
     _jacobian,
     _pack,
 )
@@ -132,6 +133,15 @@ class TestFitRoundTrip:
         result = fit_expansion(data, order=0, init=init)
         assert result.rss <= init_rss
 
+    def test_c0_is_held_at_its_floor_when_the_data_pull_it_negative(self):
+        # V = c0 u^2 is never negative for c0 > 0, so samples with v < 0 draw
+        # the Gauss-Newton step to c0 < 0; the clamp holds c0 at its floor.
+        r = np.linspace(0.8, 4.0, 20)
+        data = [PotentialSample(float(a), float(-0.1 * np.exp(-a))) for a in r]
+        result = fit_expansion(data, order=0)
+        assert result.params.c0 == _FLOOR
+        assert result.converged
+
     def test_equilibrium_zero_is_structural(self):
         truth = ExpansionParams(r_e=1.2, s=0.1, c0=3.0)
         data = make_samples(truth, np.linspace(0.8, 6.0, 50))
@@ -221,3 +231,7 @@ class TestFitValidation:
             PotentialSample(-1.0, 0.5)
         with pytest.raises(InvalidParameterError):
             PotentialSample(1.0, float("nan"))
+
+    def test_sample_r_must_be_finite(self):
+        with pytest.raises(InvalidParameterError, match="r must be finite, got inf"):
+            PotentialSample(float("inf"), 0.3)

@@ -457,16 +457,12 @@ def test_kernel_matches_the_former_closed_forms(m):
     assert _bits_and_warnings(fused) == _bits_and_warnings(separate)
 
     for t in (0.0, 0.3, -1.2):
-        x_at, x_and_log_amplitude = _search_functions(m, t)
-
-        def former_x_at(q):
-            return float(former(_former_superpotential)(q))
+        x_and_log_amplitude = _search_functions(m, t)
 
         def former_x_and_log_amplitude(q):
-            x = former_x_at(q)
+            x = float(former(_former_superpotential)(q))
             return x, float(_former_log_ground_amplitude(m, np.float64(q))) + t * q
 
         for q in inside + outside:
-            assert _bits_and_warnings(lambda: x_at(q)) == _bits_and_warnings(lambda: former_x_at(q)), q
             assert (_bits_and_warnings(lambda: x_and_log_amplitude(q))
                     == _bits_and_warnings(lambda: former_x_and_log_amplitude(q))), q

@@ -3,10 +3,12 @@ normalization, and expectation values. Expected numbers come from
 Gaussian-moment oracles, closed-form norms and the closed-form wavefunctions
 evaluated independently here."""
 
+import decimal
 import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from anhosc.errors import (
     TruncationError,
 )
 from anhosc.families import (
+    POLE_OFFSET,
     make_generalized_kratzer_fues,
     make_generalized_morse,
     make_harmonic,
@@ -30,12 +33,15 @@ from anhosc.models import (
     GENERALIZED_MORSE,
     HARMONIC,
     WEI_HUA,
+    check_domain,
     eval_superpotential,
+    kernel,
 )
 from anhosc.states import (
     ANNIHILATION,
     CREATION,
     _MASS_TOL,
+    _bisect,
     _search_functions,
     admissible_bound,
     auto_grid,
@@ -547,21 +553,21 @@ _WIDE_MODELS = {
 # model sit at 0.99 of its admissibility bounds (sqrt(2) Re(alpha)).
 _WIDE_EDGES = [
     ("kratzer_0.6", 0.0, "-0x1.aa3d70a3d70a4p+0", "0x1.acfc6fbb062c4p+3"),
-    ("kratzer_0.6", 0.1, "-0x1.aa3d70a3d70a4p+0", "0x1.f743e75ac0a71p+3"),
+    ("kratzer_0.6", 0.1, "-0x1.aa3d70a3d70a4p+0", "0x1.f743e75ac0a72p+3"),
     ("kratzer_0.6", -0.3, "-0x1.aa3d70a3d70a4p+0", "0x1.22b3bb18a09afp+3"),
     ("kratzer_0.6", (0.2+0.3j), "-0x1.aa3d70a3d70a4p+0", "0x1.2e2c9dc1e5824p+4"),
-    ("kratzer_0.6", 0.7467047609329942, "-0x1.aa3d70a3d70a4p+0", "0x1.7b3672a79337fp+10"),
+    ("kratzer_0.6", 0.7467047609329942, "-0x1.aa3d70a3d70a4p+0", "0x1.7b3672a79338ep+10"),
     ("kratzer_0.9", 0.0, "-0x1.1c28f5c28f5c3p+0", "0x1.caed2eabaed17p+5"),
     ("kratzer_0.9", 0.1, "-0x1.1c28f5c28f5c3p+0", "0x1.6028d44905355p+7"),
     ("kratzer_0.9", -0.3, "-0x1.1c28f5c28f5c3p+0", "0x1.24e2acdac5ecdp+4"),
     ("kratzer_0.9", (0.1+0.3j), "-0x1.1c28f5c28f5c3p+0", "0x1.6028d44905355p+7"),
-    ("kratzer_0.9", 0.14778531726798838, "-0x1.1c28f5c28f5c3p+0", "0x1.6d8e66e26fe5cp+12"),
+    ("kratzer_0.9", 0.14778531726798838, "-0x1.1c28f5c28f5c3p+0", "0x1.6d8e66e26fde2p+12"),
     ("weihua_c2_0.3", 0.0, "-0x1.772054841592ep+0", "0x1.6c31fe76858e8p+5"),
-    ("weihua_c2_0.3", 0.1, "-0x1.772054841592ep+0", "0x1.3834e7454f07ep+7"),
-    ("weihua_c2_0.3", -0.3, "-0x1.772054841592ep+0", "0x1.d70a933e70635p+3"),
-    ("weihua_c2_0.3", (0.1+0.3j), "-0x1.772054841592ep+0", "0x1.3834e7454f07ep+7"),
+    ("weihua_c2_0.3", 0.1, "-0x1.772054841592ep+0", "0x1.3834e7454f07bp+7"),
+    ("weihua_c2_0.3", -0.3, "-0x1.772054841592ep+0", "0x1.d70a933e70634p+3"),
+    ("weihua_c2_0.3", (0.1+0.3j), "-0x1.772054841592ep+0", "0x1.3834e7454f07bp+7"),
     ("weihua_c2_0.3", 0.1400071426749364, "-0x1.772054841592ep+0", "0x1.331cc5e7261cbp+12"),
-    ("weihua_c2_0.55", 0.0, "-0x1.08fbc8eaf2bb2p+0", "0x1.6b73d7d8f894ep+5"),
+    ("weihua_c2_0.55", 0.0, "-0x1.08fbc8eaf2bb2p+0", "0x1.6b73d7d8f894dp+5"),
     ("weihua_c2_0.55", 0.1, "-0x1.08fbc8eaf2bb2p+0", "0x1.37ff2369a9209p+7"),
     ("weihua_c2_0.55", -0.3, "-0x1.08fbc8eaf2bb2p+0", "0x1.d51ce5c3a0a3ap+3"),
     ("weihua_c2_0.55", (0.1+0.3j), "-0x1.08fbc8eaf2bb2p+0", "0x1.37ff2369a9209p+7"),
@@ -570,23 +576,23 @@ _WIDE_EDGES = [
     ("weihua_full_line", 0.1, "-0x1.32ae1068de657p+5", "0x1.39a682e68a19bp+7"),
     ("weihua_full_line", -0.3, "-0x1.32ae1068de657p+5", "0x1.4d51ef97219a9p+5"),
     ("weihua_full_line", (0.1+0.3j), "-0x1.32ae1068de657p+5", "0x1.39a682e68a19bp+7"),
-    ("weihua_full_line", 0.1400071426749364, "-0x1.32ae1068de657p+5", "0x1.3328b03b717e0p+12"),
+    ("weihua_full_line", 0.1400071426749364, "-0x1.32ae1068de657p+5", "0x1.3328b03b717cbp+12"),
     ("weihua_full_line", -1.2600642840744276, "-0x1.17e178492039ep+9", "0x1.4d51ef97219a9p+5"),
     ("gkf_1.5_0.7", 0.0, "-0x1.6d593bfa2608dp+0", "0x1.6680f9d549253p+2"),
     ("gkf_1.5_0.7", 0.1, "-0x1.6d593bfa2608dp+0", "0x1.869fad78d12d0p+2"),
     ("gkf_1.5_0.7", -0.3, "-0x1.6d593bfa2608dp+0", "0x1.1b5db6036c449p+2"),
     ("gkf_1.5_0.7", (0.2+0.3j), "-0x1.6d593bfa2608dp+0", "0x1.aba016bbccf64p+2"),
-    ("gkf_1.5_0.7", 1.5000765286600328, "-0x1.6d593bfa2608dp+0", "0x1.6233dd98e3567p+9"),
+    ("gkf_1.5_0.7", 1.5000765286600328, "-0x1.6d593bfa2608dp+0", "0x1.6233dd98e3558p+9"),
     ("morse_50_0.01", 0.0, "-0x1.c54ccc470f5e5p+4", "0x1.1ad7bc01366b8p+8"),
     ("morse_50_0.01", 0.1, "-0x1.c54129e26f338p+4", "0x1.1ad7bc01366b8p+8"),
-    ("morse_50_0.01", -0.3, "-0x1.c56fa7f4ee1a9p+4", "0x1.1ad7bc01366b8p+8"),
-    ("morse_50_0.01", (0.2+0.3j), "-0x1.c535858f40f47p+4", "0x1.1ad7bc01366b8p+8"),
+    ("morse_50_0.01", -0.3, "-0x1.c56fa7f4ee1a0p+4", "0x1.1ad7bc01366b8p+8"),
+    ("morse_50_0.01", (0.2+0.3j), "-0x1.c535858f40f40p+4", "0x1.1ad7bc01366b8p+8"),
     ("morse_50_0.01", 247.45049999999998, "-0x1.8000000000000p+1", "0x1.1ad7bc01366b8p+8"),
     ("morse_2_0.3", 0.0, "-0x1.8ecb5e9fb6434p+1", "0x1.9d1e43e6cc1b5p+5"),
     ("morse_2_0.3", 0.1, "-0x1.8ac7e00e8b7aep+1", "0x1.9d1e43e6cc1b5p+5"),
-    ("morse_2_0.3", -0.3, "-0x1.99f0be3860edcp+1", "0x1.9d1e43e6cc1b5p+5"),
+    ("morse_2_0.3", -0.3, "-0x1.99f0be3860edbp+1", "0x1.9d1e43e6cc1b5p+5"),
     ("morse_2_0.3", (0.2+0.3j), "-0x1.8697e24697286p+1", "0x1.9d1e43e6cc1b5p+5"),
-    ("morse_2_0.3", 1.5363617738019906, "-0x1.8000000000000p+1", "0x1.cf3c00c6e94e4p+8"),
+    ("morse_2_0.3", 1.5363617738019906, "-0x1.8000000000000p+1", "0x1.cf3c00c6e94eep+8"),
 ]
 
 
@@ -632,17 +638,14 @@ def _reference_log_ground_amplitude(model, q):
 
 
 def _reference_search_functions(model, t):
-    """The searches' evaluations as they were before the kernel: x and log
+    """The edge searches' evaluation as it was before the kernel: x and log
     psi0 from their own closed forms, each with its own exponential, on 0-d
     arrays."""
-    def x_at(q):
-        return float(_reference_superpotential(model, q))
-
     def x_and_log_amplitude(q):
-        x = x_at(q)
+        x = float(_reference_superpotential(model, q))
         return x, float(_reference_log_ground_amplitude(model, np.asarray(q, dtype=float))) + t * q
 
-    return x_at, x_and_log_amplitude
+    return x_and_log_amplitude
 
 
 def _hex_outcome(evaluate, q):
@@ -670,11 +673,10 @@ def test_log_amplitude_matches_zero_dim_reference(m):
     else:
         qs += [a0 * 1e3, -1e200]
     for t in (0.0, 0.3, -1.2):
-        x_at, x_and_log_amplitude = _search_functions(m, t)
-        ref_x_at, ref_x_and_log_amplitude = _reference_search_functions(m, t)
+        x_and_log_amplitude = _search_functions(m, t)
+        ref_x_and_log_amplitude = _reference_search_functions(m, t)
         for q in map(float, qs):
             # q_lower + 1e-16 may round onto the boundary: both refuse it.
-            assert _hex_outcome(x_at, q) == _hex_outcome(ref_x_at, q), (t, q)
             assert (_hex_outcome(x_and_log_amplitude, q)
                     == _hex_outcome(ref_x_and_log_amplitude, q)), (t, q)
 
@@ -715,8 +717,8 @@ def _grid_outcome(m, alpha):
 
 @pytest.mark.parametrize("b0, t", [(1e308, 1.2e308), (1.5e308, 1e308)])
 def test_a_search_reaching_infinity_is_a_domain_violation(monkeypatch, b0, t):
-    # Bracketing the peak doubles the interval (first case), and bisecting
-    # it halves a sum (second case); near 1e308 either reaches +inf.
+    # The peak is at t itself; log |psi| is NaN there, so the edge search
+    # doubles its outward step until it reaches +inf.
     monkeypatch.setattr(states, "default_interval", lambda model: (-8.0, b0))
     with pytest.raises(DomainViolationError, match="outside open domain"):
         auto_grid(make_harmonic(), t / SQRT2)
@@ -735,7 +737,7 @@ def test_auto_grid_matches_zero_dim_reference_search(monkeypatch):
 
 def _points_per_bisection(monkeypatch, model, alpha):
     """The coordinates each bisection of one auto_grid call evaluated, one
-    list per bisection (the peak's, then each edge's)."""
+    list per bisection (one per edge search)."""
     bisections = []
     bisect = states._bisect
 
@@ -763,7 +765,7 @@ def test_no_point_is_evaluated_twice_within_one_bisection(monkeypatch, m, alpha)
     # known, instead of evaluating that point again (once per bisection
     # before).
     bisections = _points_per_bisection(monkeypatch, m, alpha)
-    assert len(bisections) == (2 if math.isfinite(m.q_lower) else 3)
+    assert len(bisections) == (1 if math.isfinite(m.q_lower) else 2)
     for points in bisections:
         assert len(points) > 10
         assert len(points) == len(set(points))
@@ -838,3 +840,172 @@ def test_half_line_peak_beyond_two_to_the_53_gets_a_grid():
     assert 2.0 ** 53 < g.q_max < math.inf
     # The peak, where x = 0, lies inside the grid.
     assert eval_superpotential(m, g.q_max) < 0.0
+
+
+def _decimal_peak(model, t):
+    """The root of x(q) = -t to 60 digits, with the model's float constants
+    taken as exact, from stdlib decimal; asserted to be a root."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p, t = model.params, Decimal(t)
+        if model.family == HARMONIC:
+            return t
+        c0, c1 = Decimal(p.c0), Decimal(p.c1)
+        k = c0 / c1 - t
+        if model.family == GENERALIZED_MORSE:
+            q = -(c1 * k).ln() / c1
+            x = ((-c1 * q).exp() - c0) / c1
+        elif model.family == WEI_HUA:
+            c2, big_c = Decimal(p.c2), Decimal(p.big_c)
+            r = k * c2 / c1
+            q = (big_c * (1 + r) / r).ln() / c1
+            ce = big_c * (-c1 * q).exp()
+            x = c1 / c2 * ce / (1 - ce) - c0 / c1
+        else:
+            q = (1 / (c1 * k) - 1) / c1
+            x = 1 / (c1 * (c1 * q + 1)) - c0 / c1
+        assert abs(x + t) <= Decimal("1e-45") * (abs(t) + c0 / c1)
+        return q
+
+
+def _former_find_peak(model, t, x_at):
+    """states._find_peak as it was before the closed forms, copied verbatim:
+    two bracketing loops, then a float64 bisection of x(q) = -t."""
+    a0, b0 = default_interval(model)
+
+    def left_of_peak(q: float) -> bool:
+        return x_at(q) + t > 0.0
+
+    lo = a0
+    if math.isfinite(model.q_lower):
+        # The left end sits at the pole offset; x decreases, so a peak left
+        # of it has x + t < 0 there and bisection would return a0 itself.
+        if not left_of_peak(lo):
+            raise TruncationError(
+                f"wavefunction peak lies inside the pole offset {POLE_OFFSET!r}/c1 "
+                "from the domain boundary; Re(alpha) is too negative to truncate"
+            )
+    else:
+        for _ in range(300):
+            if left_of_peak(lo):
+                break
+            lo = b0 - 2.0 * (b0 - lo)
+        else:
+            raise TruncationError("could not bracket the wavefunction peak")
+    hi = b0
+    for _ in range(300):
+        if x_at(hi) + t < 0.0:
+            break
+        hi = lo + 2.0 * (hi - lo)
+    else:
+        raise TruncationError("could not bracket the wavefunction peak")
+    lo, hi = _bisect(left_of_peak, lo, hi, 200)
+    return 0.5 * (lo + hi)
+
+
+def _former_x_at(model):
+    """The x-only half of the former search functions, copied verbatim."""
+    fields = kernel(model)
+    lower, upper, float64 = model.q_lower, model.q_upper, np.float64
+
+    def x_at(q: float) -> float:
+        if not lower < q < upper:
+            check_domain(model, q)  # raises DomainViolationError
+        return float(fields(float64(q))[0])
+
+    return x_at
+
+
+def _peak_error_ulps(find, model, t):
+    """|q - root| in ulps of max(|root|, 1), or the TruncationError message."""
+    try:
+        q = find(model, t)
+    except TruncationError as exc:
+        return str(exc)
+    root = _decimal_peak(model, t)
+    return float(abs(Decimal(q) - root)) / math.ulp(max(abs(float(root)), 1.0))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closed_form_peak_is_a_root_at_least_as_accurate_as_the_bisection(seed):
+    closed, bisected = [], []
+    for m, alpha in _search_draws(3000, seed=seed):
+        t = SQRT2 * alpha.real
+        new = _peak_error_ulps(states._peak, m, t)
+        old = _peak_error_ulps(lambda m, t: _former_find_peak(m, t, _former_x_at(m)), m, t)
+        # Both refuse the same peaks, with the same message.
+        assert isinstance(new, str) == isinstance(old, str), (m, t, new, old)
+        if isinstance(new, str):
+            assert new == old
+            continue
+        closed.append(new)
+        bisected.append(old)
+    assert len(closed) > 2900
+    assert max(closed) <= 256.0
+    assert np.percentile(closed, 99) <= np.percentile(bisected, 99)
+
+
+# Models whose admissibility bounds c0/c1 and c1/c2 + c0/c1 are exact in
+# float64, so that k = c0/c1 - t is exact for the closed form too.
+_EXACT_BOUND_MODELS = [*(m for m in _DESK_MODELS.values() if m.family != HARMONIC),
+                       make_wei_hua(0.25, 1.0, -0.5)]
+
+
+def _near_bound_cases(models):
+    """(model, alpha) at the admissibility bounds of each model, none of them
+    harmonic: its only bound is +inf, and its largest peaks are covered by
+    the beyond-2^53 and reaching-infinity tests above."""
+    cases = []
+    for m in models:
+        b = admissible_bound(m)
+        ts = [np.nextafter(b.sup_re_alpha, -math.inf), b.sup_re_alpha * (1.0 - 1e-12)]
+        if math.isfinite(b.inf_re_alpha):
+            ts.append(np.nextafter(b.inf_re_alpha, math.inf))
+        if math.isfinite(m.q_lower):
+            ts.append(-1e10)
+        for t in ts:
+            # The alpha nearest t / sqrt(2) whose sqrt(2) Re(alpha) is admissible.
+            alpha = float(t) / SQRT2
+            while not is_admissible(m, alpha):
+                alpha = float(np.nextafter(alpha, -t))
+            cases.append((m, alpha))
+    return cases
+
+
+@pytest.mark.parametrize("m, alpha", _near_bound_cases(_EXACT_BOUND_MODELS),
+                         ids=lambda v: getattr(v, "family", None))
+def test_closed_form_peak_is_a_root_up_to_the_bounds(m, alpha):
+    # k is exact here, so the closed form keeps its accuracy up to the last
+    # float inside each bound. On the full line, 1 + r comes from the
+    # distance to the lower bound, which cannot cancel to zero.
+    error = _peak_error_ulps(states._peak, m, SQRT2 * alpha)
+    if isinstance(error, str):
+        assert alpha == -1e10 / SQRT2 and "pole offset" in error
+    else:
+        assert error <= 256.0
+
+
+@pytest.mark.parametrize("c0, c1, c2", [(0.2, 1.0, -0.5), (0.3, 1.3, -0.7)])
+def test_full_line_wei_hua_peak_is_finite_up_to_the_lower_bound(c0, c1, c2):
+    # At the last float above the lower bound, 1 + r = (c2/c1)(inf_re_alpha
+    # - t) stays positive; formed as 1 + r it cancels to 0 at (0.3, 1.3, -0.7).
+    m = make_wei_hua(c0, c1, c2)
+    t = float(np.nextafter(admissible_bound(m).inf_re_alpha, math.inf))
+    assert -math.inf < states._peak(m, t) < states._peak(m, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # far-tail overflow
+@pytest.mark.parametrize("m, alpha", _near_bound_cases([
+    *_EXACT_BOUND_MODELS, *_WIDE_MODELS.values(),
+    # k = c0/c1 - t and r = k c2/c1 underflow to zero: no float peak.
+    make_generalized_kratzer_fues(5e-324, 0.5), make_wei_hua(1e-320, 1.0, 0.5),
+]), ids=lambda v: getattr(v, "family", None))
+def test_auto_grid_near_the_admissibility_bounds(m, alpha):
+    # A grid around the true peak, or a TruncationError; never a grid that
+    # misses the peak, nor a ValueError, ZeroDivisionError or OverflowError
+    # of the closed form.
+    try:
+        g = auto_grid(m, alpha, 2001)
+    except TruncationError:
+        return
+    assert Decimal(g.q_min) < _decimal_peak(m, SQRT2 * alpha) < Decimal(g.q_max)

@@ -231,8 +231,9 @@ class TestSampleOnce:
 
     def test_a_search_point_is_one_kernel_call_and_one_exponential(self, kernel_calls, monkeypatch):
         # x and log psi0 of an edge-search point share one exp(-c1 q) (two
-        # exponentials and two evaluations before); a peak-search point
-        # evaluates x alone.
+        # exponentials and two evaluations before); the peak comes from its
+        # closed form, with no kernel call (one x-only call per bisection
+        # point before).
         exps = []
         exp = np.exp
 
@@ -247,8 +248,9 @@ class TestSampleOnce:
         peak = [q for _, q, outputs in kernel_calls if outputs == (True, False, False)]
         edge = [q for _, q, outputs in kernel_calls if outputs == (True, False, True)]
         # The one other call is x' at the peak, for the Laplace mass estimate.
-        assert len(peak) + len(edge) == len(kernel_calls) - 1
-        assert len(peak) > 20 and len(edge) > 20
+        assert peak == []
+        assert len(edge) == len(kernel_calls) - 1
+        assert len(edge) > 20
         assert len(exps) == len(kernel_calls)
 
 
