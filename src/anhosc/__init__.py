@@ -69,7 +69,6 @@ from .states import (
     admissible_bound,
     auto_grid,
     coherent_state,
-    default_interval,
     grid_fields,
     ground_state,
     is_admissible,

@@ -4,8 +4,8 @@ physical-to-dimensionless parameter map for the Morse oscillator.
 Each family differs from the others only in its superpotential x(q) and the
 constants derived from it. Everything family-specific lives here: the
 validating constructor, the kernel of x, x' and log psi0, the closed-form
-V - E0, the admissibility bound, the closed-form peak of |psi_alpha|, the
-search's default interval, the descriptor template, the header fields and
+V - E0, the admissibility bound, the closed-form peak of |psi_alpha|, a
+full-line family's envelope, the descriptor template, the header fields and
 the CLI spelling. The Family record in FAMILIES gathers them per family
 name, and family_of(model) looks it up, so adding a family means editing
 this module alone.
@@ -29,12 +29,6 @@ GENERALIZED_MORSE = "generalized_morse"
 WEI_HUA = "wei_hua"
 KRATZER_FUES = "kratzer_fues"
 GENERALIZED_KRATZER_FUES = "generalized_kratzer_fues"
-
-#: Fixed offset (in units of 1/c1) between a finite domain boundary and the
-#: grid edge. Keeping it at 1e-3 bounds the superpotential magnitude near the
-#: pole so the Riccati check stays within float64 headroom, while the omitted
-#: power-law tail mass is negligible for every admissible family.
-POLE_OFFSET = 1e-3
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,8 @@ class AdmissibilityBound:
 
 @dataclass(frozen=True)
 class Family:
-    """What one family contributes to the scheme, looked up by family_of()."""
+    """What one family contributes to the scheme, looked up by family_of(). Only
+    the full-line families set envelope, an interval every auto_grid covers."""
 
     name: str                              # OscillatorModel.family
     cli_name: str                          # --family spelling
@@ -118,7 +113,7 @@ class Family:
     potential: Callable[[object, np.ndarray], np.ndarray]  # (params, q) -> closed-form V - E0
     bound: Callable[[OscillatorModel], AdmissibilityBound]
     peak: Callable[[object, float], float]  # (params, t) -> the root q of x(q) = -t
-    interval: Callable[[OscillatorModel], tuple[float, float]]
+    envelope: Callable[[object], tuple[float, float]] | None = None  # params -> (a0, b0)
 
 
 def make_harmonic() -> OscillatorModel:
@@ -266,13 +261,6 @@ def _wei_hua_peak(p: WeiHuaParams, t: float) -> float:
     return math.log(p.big_c * one_plus_r / r) / p.c1
 
 
-def _wei_hua_interval(model: OscillatorModel) -> tuple[float, float]:
-    p = model.params
-    half_line = math.isfinite(model.q_lower)
-    lo = model.q_lower + POLE_OFFSET / p.c1 if half_line else p.q0 - 40.0 / p.c1
-    return (lo, p.q0 + 40.0 / p.c1)
-
-
 def make_generalized_kratzer_fues(c0: float, c1: float) -> OscillatorModel:
     """Generalized Kratzer-Fues oscillator on the half line (-1/c1, inf).
 
@@ -333,9 +321,7 @@ _C0_C1_S = (("c0", "c0"), ("c1", "c1"), ("s", "s"))
 # Kratzer-Fues is generalized Kratzer-Fues at c0 = 1 - c1^2: one set of closed forms.
 _KRATZER = dict(header=_C0_C1_S, kernel=_kratzer_kernel, potential=_kratzer_potential,
                 bound=_right_tail_bound,
-                peak=lambda p, t: (1.0 / (p.c1 * (p.c0 / p.c1 - t)) - 1.0) / p.c1,
-                interval=lambda model: (model.q_lower + POLE_OFFSET / model.params.c1,
-                                        80.0 / model.params.c1))
+                peak=lambda p, t: (1.0 / (p.c1 * (p.c0 / p.c1 - t)) - 1.0) / p.c1)
 
 #: The family records by OscillatorModel.family, in the order --help lists them.
 FAMILIES = {family.name: family for family in (
@@ -344,18 +330,19 @@ FAMILIES = {family.name: family for family in (
            potential=lambda p, q: 0.5 * (q * q - 1.0),
            bound=lambda model: AdmissibilityBound(sup_re_alpha=math.inf),
            peak=lambda p, t: t,
-           interval=lambda model: (-8.0, 8.0)),
+           envelope=lambda p: (-8.0, 8.0)),
     Family(name=GENERALIZED_MORSE, cli_name="morse", cli_params=("s", "xe"),
            make=make_generalized_morse,
            descriptor="generalized_morse(s={p.s!r}, x_e={p.x_e!r})", header=_C0_C1_S,
            kernel=_morse_kernel, potential=_morse_potential, bound=_right_tail_bound,
            peak=lambda p, t: -(math.log(p.c1) + math.log(p.c0 / p.c1 - t)) / p.c1,
-           interval=lambda model: (-3.0, 40.0 / model.params.c1)),
+           envelope=lambda p: (-3.0, 40.0 / p.c1)),
     Family(name=WEI_HUA, cli_name="weihua", cli_params=("c0", "c1", "c2"),
            make=make_wei_hua, descriptor="wei_hua(c0={p.c0!r}, c1={p.c1!r}, c2={p.c2!r})",
            header=(("W", "w"), ("B", "b"), ("C", "big_c"), ("c", "c"), ("q0", "q0")),
            kernel=_wei_hua_kernel, potential=_wei_hua_potential, bound=_wei_hua_bound,
-           peak=_wei_hua_peak, interval=_wei_hua_interval),
+           peak=_wei_hua_peak,  # the envelope serves the full-line branch (c < 0) alone
+           envelope=lambda p: (p.q0 - 40.0 / p.c1, p.q0 + 40.0 / p.c1)),
     Family(name=KRATZER_FUES, cli_name="kratzer", cli_params=("c1",),
            make=make_kratzer_fues, descriptor="kratzer_fues(c1={p.c1!r})", **_KRATZER),
     Family(name=GENERALIZED_KRATZER_FUES, cli_name="gkf", cli_params=("c0", "c1"),

@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameterError,
     TruncationError,
 )
-from .families import POLE_OFFSET, AdmissibilityBound, family_of
+from .families import AdmissibilityBound, family_of
 from .models import (
     OscillatorModel,
     check_domain,
@@ -49,6 +49,12 @@ _MASS_TOL = 1e-7
 #: of the peak, or when the estimated beyond-edge mass is negligible.
 _EDGE_RATIO = 1e-12
 _EDGE_MASS_TOL = 1e-7
+
+#: Fixed offset (in units of 1/c1) between a finite domain boundary and the
+#: grid edge. Keeping it at 1e-3 bounds the superpotential magnitude near the
+#: pole so the Riccati check stays within float64 headroom, while the omitted
+#: power-law tail mass is negligible for every admissible family.
+POLE_OFFSET = 1e-3
 
 
 @dataclass(frozen=True)
@@ -268,11 +274,6 @@ def normalize(psi: WaveFunction, grid: Grid) -> WaveFunction:
     return replace(psi, evaluator=lambda q: inner(q) / norm, norm=norm)
 
 
-def default_interval(model: OscillatorModel) -> tuple[float, float]:
-    """Family-specific starting interval for truncation searches."""
-    return family_of(model).interval(model)
-
-
 def _search_functions(model: OscillatorModel, t: float):
     """The edge searches' evaluation at a float q: x(q) and log |psi_alpha(q)|
     from one kernel call. The kernel runs on np.float64, which takes the ufunc
@@ -291,6 +292,11 @@ def _search_functions(model: OscillatorModel, t: float):
     return x_and_log_amplitude
 
 
+def _pole_edge(model: OscillatorModel) -> float:
+    """The left grid edge of a half-line family, POLE_OFFSET/c1 right of the pole."""
+    return model.q_lower + POLE_OFFSET / model.params.c1
+
+
 def _peak(model: OscillatorModel, t: float) -> float:
     """The |psi_alpha| maximum, where x(q) = -t, from the family's closed form;
     TruncationError unless it is a finite float right of any pole offset."""
@@ -301,7 +307,7 @@ def _peak(model: OscillatorModel, t: float) -> float:
     if not math.isfinite(q_peak):
         raise TruncationError("wavefunction peak lies beyond float64 range; "
                               "move Re(alpha) away from its admissibility bound")
-    if math.isfinite(model.q_lower) and not q_peak > default_interval(model)[0]:
+    if math.isfinite(model.q_lower) and not q_peak > _pole_edge(model):
         raise TruncationError(
             f"wavefunction peak lies inside the pole offset {POLE_OFFSET!r}/c1 "
             "from the domain boundary; Re(alpha) is too negative to truncate"
@@ -333,7 +339,8 @@ def _edge_by_mass(
     log_budget: float,
 ) -> float:
     """Move outward from the peak, from start on, until the estimated tail mass
-    (weighted by a local moment lever) drops below the budget, then bisect."""
+    (weighted by a local moment lever) drops below the budget, then bisect
+    the last step: from the last point at or above the budget to the first below."""
 
     def excess(q: float) -> float:
         x, log_amplitude = x_and_log_amplitude(q)
@@ -343,21 +350,20 @@ def _edge_by_mass(
         lever = 2.0 * (1.0 + x * x)
         return 2.0 * log_amplitude + math.log(lever / (2.0 * kappa)) - log_budget
 
-    outer, inner = start, {}
+    # The excess at the peak itself is left unevaluated: it is positive, since
+    # kappa = |x + t| vanishes there to rounding.
+    inner, outer = q_peak, start
     for _ in range(400):
         value = excess(outer)
         if value < 0.0:
             break
-        inner = {outer: value}
-        outer = q_peak + 2.0 * (outer - q_peak)
+        if math.isnan(value):
+            raise TruncationError("wavefunction tail leaves float64 range before it decays; "
+                                  "move Re(alpha) away from its admissibility bound")
+        inner, outer = outer, q_peak + 2.0 * (outer - q_peak)
     else:
         raise TruncationError("tail does not decay; cannot truncate the domain")
-    # The first midpoint can round back to the loop's last point before
-    # outer, so its excess is kept: the value, since a NaN excess must fail
-    # both < 0 and >= 0. The excess at the peak itself is left unevaluated:
-    # it is positive, since kappa = |x + t| vanishes there to rounding.
-    outer = _bisect(lambda q: (inner[q] if q in inner else excess(q)) >= 0.0,
-                    q_peak, outer, 120)[1]
+    outer = _bisect(lambda q: excess(q) >= 0.0, inner, outer, 120)[1]
     return q_peak + 1.05 * (outer - q_peak)
 
 
@@ -367,44 +373,49 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
     The far edges are placed where the estimated beyond-edge L2 mass, weighted
     by a local moment lever 2(1 + x^2), falls below 1e-7 of a Laplace
     estimate of the total mass. A finite domain boundary gets a fixed offset
-    of 1e-3/c1 instead, which keeps superpotential magnitudes within float64
-    headroom while the omitted power-law tail stays negligible.
+    of POLE_OFFSET/c1 instead, which keeps superpotential magnitudes within
+    float64 headroom while the omitted power-law tail stays negligible. A
+    full-line grid always covers its family's envelope.
 
     The peak of |psi_alpha|, where x(q) = -sqrt(2) Re(alpha), comes from the
-    family's closed-form inverse of x; each mass-rule edge is found by
-    bisection, run until the bracket stops shrinking in float64. Raises
-    TruncationError when the peak is not a finite float (Re(alpha) at its
-    admissibility bound to float64 precision) or lies inside the pole
-    offset, i.e. Re(alpha) is so negative that x(q) = -sqrt(2) Re(alpha)
-    holds only between the boundary and the offset.
+    family's closed-form inverse of x. Each edge search steps outward from
+    the peak (on the full line, from the envelope edge where that lies
+    beyond) and bisects its last bracket until it stops shrinking in float64.
+    Raises TruncationError when the peak is not a finite float (Re(alpha) at
+    its admissibility bound to float64 precision) or lies inside the pole
+    offset (Re(alpha) too negative), when the state overflows float64 at its
+    peak, or when a tail leaves float64 range before it decays.
     """
     alpha = complex(alpha)
     require_admissible(model, alpha)
     t = SQRT2 * alpha.real
-    a0, b0 = default_interval(model)
-    x_and_log_amplitude = _search_functions(model, t)
     q_peak = _peak(model, t)
-    # -x'(q_peak) from the kernel on np.float64: the bits of commutator_value
-    # without its 0-d array domain check, which the left operand has made.
-    log_mass = 2.0 * x_and_log_amplitude(q_peak)[1] + 0.5 * math.log(
-        math.pi / -float(kernel(model)(np.float64(q_peak), x=False, xp=True)[1])
-    )
-    log_budget = math.log(_MASS_TOL) + log_mass
-    # The first outward step is 1, or |q_peak| 2^-50 (4 to 8 ulps) where that
-    # is larger: beyond 2^53, q_peak + 1 rounds back to q_peak.
-    step = max(1.0, abs(q_peak) * 2.0 ** -50)
-    b_mass = _edge_by_mass(x_and_log_amplitude, t, q_peak, max(b0, q_peak + step), log_budget)
-    if math.isfinite(model.q_lower):
-        # Half-line family: fixed pole offset on the left; the far edge comes
-        # from the mass rule alone, since the generous family default would
-        # stretch the uniform grid until stencil error near the pole swamps
-        # the identity checks.
-        a = a0
-        b = b_mass
-    else:
-        # Full-line family: tails die at least as fast as a Gaussian on one
-        # side, so the family default envelope is kept and only ever widened.
-        a_mass = _edge_by_mass(x_and_log_amplitude, t, q_peak, min(a0, q_peak - step), log_budget)
-        a = min(a0, a_mass)
-        b = max(b0, b_mass)
+    x_and_log_amplitude = _search_functions(model, t)
+    # Far tails overflow float64 in the kernel (exp(-c1 q), q * q): one
+    # errstate for the whole search, which tests the inf and NaN it returns.
+    with np.errstate(all="ignore"):
+        # log psi0 and x' at the peak from one kernel call on np.float64.
+        _, xp, log_psi0 = kernel(model)(np.float64(q_peak), x=False, xp=True, log_psi0=True)
+        log_mass = 2.0 * (float(log_psi0) + t * q_peak) + 0.5 * math.log(math.pi / -float(xp))
+        if not math.isfinite(log_mass):
+            raise TruncationError("state overflows float64 on the grid; reduce |Re(alpha)|")
+        log_budget = math.log(_MASS_TOL) + log_mass
+        # The first outward step is 1, or |q_peak| 2^-50 (4 to 8 ulps) where
+        # that is larger: beyond 2^53, q_peak + 1 rounds back to q_peak.
+        step = max(1.0, abs(q_peak) * 2.0 ** -50)
+
+        def edge(start: float) -> float:
+            return _edge_by_mass(x_and_log_amplitude, t, q_peak, start, log_budget)
+
+        if math.isfinite(model.q_lower):
+            # Half-line family: the pole offset on the left, the mass rule alone
+            # on the right; an envelope would stretch the uniform grid until
+            # stencil error near the pole swamps the identity checks.
+            a, b = _pole_edge(model), edge(q_peak + step)
+        else:
+            # Full-line family: tails die at least as fast as a Gaussian on
+            # one side, so the envelope is kept and only ever widened.
+            a0, b0 = family_of(model).envelope(model.params)
+            b = max(b0, edge(max(b0, q_peak + step)))
+            a = min(a0, edge(min(a0, q_peak - step)))
     return make_grid(a, b, n)

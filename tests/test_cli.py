@@ -193,6 +193,19 @@ class TestCoherent:
             "error: state overflows float64 on the grid; reduce |Re(alpha)|\n"
         )
 
+    @pytest.mark.parametrize("alpha", ["1e154", "1e200", "1e308"])
+    def test_peak_beyond_float64_is_an_overflow(self, tmp_path, capsys, alpha):
+        # q * q overflows at the harmonic peak sqrt(2) alpha: no numpy warning
+        # line, and no "tail does not decay" or "outside open domain".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("coherent", "--family", "harmonic", f"--alpha={alpha}",
+                       "--out", str(tmp_path / "c.csv"), "--report", str(tmp_path / "c.txt"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: state overflows float64 on the grid; reduce |Re(alpha)|\n"
+        )
+
     def test_inadmissible_alpha(self, tmp_path):
         code = run("coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
                    "--alpha", "0.5+0i", "--out", str(tmp_path / "c.csv"),
@@ -325,6 +338,25 @@ class TestVerifyCommand:
             "model: harmonic\nalpha: -2000.0+0.0i\n"
             "result: error (state overflows float64 on the grid; reduce |Re(alpha)|)\n"
         )
+
+    def test_tail_beyond_float64_is_isolated_without_warnings(self, tmp_path, capsys):
+        # Near the full-line Wei Hua lower bound (sqrt(2) Re(alpha) > -1.8)
+        # the left tail decays, but only past where exp(-c1 q) overflows.
+        rep = tmp_path / "r.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("verify", "--family", "weihua", "--param", "c0=0.2", "--param", "c1=1",
+                       "--param", "c2=-0.5", "--alphas=-1.2727,0.1", "--report", str(rep))
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        sections = rep.read_text().split("---\n")
+        assert len(sections) == 3
+        assert sections[1] == (
+            "model: wei_hua(c0=0.2, c1=1.0, c2=-0.5)\nalpha: -1.2727+0.0i\n"
+            "result: error (wavefunction tail leaves float64 range before it decays; "
+            "move Re(alpha) away from its admissibility bound)\n"
+        )
+        assert sections[2].endswith("result: pass\n")
 
     def test_failing_model_grid_is_usage_error(self, tmp_path):
         # The alpha = 0 grid serves the model-level checks; its failure still

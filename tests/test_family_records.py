@@ -1,18 +1,22 @@
 """The family records against the per-family branches they replaced.
 
-describe, closed_form_potential, admissible_bound, default_interval and the
-CLI's model building and header lines used to branch on model.family. The
-branching versions are kept here verbatim as the reference; the record
-lookups must give the same strings, the same bits and the same exceptions
-over seeded random parameters of all five families, full-line Wei Hua
-included."""
+describe, closed_form_potential, admissible_bound, the search's default
+interval and the CLI's model building and header lines used to branch on
+model.family. The branching versions are kept here verbatim as the
+reference; the record lookups must give the same strings, the same bits and
+the same exceptions over seeded random parameters of all five families,
+full-line Wei Hua included. The default interval now splits into a
+full-line family's envelope and the half-line pole edge of states; its
+reference copy also places sample points in test_models and test_states."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from anhosc import cli
+from anhosc import cli, states
 from anhosc.cli import _build_model, _model_header_lines, build_parser
 from anhosc.errors import InvalidParameterError
 from anhosc.families import (
@@ -30,7 +34,7 @@ from anhosc.families import (
     make_wei_hua,
 )
 from anhosc.models import _as_input_shape, check_domain, closed_form_potential, describe
-from anhosc.states import admissible_bound, default_interval
+from anhosc.states import admissible_bound, auto_grid
 
 _POLE_OFFSET = 1e-3
 _fmt = cli._fmt
@@ -221,12 +225,45 @@ def test_strings_match_the_branching_code():
         assert _model_header_lines(m) == _reference_model_header_lines(m)
 
 
+def _envelope_or_pole_edge(model):
+    """What is left of the default interval: the full-line envelope, or the
+    half-line pole edge of states."""
+    if math.isfinite(model.q_lower):
+        return states._pole_edge(model)
+    return FAMILIES[model.family].envelope(model.params)
+
+
 def test_bound_and_interval_bits_match_the_branching_code():
     for m in _MODELS:
         assert (_outcome(lambda: _bits(admissible_bound(m)))
                 == _outcome(lambda: _bits(_reference_admissible_bound(m))))
-        assert (_outcome(lambda: _bits(default_interval(m)))
-                == _outcome(lambda: _bits(_reference_default_interval(m))))
+        reference = _reference_default_interval(m)
+        if math.isfinite(m.q_lower):
+            reference = reference[0]  # the far end only started the search
+        assert (_outcome(lambda: _bits(_envelope_or_pole_edge(m)))
+                == _outcome(lambda: _bits(reference)))
+
+
+def test_only_the_full_line_families_carry_an_envelope():
+    assert {name for name, family in FAMILIES.items() if family.envelope} == {
+        HARMONIC, GENERALIZED_MORSE, WEI_HUA}
+
+
+def _refused_envelope(params):
+    raise AssertionError("a half-line grid read the envelope")
+
+
+@pytest.mark.parametrize("model", [
+    make_wei_hua(0.2, 1.0, 0.5), make_kratzer_fues(0.5), make_generalized_kratzer_fues(0.75, 0.5),
+], ids=lambda m: m.family)
+def test_a_half_line_grid_never_reads_an_envelope(monkeypatch, model):
+    expected = auto_grid(model, 0.1, 2001)
+    for name, family in FAMILIES.items():
+        monkeypatch.setitem(FAMILIES, name, replace(family, envelope=_refused_envelope))
+    assert auto_grid(model, 0.1, 2001) == expected
+    # The full-line Wei Hua branch shares the record and reads it.
+    with pytest.raises(AssertionError, match="read the envelope"):
+        auto_grid(make_wei_hua(0.2, 1.0, -0.5), 0.1, 2001)
 
 
 def test_closed_form_potential_matches_the_branching_code():

@@ -399,12 +399,12 @@ def _bits_and_warnings(call):
 
 
 def _kernel_inputs(m):
-    """Coordinates across the search interval, next to a finite boundary,
+    """Coordinates across the former search interval, next to a finite boundary,
     and in far tails where exp(-c1 q) overflows (full-line families) or
     q * q does (harmonic)."""
-    from anhosc.states import default_interval
+    from test_family_records import _reference_default_interval
 
-    a0, b0 = default_interval(m)
+    a0, b0 = _reference_default_interval(m)
     qs = [*np.linspace(a0, b0, 61), b0 * 1e3, 1e200]
     if math.isfinite(m.q_lower):
         qs += [float(np.nextafter(m.q_lower, math.inf))]

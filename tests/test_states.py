@@ -21,7 +21,6 @@ from anhosc.errors import (
     TruncationError,
 )
 from anhosc.families import (
-    POLE_OFFSET,
     make_generalized_kratzer_fues,
     make_generalized_morse,
     make_harmonic,
@@ -40,13 +39,13 @@ from anhosc.models import (
 from anhosc.states import (
     ANNIHILATION,
     CREATION,
+    POLE_OFFSET,
     _MASS_TOL,
     _bisect,
     _search_functions,
     admissible_bound,
     auto_grid,
     coherent_state,
-    default_interval,
     grid_fields,
     ground_state,
     is_admissible,
@@ -55,6 +54,7 @@ from anhosc.states import (
     normalize,
 )
 from anhosc.verify import verify_coherent
+from test_family_records import _reference_default_interval
 
 SQRT2 = math.sqrt(2.0)
 
@@ -550,7 +550,9 @@ _WIDE_MODELS = {
 
 # Edges of models away from the desk set, recorded before the searches
 # shared one exponential between x and log psi0. The last alphas of each
-# model sit at 0.99 of its admissibility bounds (sqrt(2) Re(alpha)).
+# model sit at 0.99 of its admissibility bounds (sqrt(2) Re(alpha)); the
+# q_max of the two half-line Wei Hua and the gkf rows there were re-recorded
+# (10 to 20 ulps) when the edge search came to bisect its last bracket.
 _WIDE_EDGES = [
     ("kratzer_0.6", 0.0, "-0x1.aa3d70a3d70a4p+0", "0x1.acfc6fbb062c4p+3"),
     ("kratzer_0.6", 0.1, "-0x1.aa3d70a3d70a4p+0", "0x1.f743e75ac0a72p+3"),
@@ -566,12 +568,12 @@ _WIDE_EDGES = [
     ("weihua_c2_0.3", 0.1, "-0x1.772054841592ep+0", "0x1.3834e7454f07bp+7"),
     ("weihua_c2_0.3", -0.3, "-0x1.772054841592ep+0", "0x1.d70a933e70634p+3"),
     ("weihua_c2_0.3", (0.1+0.3j), "-0x1.772054841592ep+0", "0x1.3834e7454f07bp+7"),
-    ("weihua_c2_0.3", 0.1400071426749364, "-0x1.772054841592ep+0", "0x1.331cc5e7261cbp+12"),
+    ("weihua_c2_0.3", 0.1400071426749364, "-0x1.772054841592ep+0", "0x1.331cc5e7261dfp+12"),
     ("weihua_c2_0.55", 0.0, "-0x1.08fbc8eaf2bb2p+0", "0x1.6b73d7d8f894dp+5"),
     ("weihua_c2_0.55", 0.1, "-0x1.08fbc8eaf2bb2p+0", "0x1.37ff2369a9209p+7"),
     ("weihua_c2_0.55", -0.3, "-0x1.08fbc8eaf2bb2p+0", "0x1.d51ce5c3a0a3ap+3"),
     ("weihua_c2_0.55", (0.1+0.3j), "-0x1.08fbc8eaf2bb2p+0", "0x1.37ff2369a9209p+7"),
-    ("weihua_c2_0.55", 0.1400071426749364, "-0x1.08fbc8eaf2bb2p+0", "0x1.331b02ffae4d1p+12"),
+    ("weihua_c2_0.55", 0.1400071426749364, "-0x1.08fbc8eaf2bb2p+0", "0x1.331b02ffae4c7p+12"),
     ("weihua_full_line", 0.0, "-0x1.32ae1068de657p+5", "0x1.71813f5210069p+5"),
     ("weihua_full_line", 0.1, "-0x1.32ae1068de657p+5", "0x1.39a682e68a19bp+7"),
     ("weihua_full_line", -0.3, "-0x1.32ae1068de657p+5", "0x1.4d51ef97219a9p+5"),
@@ -582,7 +584,7 @@ _WIDE_EDGES = [
     ("gkf_1.5_0.7", 0.1, "-0x1.6d593bfa2608dp+0", "0x1.869fad78d12d0p+2"),
     ("gkf_1.5_0.7", -0.3, "-0x1.6d593bfa2608dp+0", "0x1.1b5db6036c449p+2"),
     ("gkf_1.5_0.7", (0.2+0.3j), "-0x1.6d593bfa2608dp+0", "0x1.aba016bbccf64p+2"),
-    ("gkf_1.5_0.7", 1.5000765286600328, "-0x1.6d593bfa2608dp+0", "0x1.6233dd98e3558p+9"),
+    ("gkf_1.5_0.7", 1.5000765286600328, "-0x1.6d593bfa2608dp+0", "0x1.6233dd98e3567p+9"),
     ("morse_50_0.01", 0.0, "-0x1.c54ccc470f5e5p+4", "0x1.1ad7bc01366b8p+8"),
     ("morse_50_0.01", 0.1, "-0x1.c54129e26f338p+4", "0x1.1ad7bc01366b8p+8"),
     ("morse_50_0.01", -0.3, "-0x1.c56fa7f4ee1a0p+4", "0x1.1ad7bc01366b8p+8"),
@@ -664,7 +666,7 @@ _SEARCH_MODELS = [*_DESK_MODELS.values(), make_wei_hua(0.2, 1.0, -0.5)]
 @pytest.mark.parametrize("m", _SEARCH_MODELS, ids=lambda m: m.family)
 def test_log_amplitude_matches_zero_dim_reference(m):
     rng = np.random.default_rng(17)
-    a0, b0 = default_interval(m)
+    a0, b0 = _reference_default_interval(m)
     qs = [*np.linspace(a0, b0, 401), *rng.uniform(a0, b0, 400), b0 * 1e3, 1e200]
     if math.isfinite(m.q_lower):
         # Next to the boundary log psi0 runs to -inf (a power-law zero).
@@ -715,16 +717,16 @@ def _grid_outcome(m, alpha):
     return g.q_min.hex(), g.q_max.hex()
 
 
-@pytest.mark.parametrize("b0, t", [(1e308, 1.2e308), (1.5e308, 1e308)])
-def test_a_search_reaching_infinity_is_a_domain_violation(monkeypatch, b0, t):
-    # The peak is at t itself; log |psi| is NaN there, so the edge search
-    # doubles its outward step until it reaches +inf.
-    monkeypatch.setattr(states, "default_interval", lambda model: (-8.0, b0))
-    with pytest.raises(DomainViolationError, match="outside open domain"):
-        auto_grid(make_harmonic(), t / SQRT2)
-    monkeypatch.setattr(states, "_search_functions", _reference_search_functions)
-    with pytest.raises(DomainViolationError, match="outside open domain"):
-        auto_grid(make_harmonic(), t / SQRT2)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [1e154, 1e200, 1e308])
+def test_a_peak_beyond_float64_is_an_overflow(alpha):
+    # The harmonic peak is at sqrt(2) alpha, where q * q overflows and log
+    # |psi| is NaN: refused before any edge search, without a numpy warning
+    # (it said "tail does not decay", or "outside open domain" once the
+    # outward search reached +inf).
+    with pytest.raises(TruncationError) as caught:
+        auto_grid(make_harmonic(), alpha)
+    assert str(caught.value) == "state overflows float64 on the grid; reduce |Re(alpha)|"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -797,8 +799,9 @@ def _points_per_edge_search(monkeypatch, model, alpha):
     *_search_draws(60, seed=91),
 ], ids=lambda v: getattr(v, "family", None))
 def test_no_point_is_evaluated_twice_within_one_edge_search(monkeypatch, m, alpha):
-    # The first bisection midpoint can round back to the outward loop's last
-    # point; its excess is reused (evaluated twice in 3 of these draws before).
+    # The bisection brackets the outward loop's last step, so its midpoints
+    # lie strictly between points the loop evaluated (a bracket from the
+    # peak re-evaluated the loop's last point in 3 of these draws).
     searches = _points_per_edge_search(monkeypatch, m, alpha)
     assert len(searches) == (1 if math.isfinite(m.q_lower) else 2)
     for points in searches:
@@ -836,7 +839,7 @@ def test_edges_leave_a_peak_beyond_two_to_the_53(t):
 def test_half_line_peak_beyond_two_to_the_53_gets_a_grid():
     m = make_generalized_kratzer_fues(1e-16, 0.5)
     g = auto_grid(m)
-    assert g.q_min == default_interval(m)[0]
+    assert g.q_min == states._pole_edge(m)
     assert 2.0 ** 53 < g.q_max < math.inf
     # The peak, where x = 0, lies inside the grid.
     assert eval_superpotential(m, g.q_max) < 0.0
@@ -871,7 +874,7 @@ def _decimal_peak(model, t):
 def _former_find_peak(model, t, x_at):
     """states._find_peak as it was before the closed forms, copied verbatim:
     two bracketing loops, then a float64 bisection of x(q) = -t."""
-    a0, b0 = default_interval(model)
+    a0, b0 = _reference_default_interval(model)
 
     def left_of_peak(q: float) -> bool:
         return x_at(q) + t > 0.0
@@ -994,7 +997,7 @@ def test_full_line_wei_hua_peak_is_finite_up_to_the_lower_bound(c0, c1, c2):
     assert -math.inf < states._peak(m, t) < states._peak(m, 0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # far-tail overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("m, alpha", _near_bound_cases([
     *_EXACT_BOUND_MODELS, *_WIDE_MODELS.values(),
     # k = c0/c1 - t and r = k c2/c1 underflow to zero: no float peak.
