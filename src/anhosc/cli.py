@@ -162,12 +162,11 @@ def cmd_construct(args) -> int:
     grid = _resolve_grid(args, model)
     fields = grid_fields(model, grid)
     psi0 = fields.sample().values
-    if args.qmin is not None:  # no normalization gates this grid; warn instead
-        mag = np.abs(psi0)
-        peak = float(mag.max())
-        if peak > 0.0 and (mag[0] > 1e-12 * peak or mag[-1] > 1e-12 * peak):
-            print("warning: explicit grid edge magnitude exceeds 1e-12 of the peak; "
-                  "normalization may reject this grid", file=sys.stderr)
+    if args.qmin is not None:  # warn where coherent and verify refuse the grid
+        try:
+            fields.normalized()
+        except AnhoscError as exc:
+            print(f"warning: {exc}", file=sys.stderr)
     v = closed_form_potential(model, fields.q)
     columns = ["q", "x", "dx_dq", "v_minus_e0", "psi0"]
     header = ["# anhosc construct"] + _model_header_lines(model)

@@ -116,6 +116,13 @@ class Family:
     envelope: Callable[[object], tuple[float, float]] | None = None  # params -> (a0, b0)
 
 
+def _require_finite(**params: float) -> None:
+    """InvalidParameterError naming the first parameter that is not finite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+
+
 def make_harmonic() -> OscillatorModel:
     """Harmonic oscillator: x(q) = -q, V - E0 = (q^2 - 1)/2, E0 = 1/2."""
     return OscillatorModel(
@@ -145,6 +152,7 @@ def make_generalized_morse(s: float, x_e: float) -> OscillatorModel:
     """
     s = float(s)
     x_e = float(x_e)
+    _require_finite(s=s, x_e=x_e)
     if not (x_e > 0.0):
         raise InvalidParameterError(f"x_e must be positive, got {x_e!r}")
     if not (s > x_e):
@@ -189,6 +197,7 @@ def make_wei_hua(c0: float, c1: float, c2: float) -> OscillatorModel:
     c0 = float(c0)
     c1 = float(c1)
     c2 = float(c2)
+    _require_finite(c0=c0, c1=c1, c2=c2)
     if not (c1 > 0.0):
         raise InvalidParameterError(f"c1 must be positive, got {c1!r}")
     if c2 == 0.0 or c2 == 1.0:
@@ -270,6 +279,8 @@ def make_generalized_kratzer_fues(c0: float, c1: float) -> OscillatorModel:
     """
     c0 = float(c0)
     c1 = float(c1)
+    # c1 first: make_kratzer_fues derives c0 from it.
+    _require_finite(c1=c1, c0=c0)
     if not (0.0 < c1 < 1.0):
         raise InvalidParameterError(f"c1 must satisfy 0 < c1 < 1, got {c1!r}")
     if not (c0 > 0.0):
@@ -367,8 +378,8 @@ class PhysicalMorseParams:
 
     def __post_init__(self) -> None:
         for name in ("d_e", "a", "m", "hbar"):
-            if not (getattr(self, name) > 0.0):
-                raise InvalidParameterError(f"{name} must be positive")
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise InvalidParameterError(f"{name} must be positive and finite")
 
 
 def morse_dimensionless_from_physical(p: PhysicalMorseParams) -> tuple[float, float]:

@@ -57,11 +57,16 @@ class GeneratingSeries:
             raise UnsupportedFormError(
                 f"unsupported form {self.form!r}; expected one of {_FORMS}"
             )
+        for name in ("c0", "c1", "c2", "x0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         if self.form != FORM_CONSTANT and self.c1 == 0.0:
             raise InvalidParameterError(f"{self.form} form requires c1 != 0")
         if self.form == FORM_PARABOLIC and self.c2 == 0.0:
             raise InvalidParameterError("parabolic form requires c2 != 0")
-        if eval_generating_function(self, self.initial_value()) <= 0.0:
+        # Written so that a NaN f(x0) is refused too.
+        if not (eval_generating_function(self, self.initial_value()) > 0.0):
             raise InvalidParameterError(
                 "f(x0) must be positive so that x'(0) < 0"
             )

@@ -2,8 +2,9 @@
 the ladder operators on samples, and automatic grid truncation.
 
 Ground states solve A psi0 = 0, i.e. psi0 = exp(integral of x), fixed to
-psi0(0) = 1. Coherent states are psi0 * exp(sqrt(2) alpha q). Wavefunction
-objects are immutable closed-form evaluators and hold no samples.
+psi0(0) = 1. Coherent states are psi0 * exp(sqrt(2) alpha q). A WaveFunction
+is an immutable record (model, alpha, norm): it holds no samples and no
+callable, and samples through grid_fields().
 
 Only exp(sqrt(2) alpha q) depends on alpha, so grid_fields() evaluates q,
 x(q), x'(q) and log psi0(q) once per (model, grid) and every state of a sweep
@@ -59,19 +60,33 @@ POLE_OFFSET = 1e-3
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """A state of one model: closed-form evaluator plus bookkeeping.
+    """psi0 (alpha None) or psi_alpha of one model, as a record.
 
     norm is None until normalize() has run; afterwards it records the L2 norm
-    the state had before scaling.
+    the state had before scaling, and the state's values are divided by it.
     """
 
     model: OscillatorModel
-    alpha: complex
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    alpha: complex | None
     norm: float | None = None
 
     def sample(self, grid: Grid) -> SampledFunction:
-        return _sample_on(self, grid, complex)
+        """Complex samples on a grid inside the open domain, bit-equal to
+        GridFields.normalized() once normalized; TruncationError where they
+        overflow float64."""
+        values = grid_fields(self.model, grid).sample(self.alpha).values
+        if self.norm is not None:
+            # Divide before the complex cast, as GridFields.normalized() does.
+            values = values / self.norm
+        return SampledFunction(grid, np.asarray(values, dtype=complex))
+
+    def evaluator(self, q) -> np.ndarray:
+        """The state at arbitrary points of the open domain, from the closed
+        form; DomainViolationError outside it."""
+        qa = check_domain(self.model, q)
+        log_psi0 = kernel(self.model)(qa, x=False, log_psi0=True)[2]
+        values = _state_values(log_psi0, qa, self.alpha)
+        return values if self.norm is None else values / self.norm
 
 
 def require_grid_in_domain(model: OscillatorModel, grid: Grid) -> None:
@@ -81,25 +96,6 @@ def require_grid_in_domain(model: OscillatorModel, grid: Grid) -> None:
             f"grid [{grid.q_min!r}, {grid.q_max!r}] not inside open domain "
             f"({model.q_lower!r}, {model.q_upper!r})"
         )
-
-
-def _sample_on(psi: WaveFunction, grid: Grid, dtype=None) -> SampledFunction:
-    """The evaluator's samples on a grid inside the open domain; TruncationError
-    where they overflow float64."""
-    require_grid_in_domain(psi.model, grid)
-    with np.errstate(over="ignore"):
-        values = np.asarray(psi.evaluator(grid.points()), dtype=dtype)
-    return _state_samples(grid, values)
-
-
-def _state_samples(grid: Grid, values: np.ndarray) -> SampledFunction:
-    try:
-        return SampledFunction(grid, values)
-    except InvalidParameterError:
-        # SampledFunction refused non-finite samples; name the overflow.
-        if np.all(np.isfinite(values)):
-            raise
-        raise TruncationError("state overflows float64 on the grid; reduce |Re(alpha)|") from None
 
 
 def admissible_bound(model: OscillatorModel) -> AdmissibilityBound:
@@ -123,11 +119,6 @@ def require_admissible(model: OscillatorModel, alpha: complex) -> None:
         )
 
 
-def _log_ground_amplitude(model: OscillatorModel, q: np.ndarray) -> np.ndarray:
-    """log psi0(q) in closed form (psi0 is positive on the domain)."""
-    return kernel(model)(check_domain(model, q), x=False, log_psi0=True)[2]
-
-
 def _state_values(log_psi0: np.ndarray, q: np.ndarray, alpha: complex | None) -> np.ndarray:
     """psi0 = exp(log psi0) for alpha None, else psi_alpha = exp(log psi0 +
     sqrt(2) alpha q): the one place either state is formed from log psi0."""
@@ -138,23 +129,13 @@ def _state_values(log_psi0: np.ndarray, q: np.ndarray, alpha: complex | None) ->
 
 def ground_state(model: OscillatorModel) -> WaveFunction:
     """Ground state psi0 = exp(integral_0^q x), normalized to psi0(0) = 1."""
-    def evaluator(q: np.ndarray) -> np.ndarray:
-        qa = np.asarray(q, dtype=float)
-        return _state_values(_log_ground_amplitude(model, qa), qa, None)
-
-    return WaveFunction(model=model, alpha=0.0 + 0.0j, evaluator=evaluator)
+    return WaveFunction(model, None)
 
 
 def coherent_state(model: OscillatorModel, alpha: complex) -> WaveFunction:
     """Coherent state psi_alpha = psi0 * exp(sqrt(2) alpha q), unnormalized."""
-    alpha = complex(alpha)
     require_admissible(model, alpha)
-
-    def evaluator(q: np.ndarray) -> np.ndarray:
-        qa = np.asarray(q, dtype=float)
-        return _state_values(_log_ground_amplitude(model, qa), qa, alpha)
-
-    return WaveFunction(model=model, alpha=alpha, evaluator=evaluator)
+    return WaveFunction(model, complex(alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,17 +151,41 @@ class GridFields:
     log_psi0: np.ndarray
 
     def sample(self, alpha: complex | None = None) -> SampledFunction:
-        """psi0 (real, alpha None) or psi_alpha samples for an admissible alpha,
-        bit-equal to sampling ground_state() or coherent_state();
+        """psi0 (real, alpha None) or psi_alpha samples for an admissible alpha;
         TruncationError on overflow."""
         with np.errstate(over="ignore"):
             values = _state_values(self.log_psi0, self.q, alpha)
-        return _state_samples(self.grid, values)
+        try:
+            return SampledFunction(self.grid, values)
+        except InvalidParameterError:
+            # SampledFunction refused non-finite samples; name the overflow.
+            if np.all(np.isfinite(values)):
+                raise
+            raise TruncationError("state overflows float64 on the grid; reduce |Re(alpha)|") from None
 
     def normalized(self, alpha: complex | None = None) -> tuple[SampledFunction, float]:
         """psi0 or psi_alpha scaled to unit L2 norm on the grid, as complex
-        samples, and the norm before scaling; see _normalize()."""
-        return _normalize(self.model, self.sample(alpha))
+        samples, and the norm before scaling.
+
+        Raises TruncationError when the grid does not cover the support, i.e.
+        neither the edge-magnitude rule nor the estimated-tail-mass rule holds
+        at an edge; the caller must widen the grid.
+        """
+        values = self.sample(alpha).values
+        mag = np.abs(values)
+        if mag.max() == 0.0:
+            raise TruncationError("state is identically zero on the grid")
+        mass = float(integrate_samples(self.grid, mag ** 2))
+        for left in (True, False):
+            if not _edge_covered(self.model, self.grid, mag, mass, left):
+                side = "left" if left else "right"
+                raise TruncationError(
+                    f"{side} grid edge does not cover the support; widen the grid"
+                )
+        norm = math.sqrt(mass)
+        # Scale before the complex cast: a real ground state divided after the
+        # cast would round differently.
+        return SampledFunction(self.grid, np.asarray(values / norm, dtype=complex)), norm
 
 
 def grid_fields(model: OscillatorModel, grid: Grid) -> GridFields:
@@ -240,38 +245,12 @@ def _edge_covered(
     return tail <= _EDGE_MASS_TOL * mass
 
 
-def _normalize(model: OscillatorModel, raw: SampledFunction) -> tuple[SampledFunction, float]:
-    """The samples scaled to unit L2 norm on their grid, and the norm before
-    scaling.
-
-    Raises TruncationError when the grid does not cover the support, i.e.
-    neither the edge-magnitude rule nor the estimated-tail-mass rule holds at
-    an edge; the caller must widen the grid.
-    """
-    # Scale the evaluator's own output before the complex cast: a real ground
-    # state divided after the cast would round differently.
-    grid = raw.grid
-    mag = np.abs(raw.values)
-    if mag.max() == 0.0:
-        raise TruncationError("state is identically zero on the grid")
-    mass = float(integrate_samples(grid, mag ** 2))
-    for left in (True, False):
-        if not _edge_covered(model, grid, mag, mass, left):
-            side = "left" if left else "right"
-            raise TruncationError(
-                f"{side} grid edge does not cover the support; widen the grid"
-            )
-    norm = math.sqrt(mass)
-    return SampledFunction(grid, np.asarray(raw.values / norm, dtype=complex)), norm
-
-
 def normalize(psi: WaveFunction, grid: Grid) -> WaveFunction:
-    """The state scaled to unit L2 norm on the grid, recording the norm
-    before scaling. TruncationError when the grid does not cover the support
-    (see _normalize()) or the closed form overflows float64 on it."""
-    _, norm = _normalize(psi.model, _sample_on(psi, grid))
-    inner = psi.evaluator
-    return replace(psi, evaluator=lambda q: inner(q) / norm, norm=norm)
+    """The state scaled to unit L2 norm on the grid, recording the norm of the
+    unscaled state, so normalizing twice gives the same record.
+    TruncationError when the grid does not cover the support (see
+    GridFields.normalized()) or the closed form overflows float64 on it."""
+    return replace(psi, norm=grid_fields(psi.model, grid).normalized(psi.alpha)[1])
 
 
 def _search_functions(model: OscillatorModel, t: float):

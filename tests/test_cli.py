@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anhosc import cli
+from anhosc import cli, states
 from anhosc.cli import build_parser, main, parse_complex
-from anhosc.errors import InvalidParameterError
+from anhosc.errors import AnhoscError, InvalidParameterError
+from anhosc.numerics import make_grid
 from anhosc.generator import ExpansionRangeWarning
 
 
@@ -101,7 +102,11 @@ class TestConstruct:
         code = run("construct", "--family", "harmonic", "--qmin", "-1", "--qmax", "1",
                    "--n", "101", "--out", str(tmp_path / "h.csv"))
         assert code == 0
-        assert "edge magnitude exceeds" in capsys.readouterr().err
+        # The warning is the normalization gate's own refusal, as coherent
+        # and verify print it as an error on this grid.
+        assert capsys.readouterr().err == (
+            "warning: left grid edge does not cover the support; widen the grid\n"
+        )
 
     def test_plotscript_emitted(self, tmp_path):
         out = tmp_path / "h.csv"
@@ -370,15 +375,57 @@ class TestVerifyCommand:
                    "--report", str(tmp_path / "r.txt")) == 2
 
 
+#: Each family's valid --param values, and each generating form's.
+_CLI_FAMILY_PARAMS = {
+    "harmonic": {},
+    "morse": {"s": "1", "xe": "0.5"},
+    "weihua": {"c0": "0.2", "c1": "1", "c2": "0.5"},
+    "kratzer": {"c1": "0.5"},
+    "gkf": {"c0": "0.75", "c1": "0.5"},
+}
+_CLI_FORM_PARAMS = {
+    "constant": {},
+    "linear": {"c0": "0.5", "c1": "1"},
+    "parabolic": {"c0": "0.2", "c1": "1", "c2": "0.5"},
+    "squared_linear": {"c0": "0.75", "c1": "0.5"},
+}
+
+
+def _param_flags(params):
+    return [flag for key, value in params.items() for flag in ("--param", f"{key}={value}")]
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("family, key", [
+        (family, key) for family, params in _CLI_FAMILY_PARAMS.items() for key in params])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_family_parameter(self, tmp_path, capsys, family, key, value):
+        params = {**_CLI_FAMILY_PARAMS[family], key: value}
+        assert run("verify", "--family", family, *_param_flags(params), "--alphas", "0,0.1",
+                   "--report", str(tmp_path / "r.txt")) == 2
+        name = "x_e" if key == "xe" else key
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {float(value)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("form, key", [
+        (form, key) for form in _CLI_FORM_PARAMS for key in ("c0", "c1", "c2", "x0")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_generating_coefficient(self, tmp_path, capsys, form, key, value):
+        params = {**_CLI_FORM_PARAMS[form], key: value}
+        assert run("generate", "--form", form, *_param_flags(params),
+                   "--out", str(tmp_path / "g.csv")) == 2
+        assert capsys.readouterr().err == f"error: {key} must be finite, got {float(value)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestExplicitGrids:
-    # psi0 = exp(-q^2/2) is 1.5e-8 of its peak at q = +-6: construct warns,
-    # while normalization's tail-mass rule accepts the grid.
+    # psi0 = exp(-q^2/2) is 1.5e-8 of its peak at q = +-6, and normalization's
+    # tail-mass rule accepts the grid; construct warns by that same rule.
     LOOSE = ("--family", "harmonic", "--qmin", "-6", "--qmax", "6", "--n", "1001")
     TIGHT = ("--family", "harmonic", "--qmin", "-1", "--qmax", "1", "--n", "101")
 
-    def test_only_construct_warns_on_a_loose_grid(self, tmp_path, capsys):
+    def test_no_command_warns_on_a_loose_grid(self, tmp_path, capsys):
         assert run("construct", *self.LOOSE, "--out", str(tmp_path / "h.csv")) == 0
-        assert "edge magnitude exceeds" in capsys.readouterr().err
         assert run("coherent", *self.LOOSE, "--alpha", "0.1", "--out", str(tmp_path / "c.csv"),
                    "--report", str(tmp_path / "c.txt")) == 0
         assert run("verify", *self.LOOSE, "--alphas", "0.1,0.05+0.1i",
@@ -396,6 +443,32 @@ class TestExplicitGrids:
         assert capsys.readouterr().err == (
             "error: left grid edge does not cover the support; widen the grid\n"
         )
+
+    @pytest.mark.parametrize("family, params, qmin, qmax, n", [
+        ("harmonic", {}, -6.0, 6.0, 1001),
+        ("harmonic", {}, -1.0, 1.0, 101),
+        ("harmonic", {}, -8.0, 3.0, 401),
+        ("harmonic", {}, 40.0, 50.0, 101),  # psi0 underflows to zero everywhere
+        ("morse", {"s": "1", "xe": "0.5"}, -3.0, 20.0, 801),
+        ("morse", {"s": "1", "xe": "0.5"}, -1.0, 20.0, 801),
+        ("weihua", {"c0": "0.2", "c1": "1", "c2": "0.5"}, -0.69, 30.0, 801),
+        ("kratzer", {"c1": "0.5"}, -1.99, 40.0, 801),
+        ("kratzer", {"c1": "0.5"}, -1.99, 8.0, 801),
+        ("weihua", {"c0": "5", "c1": "1", "c2": "-0.3"}, -10.0, 10.0, 401),
+    ])
+    def test_construct_warns_exactly_when_normalization_refuses(
+            self, tmp_path, capsys, family, params, qmin, qmax, n):
+        model = cli._build_model(family, {k: float(v) for k, v in params.items()})
+        try:
+            states.grid_fields(model, make_grid(qmin, qmax, n)).normalized()
+        except AnhoscError as exc:
+            expected = f"warning: {exc}\n"
+        else:
+            expected = ""
+        assert run("construct", "--family", family, *_param_flags(params),
+                   f"--qmin={qmin!r}", f"--qmax={qmax!r}", "--n", str(n),
+                   "--out", str(tmp_path / "t.csv")) == 0
+        assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize("argv", [
         ("construct", "--out", "t.csv"),
@@ -630,8 +703,7 @@ def test_module_entry_point_matches_in_process_main(tmp_path):
      "guaranteed series convergence range\n"),
     ("construct --family harmonic --qmin 0 --qmax 1e300",
      "warning: RuntimeWarning: overflow encountered in multiply\n"
-     "warning: explicit grid edge magnitude exceeds 1e-12 of the peak; "
-     "normalization may reject this grid\n"
+     "warning: left grid edge does not cover the support; widen the grid\n"
      "warning: RuntimeWarning: overflow encountered in multiply\n"),
 ])
 def test_command_prints_warnings_without_source_locations(tmp_path, argv, expected):

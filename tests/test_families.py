@@ -129,12 +129,13 @@ class TestKratzerFamilies:
 
     @pytest.mark.parametrize("c1", [0.0, 1.0, 2.0, -0.5, math.nan, math.inf])
     def test_plain_out_of_range_c1_is_named(self, c1):
-        # The check lives in the shared constructor, which tests c1 before
-        # the derived c0 = 1 - c1^2.
+        # The checks live in the shared constructor, which tests c1 before
+        # the derived c0 = 1 - c1^2; a non-finite c1 is refused as such.
         with pytest.raises(InvalidParameterError) as caught:
             make_kratzer_fues(c1)
         assert type(caught.value) is InvalidParameterError
-        assert str(caught.value) == f"c1 must satisfy 0 < c1 < 1, got {c1!r}"
+        rule = "be finite" if not math.isfinite(c1) else "satisfy 0 < c1 < 1"
+        assert str(caught.value) == f"c1 must {rule}, got {c1!r}"
 
     def test_rejects_nonpositive_c0(self):
         with pytest.raises(InvalidParameterError):
@@ -157,6 +158,34 @@ class TestPhysicalMorseMap:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidParameterError):
             PhysicalMorseParams(d_e=0.0, a=1.0, m=1.0)
+
+    @pytest.mark.parametrize("name", ["d_e", "a", "m", "hbar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        valid = dict(d_e=8.0, a=1.0, m=1.0, hbar=1.0)
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be positive and finite$"):
+            PhysicalMorseParams(**{**valid, name: value})
+
+
+#: Each constructor with valid arguments, by parameter name.
+_VALID_ARGUMENTS = [
+    (make_generalized_morse, dict(s=1.0, x_e=0.5)),
+    (make_wei_hua, dict(c0=0.2, c1=1.0, c2=0.5)),
+    (make_wei_hua, dict(c0=5.0, c1=1.0, c2=-0.3)),
+    (make_generalized_kratzer_fues, dict(c0=0.75, c1=0.5)),
+    (make_kratzer_fues, dict(c1=0.5)),
+]
+
+
+@pytest.mark.parametrize("make, valid, name", [
+    (make, valid, name) for make, valid in _VALID_ARGUMENTS for name in valid])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_a_non_finite_parameter_by_name(make, valid, name, value):
+    # Checked first: an infinite parameter otherwise fails a later derived
+    # condition, or surfaces only at grid time, with a message that misleads.
+    make(**valid)
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be finite, got "):
+        make(**{**valid, name: value})
 
 
 class TestReductions:

@@ -77,6 +77,16 @@ class TestSeries:
         with pytest.raises(InvalidParameterError):
             GeneratingSeries(FORM_LINEAR, c0=2.0, c1=1.0, x0=-3.0)
 
+    @pytest.mark.parametrize("form", [FORM_CONSTANT, FORM_LINEAR, FORM_PARABOLIC,
+                                      FORM_SQUARED_LINEAR])
+    @pytest.mark.parametrize("name", ["c0", "c1", "c2", "x0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_input_by_name(self, form, name, value):
+        valid = dict(c0=0.2, c1=1.0, c2=0.5, x0=0.5)
+        GeneratingSeries(form, **valid)
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite, got "):
+            GeneratingSeries(form, **{**valid, name: value})
+
 
 class TestIntegration:
     def test_requires_grid_from_zero(self):

@@ -428,7 +428,7 @@ def test_kernel_matches_the_former_closed_forms(m):
     float evaluations give the bits, warnings and exceptions of the former
     separate closed forms."""
     from anhosc.models import _as_input_shape, check_domain, kernel
-    from anhosc.states import _log_ground_amplitude, _search_functions
+    from anhosc.states import _search_functions, ground_state
 
     def former(closed_form):
         return lambda q: _as_input_shape(closed_form(m, check_domain(m, q)), q)
@@ -436,7 +436,11 @@ def test_kernel_matches_the_former_closed_forms(m):
     pairs = [
         (lambda q: eval_superpotential(m, q), former(_former_superpotential)),
         (lambda q: eval_superpotential_derivative(m, q), former(_former_superpotential_derivative)),
-        (lambda q: _log_ground_amplitude(m, q), former(_former_log_ground_amplitude)),
+        # log psi0 as WaveFunction.evaluator asks the kernel for it.
+        (lambda q: kernel(m)(check_domain(m, q), x=False, log_psi0=True)[2],
+         former(_former_log_ground_amplitude)),
+        (lambda q: ground_state(m).evaluator(q),
+         former(lambda m, q: np.exp(_former_log_ground_amplitude(m, q)))),
     ]
     inside = _kernel_inputs(m)
     outside = [math.nan, -math.inf, math.inf]

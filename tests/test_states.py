@@ -3,6 +3,7 @@ normalization, and expectation values. Expected numbers come from
 Gaussian-moment oracles, closed-form norms and the closed-form wavefunctions
 evaluated independently here."""
 
+import dataclasses
 import decimal
 import math
 import tracemalloc
@@ -57,6 +58,30 @@ from anhosc.verify import verify_coherent
 from test_family_records import _reference_default_interval
 
 SQRT2 = math.sqrt(2.0)
+
+
+class TestRecord:
+    def test_holds_model_alpha_and_norm_only(self):
+        m = make_harmonic()
+        grid = make_grid(-8.0, 8.0, 401)
+        assert ground_state(m) == states.WaveFunction(m, None)
+        assert coherent_state(m, 1) == states.WaveFunction(m, 1.0 + 0.0j)
+        assert type(coherent_state(m, 1).alpha) is complex
+        for psi in (ground_state(m), coherent_state(m, 0.1), normalize(ground_state(m), grid)):
+            assert [f.name for f in dataclasses.fields(psi)] == ["model", "alpha", "norm"]
+            assert not any(callable(getattr(psi, f.name)) for f in dataclasses.fields(psi))
+
+    @pytest.mark.parametrize("alpha", [None, 0.1 - 0.2j])
+    def test_evaluator_agrees_with_the_samples(self, alpha):
+        m = make_wei_hua(0.2, 1.0, 0.5)
+        grid = auto_grid(m, alpha or 0.0, n=501)
+        psi = ground_state(m) if alpha is None else coherent_state(m, alpha)
+        for state in (psi, normalize(psi, grid)):
+            values = state.evaluator(grid.points())
+            assert np.iscomplexobj(values) == (alpha is not None)
+            assert np.asarray(values, dtype=complex).tobytes() == state.sample(grid).values.tobytes()
+        with pytest.raises(DomainViolationError):
+            psi.evaluator(m.q_lower)
 
 
 class TestGroundState:
@@ -357,13 +382,17 @@ class TestNormalize:
         assert abs(psi.norm - math.pi**0.25) < 1e-8
         assert abs(l2_norm_of(grid, psi.sample(grid).values) - 1.0) < 1e-12
 
-    def test_idempotent(self):
+    @pytest.mark.parametrize("alpha", [None, 0.1 + 0.2j])
+    def test_idempotent(self, alpha):
         m = make_harmonic()
         grid = make_grid(-8.0, 8.0, 4001)
-        once = normalize(ground_state(m), grid)
+        psi = ground_state(m) if alpha is None else coherent_state(m, alpha)
+        once = normalize(psi, grid)
         twice = normalize(once, grid)
+        assert twice == once
+        assert twice.sample(grid).values.tobytes() == once.sample(grid).values.tobytes()
         q = grid.points()
-        np.testing.assert_allclose(twice.evaluator(q), once.evaluator(q), atol=1e-12)
+        assert twice.evaluator(q).tobytes() == once.evaluator(q).tobytes()
 
     def test_insufficient_truncation_rejected(self):
         m = make_harmonic()
@@ -382,10 +411,13 @@ class TestNormalize:
                 with pytest.raises(TruncationError, match="overflows float64"):
                     sample(grid)
 
-    def test_wrong_shaped_evaluator_is_not_called_an_overflow(self):
-        psi = replace(ground_state(make_harmonic()), evaluator=lambda q: np.ones(3))
-        with pytest.raises(InvalidParameterError, match="expected 101 samples"):
-            psi.sample(make_grid(-8.0, 8.0, 101))
+    def test_wrong_shaped_fields_are_not_called_an_overflow(self):
+        m = make_harmonic()
+        fields = replace(grid_fields(m, make_grid(-8.0, 8.0, 101)),
+                         q=np.ones(3), log_psi0=np.zeros(3))
+        for alpha in (None, 0.1):
+            with pytest.raises(InvalidParameterError, match="expected 101 samples"):
+                fields.sample(alpha)
 
     @pytest.mark.parametrize("alpha", [None, 0.0, 0.1, -0.1 + 0.2j])
     def test_samples_match_normalize_bit_for_bit(self, alpha):
