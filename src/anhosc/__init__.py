@@ -44,11 +44,9 @@ from .generator import (
 from .models import (
     OscillatorModel,
     closed_form_potential,
-    commutator_value,
     describe,
     eval_superpotential,
     eval_superpotential_derivative,
-    riccati_potential,
 )
 from .numerics import (
     Grid,

@@ -12,6 +12,7 @@ failure, 2 usage or parameter error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import sys
 import warnings
@@ -52,14 +53,21 @@ _fmt = fmt_float
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a', 'a+bi' or 'a-bi' (no whitespace, locale-independent)."""
+    """Parse an alpha written 'a', 'a+bi' or 'a-bi' (no whitespace,
+    locale-independent), with finite real and imaginary parts."""
     cleaned = text.strip()
     if not cleaned or " " in cleaned:
         raise InvalidParameterError(f"malformed complex number {text!r}")
+    # Only a trailing i is the imaginary unit: the i of inf or nan is not.
+    if cleaned.endswith("i"):
+        cleaned = cleaned[:-1] + "j"
     try:
-        return complex(cleaned.replace("i", "j"))
+        value = complex(cleaned)
     except ValueError as exc:
         raise InvalidParameterError(f"malformed complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise InvalidParameterError(f"alpha must be finite, got {text!r}")
+    return value
 
 
 def _parse_params(items: list[str] | None) -> dict[str, float]:

@@ -1,8 +1,8 @@
 """Model evaluation: superpotential x(q), its analytic derivative and the log
-ground-state amplitude from the family kernel, the Riccati combination
-(V - E0) = (x^2 + x')/2, and the family closed-form potentials used as an
-independent cross-check. The per-family closed forms live in the family
-records of families.py; the functions here look them up from model.family.
+ground-state amplitude from the family kernel, and the family closed-form
+potentials used as an independent cross-check of (V - E0) = (x^2 + x')/2.
+The per-family closed forms live in the family records of families.py; the
+functions here look them up from model.family.
 
 Models are immutable after construction and all evaluations are pure, so
 instances can be shared freely across threads. Evaluation accepts scalars or
@@ -65,21 +65,11 @@ def eval_superpotential_derivative(model: OscillatorModel, q) -> float | np.ndar
     return _as_input_shape(xp, q)
 
 
-def commutator_value(model: OscillatorModel, q) -> float | np.ndarray:
-    """[A, A^dagger] as a multiplication operator: -dx/dq, positive on the domain."""
-    return -eval_superpotential_derivative(model, q)
-
-
-def riccati_potential(model: OscillatorModel, q) -> float | np.ndarray:
-    """V(q) - E0 built from the Riccati combination (x^2 + x')/2."""
-    x = eval_superpotential(model, q)
-    return 0.5 * (x * x + eval_superpotential_derivative(model, q))
-
-
 def closed_form_potential(model: OscillatorModel, q) -> float | np.ndarray:
     """V(q) - E0 from the family closed-form potential shape.
 
-    This is a different algebraic route than riccati_potential; agreement of
-    the two is the Riccati consistency check.
+    This is a different algebraic route than (x^2 + x')/2 from
+    eval_superpotential and eval_superpotential_derivative; agreement of the
+    two is the Riccati consistency check.
     """
     return _as_input_shape(family_of(model).potential(model.params, check_domain(model, q)), q)

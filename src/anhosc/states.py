@@ -17,6 +17,7 @@ shared across threads as freely as a model.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -104,13 +105,19 @@ def admissible_bound(model: OscillatorModel) -> AdmissibilityBound:
 
 
 def is_admissible(model: OscillatorModel, alpha: complex) -> bool:
+    """True when alpha is finite and psi_alpha is normalizable."""
+    if not cmath.isfinite(alpha):
+        return False
     b = admissible_bound(model)
     t = SQRT2 * complex(alpha).real
     return b.inf_re_alpha < t < b.sup_re_alpha
 
 
 def require_admissible(model: OscillatorModel, alpha: complex) -> None:
-    """InadmissibleAlphaError unless psi_alpha is normalizable."""
+    """InadmissibleAlphaError unless alpha is finite and psi_alpha is
+    normalizable."""
+    if not cmath.isfinite(alpha):
+        raise InadmissibleAlphaError(f"alpha must be finite, got {complex(alpha)!r}")
     if not is_admissible(model, alpha):
         b = admissible_bound(model)
         raise InadmissibleAlphaError(
@@ -235,8 +242,6 @@ def _edge_covered(
         offset = abs((grid.q_min if left else grid.q_max) - boundary)
         return edge * edge * offset <= _EDGE_MASS_TOL * mass
     inner = float(mag[1] if left else mag[-2])
-    if edge == 0.0:
-        return True
     if inner <= edge:
         return False  # not decaying toward the edge
     # Exponential-tail estimate of the mass beyond the edge.

@@ -32,6 +32,12 @@ def data_rows(path):
     return [l for l in lines if l and not l.startswith("#")][1:]  # skip column header
 
 
+#: Non-finite alphas in the real and in the imaginary part; 1e400 overflows
+#: to inf when parsed.
+NON_FINITE_ALPHAS = ["nan", "inf", "-inf", "1e400", "-1e400", "nan+1i",
+                     "0.1+nani", "0.1+infi", "0.1+1e400i", "0.1-1e400i"]
+
+
 class TestParseComplex:
     def test_forms(self):
         assert parse_complex("0.3") == 0.3 + 0j
@@ -43,6 +49,13 @@ class TestParseComplex:
             parse_complex("abc")
         with pytest.raises(InvalidParameterError):
             parse_complex("1 + 2i")
+
+    @pytest.mark.parametrize("text", NON_FINITE_ALPHAS)
+    def test_rejects_a_non_finite_part_by_name(self, text):
+        # Only a trailing i is the imaginary unit, so "inf" is not read as
+        # the malformed "jnf".
+        with pytest.raises(InvalidParameterError, match=r"^alpha must be finite, got "):
+            parse_complex(text)
 
 
 #: A full-line Wei Hua model whose ground state is not normalizable
@@ -416,6 +429,19 @@ class TestNonFiniteParameters:
                    "--out", str(tmp_path / "g.csv")) == 2
         assert capsys.readouterr().err == f"error: {key} must be finite, got {float(value)!r}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")  # refused before any numpy arithmetic
+    @pytest.mark.parametrize("alpha", NON_FINITE_ALPHAS)
+    @pytest.mark.parametrize("family", ["harmonic", "morse"])
+    def test_alpha(self, tmp_path, capsys, family, alpha):
+        # Refused while parsing, before verify could call it inadmissible or
+        # an overflow.
+        model = ["--family", family, *_param_flags(_CLI_FAMILY_PARAMS[family])]
+        for argv in (["verify", *model, "--alphas", f"0,{alpha}"],
+                     ["coherent", *model, f"--alpha={alpha}", "--out", str(tmp_path / "c.csv")]):
+            assert run(*argv, "--report", str(tmp_path / "r.txt")) == 2
+            assert capsys.readouterr().err == f"error: alpha must be finite, got {alpha!r}\n"
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestExplicitGrids:

@@ -1,13 +1,22 @@
-"""Constructor validation, derived constants, physical parameter map, and the
-reduction identities between generalized and standard families."""
+"""Constructor validation, derived constants, physical parameter map, the
+reduction identities between generalized and standard families, and the
+family records: envelopes and CLI spellings."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from anhosc.cli import _build_model, build_parser
 from anhosc.errors import InvalidParameterError
 from anhosc.families import (
+    FAMILIES,
+    GENERALIZED_KRATZER_FUES,
+    GENERALIZED_MORSE,
+    HARMONIC,
+    KRATZER_FUES,
+    WEI_HUA,
     PhysicalMorseParams,
     make_generalized_kratzer_fues,
     make_generalized_morse,
@@ -21,7 +30,7 @@ from anhosc.models import (
     eval_superpotential,
     eval_superpotential_derivative,
 )
-from anhosc.states import ground_state
+from anhosc.states import auto_grid, ground_state
 
 
 class TestHarmonic:
@@ -238,3 +247,42 @@ def test_constructor_determinism():
     assert a == b
     q = np.linspace(-1.0, 10.0, 97)
     np.testing.assert_array_equal(eval_superpotential(a, q), eval_superpotential(b, q))
+
+
+def test_only_the_full_line_families_carry_an_envelope():
+    assert {name for name, family in FAMILIES.items() if family.envelope} == {
+        HARMONIC, GENERALIZED_MORSE, WEI_HUA}
+
+
+def _refused_envelope(params):
+    raise AssertionError("a half-line grid read the envelope")
+
+
+@pytest.mark.parametrize("model", [
+    make_wei_hua(0.2, 1.0, 0.5), make_kratzer_fues(0.5), make_generalized_kratzer_fues(0.75, 0.5),
+], ids=lambda m: m.family)
+def test_a_half_line_grid_never_reads_an_envelope(monkeypatch, model):
+    expected = auto_grid(model, 0.1, 2001)
+    for name, family in FAMILIES.items():
+        monkeypatch.setitem(FAMILIES, name, replace(family, envelope=_refused_envelope))
+    assert auto_grid(model, 0.1, 2001) == expected
+    # The full-line Wei Hua branch shares the record and reads it.
+    with pytest.raises(AssertionError, match="read the envelope"):
+        auto_grid(make_wei_hua(0.2, 1.0, -0.5), 0.1, 2001)
+
+
+def test_cli_table_help_and_names_cover_the_same_five_families():
+    assert set(FAMILIES) == {HARMONIC, GENERALIZED_MORSE, WEI_HUA, KRATZER_FUES,
+                             GENERALIZED_KRATZER_FUES}
+    assert {family.cli_name: family.cli_params for family in FAMILIES.values()} == {
+        "harmonic": (), "morse": ("s", "xe"), "weihua": ("c0", "c1", "c2"),
+        "kratzer": ("c1",), "gkf": ("c0", "c1")}
+    valid = {"harmonic": {}, "morse": {"s": 1.0, "xe": 0.5},
+             "weihua": {"c0": 0.2, "c1": 1.0, "c2": 0.5}, "kratzer": {"c1": 0.5},
+             "gkf": {"c0": 0.6, "c1": 0.5}}
+    for family in FAMILIES.values():
+        assert _build_model(family.cli_name, valid[family.cli_name]).family == family.name
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for command in ("construct", "coherent", "verify"):
+        flag = next(a for a in sub.choices[command]._actions if a.dest == "family")
+        assert flag.help == "harmonic|morse|weihua|kratzer|gkf"

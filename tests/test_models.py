@@ -1,8 +1,12 @@
 """Superpotential, commutator, and Riccati-consistency tests for the
-oscillator families."""
+oscillator families. The Riccati combination (x^2 + x')/2 and the commutator
+-x' are formed here from eval_superpotential and
+eval_superpotential_derivative; the family closed-form potential is the
+independent side of the identity."""
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +15,9 @@ from hypothesis import strategies as st
 
 from anhosc.errors import DomainViolationError
 from anhosc.families import (
+    GENERALIZED_MORSE,
+    HARMONIC,
+    family_of,
     make_generalized_kratzer_fues,
     make_generalized_morse,
     make_harmonic,
@@ -18,14 +25,20 @@ from anhosc.families import (
     make_wei_hua,
 )
 from anhosc.models import (
+    check_domain,
     closed_form_potential,
-    commutator_value,
     eval_superpotential,
     eval_superpotential_derivative,
-    riccati_potential,
+    kernel,
 )
 from anhosc.numerics import SampledFunction, differentiate
-from anhosc.states import auto_grid
+from anhosc.states import auto_grid, ground_state
+
+
+def riccati(m, q):
+    """V - E0 = (x^2 + x')/2 from the two analytic evaluators."""
+    x = eval_superpotential(m, q)
+    return 0.5 * (x * x + eval_superpotential_derivative(m, q))
 
 
 def desk_models():
@@ -44,7 +57,6 @@ class TestSuperpotential:
         m = make_harmonic()
         assert eval_superpotential(m, 2.0) == -2.0
         assert eval_superpotential_derivative(m, 3.7) == -1.0
-        assert commutator_value(m, 7.0) == 1.0
 
     def test_morse_at_origin(self):
         m = make_generalized_morse(1.0, 0.5)
@@ -52,7 +64,6 @@ class TestSuperpotential:
         assert m.params.c1 == 1.0
         assert abs(eval_superpotential(m, 0.0) - 0.5) < 1e-15
         assert abs(eval_superpotential_derivative(m, 0.0) - (-1.0)) < 1e-15
-        assert abs(commutator_value(m, 0.0) - 1.0) < 1e-15
 
     def test_morse_small_anharmonicity(self):
         m = make_generalized_morse(1.0, 0.125)
@@ -65,14 +76,6 @@ class TestSuperpotential:
         # 1/(0.5 * 2) - 1.5 at q = 2.
         assert abs(eval_superpotential(m, 2.0) - (-0.5)) < 1e-15
         assert abs(eval_superpotential_derivative(m, 2.0) - (-0.25)) < 1e-15
-        assert abs(commutator_value(m, 2.0) - 0.25) < 1e-15
-
-    def test_commutator_is_negated_derivative(self):
-        for m in desk_models():
-            q = auto_grid(m, n=101).points()
-            np.testing.assert_array_equal(
-                commutator_value(m, q), -eval_superpotential_derivative(m, q)
-            )
 
     def test_domain_violation(self):
         kf = make_kratzer_fues(0.5)
@@ -86,19 +89,19 @@ class TestSuperpotential:
 class TestRiccati:
     def test_harmonic_values(self):
         m = make_harmonic()
-        assert abs(riccati_potential(m, 1.0) - 0.0) < 1e-15
-        assert abs(riccati_potential(m, 0.0) - (-0.5)) < 1e-15
+        assert abs(riccati(m, 1.0) - 0.0) < 1e-15
+        assert abs(riccati(m, 0.0) - (-0.5)) < 1e-15
 
     def test_morse_dissociation_limit(self):
         # As q grows, V - E0 tends to x(inf)^2 / 2 = (c0/c1)^2 / 2 = 0.125.
         m = make_generalized_morse(1.0, 0.5)
-        assert abs(riccati_potential(m, 40.0) - 0.125) < 1e-9
+        assert abs(riccati(m, 40.0) - 0.125) < 1e-9
 
     def test_consistency_against_closed_forms(self):
         # Closed-form family potential vs (x^2 + x')/2, analytic derivatives.
         for m in desk_models():
             q = auto_grid(m).points()
-            resid = np.abs(closed_form_potential(m, q) - riccati_potential(m, q))
+            resid = np.abs(closed_form_potential(m, q) - riccati(m, q))
             assert np.max(resid) < 1e-8, m.family
 
     def test_analytic_derivative_matches_finite_differences(self):
@@ -125,7 +128,7 @@ def test_commutator_positive_everywhere(u):
     for m in desk_models():
         lo, hi = auto_grid(m).q_min, auto_grid(m).q_max
         q = lo + u * (hi - lo)
-        assert commutator_value(m, q) > 0.0
+        assert -eval_superpotential_derivative(m, q) > 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,13 +146,13 @@ def test_riccati_identity_over_parameter_ranges(s, x_e, c0, c1):
     morse = make_generalized_morse(s, x_e)
     q = np.linspace(-2.0, 25.0, 301)
     assert np.max(np.abs(
-        closed_form_potential(morse, q) - riccati_potential(morse, q)
+        closed_form_potential(morse, q) - riccati(morse, q)
     )) < 1e-9
 
     kratzer = make_generalized_kratzer_fues(c0, c1)
     qk = np.linspace(kratzer.q_lower + 0.05 / c1, 30.0, 301)
     assert np.max(np.abs(
-        closed_form_potential(kratzer, qk) - riccati_potential(kratzer, qk)
+        closed_form_potential(kratzer, qk) - riccati(kratzer, qk)
     )) < 1e-9
 
 
@@ -173,7 +176,7 @@ def test_wei_hua_riccati_identity_over_parameter_ranges(c0, c1, c2):
     # Small c2 drives the potential to ~1e7 near the pole, so compare with a
     # magnitude-aware floor: wrong constants would show up at O(1) relative.
     v = closed_form_potential(m, q)
-    resid = np.abs(v - riccati_potential(m, q)) / (1.0 + np.abs(v))
+    resid = np.abs(v - riccati(m, q)) / (1.0 + np.abs(v))
     assert np.max(resid) < 1e-12
 
 
@@ -233,8 +236,6 @@ def test_scalar_and_array_domain_checks_agree(m):
 @pytest.mark.parametrize("evaluate", [
     eval_superpotential,
     eval_superpotential_derivative,
-    commutator_value,
-    riccati_potential,
     closed_form_potential,
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at 1e300
@@ -253,8 +254,6 @@ def test_scalar_fast_path_matches_zero_dim_array_path(evaluate, m):
 @pytest.mark.parametrize("evaluate", [
     eval_superpotential,
     eval_superpotential_derivative,
-    commutator_value,
-    riccati_potential,
     closed_form_potential,
 ])
 @pytest.mark.parametrize("m", _PARITY_MODELS, ids=lambda m: m.family)
@@ -267,151 +266,25 @@ def test_nan_coordinate_is_outside_the_domain(evaluate, m):
             evaluate(m, q)
 
 
-def _reference_riccati_potential(m, q):
-    """riccati_potential as it was before it was built from eval_superpotential
-    and eval_superpotential_derivative: its own copy of the closed forms."""
-    from anhosc.models import (
-        GENERALIZED_MORSE,
-        HARMONIC,
-        WEI_HUA,
-        _as_input_shape,
-        check_domain,
-    )
-
-    qa = check_domain(m, q)
-    p = m.params
-    if m.family == HARMONIC:
-        x = -qa
-        dx = -np.ones_like(qa)
-    elif m.family == GENERALIZED_MORSE:
-        u = np.exp(-p.c1 * qa)
-        x = (u - p.c0) / p.c1
-        dx = -u
-    elif m.family == WEI_HUA:
-        ce = p.big_c * np.exp(-p.c1 * qa)
-        x = (p.c1 / p.c2) * ce / (1.0 - ce) - p.c0 / p.c1
-        dx = -(p.c1 ** 2 / p.c2) * ce / (1.0 - ce) ** 2
-    else:
-        w = p.c1 * qa + 1.0
-        x = 1.0 / (p.c1 * w) - p.c0 / p.c1
-        dx = -1.0 / w ** 2
-    return _as_input_shape(0.5 * (x * x + dx), q)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow far out
-@pytest.mark.parametrize("m", _PARITY_MODELS, ids=lambda m: m.family)
-def test_riccati_potential_matches_its_former_closed_forms(m):
-    rng = np.random.default_rng(7)
-    lo = m.q_lower if math.isfinite(m.q_lower) else -60.0
-    arrays = [
-        auto_grid(m).points(),
-        np.linspace(np.nextafter(lo, math.inf), 800.0, 4001),
-        lo + np.abs(lo) * 1e-9 + 10.0 ** rng.uniform(-12, 2, 500),
-        np.array([]),
-    ]
-    for q in arrays:
-        got = riccati_potential(m, q)
-        assert type(got) is np.ndarray
-        assert got.tobytes() == _reference_riccati_potential(m, q).tobytes()
-        for qi in q[::97]:
-            _assert_same_outcome(riccati_potential(m, float(qi)),
-                                 _reference_riccati_potential(m, float(qi)), qi)
-    for q in _scalar_inputs(m):
-        got = _outcome(lambda: riccati_potential(m, q))
-        ref = _outcome(lambda: _reference_riccati_potential(m, q))
-        if isinstance(ref, float) and math.isnan(ref):
-            # NaN in (NaN or inf - inf), whose sign bit numpy scalars and
-            # Python floats propagate differently; no output shows it.
-            assert type(got) is float and math.isnan(got), (q, got)
-        else:
-            _assert_same_outcome(got, ref, q)
-
-
-def _former_superpotential(m, qa):
-    """x(q) as eval_superpotential had it before x, x' and log psi0 shared
-    one kernel per family, copied verbatim."""
-    from anhosc.models import GENERALIZED_MORSE, HARMONIC, WEI_HUA
-
-    p = m.params
-    if m.family == HARMONIC:
-        x = -qa
-    elif m.family == GENERALIZED_MORSE:
-        x = (np.exp(-p.c1 * qa) - p.c0) / p.c1
-    elif m.family == WEI_HUA:
-        ce = p.big_c * np.exp(-p.c1 * qa)
-        x = (p.c1 / p.c2) * ce / (1.0 - ce) - p.c0 / p.c1
-    else:
-        x = 1.0 / (p.c1 * (p.c1 * qa + 1.0)) - p.c0 / p.c1
-    return x
-
-
-def _former_superpotential_derivative(m, qa):
-    """dx/dq as eval_superpotential_derivative had it, copied verbatim."""
-    from anhosc.models import GENERALIZED_MORSE, HARMONIC, WEI_HUA
-
-    p = m.params
-    if m.family == HARMONIC:
-        d = -np.ones_like(qa)
-    elif m.family == GENERALIZED_MORSE:
-        d = -np.exp(-p.c1 * qa)
-    elif m.family == WEI_HUA:
-        ce = p.big_c * np.exp(-p.c1 * qa)
-        d = -(p.c1 ** 2 / p.c2) * ce / (1.0 - ce) ** 2
-    else:
-        d = -1.0 / (p.c1 * qa + 1.0) ** 2
-    return d
-
-
-def _former_log_ground_amplitude(model, q):
-    """log psi0(q) as states had it, copied verbatim."""
-    from anhosc.models import GENERALIZED_MORSE, HARMONIC, WEI_HUA
-
-    p = model.params
-    if model.family == HARMONIC:
-        return -0.5 * q * q
-    if model.family == GENERALIZED_MORSE:
-        return (1.0 - np.exp(-p.c1 * q)) / p.c1 ** 2 - (p.c0 / p.c1) * q
-    if model.family == WEI_HUA:
-        u = p.big_c * np.exp(-p.c1 * q)
-        return np.log((1.0 - u) / (1.0 - p.big_c)) / p.c2 - (p.c0 / p.c1) * q
-    return np.log1p(p.c1 * q) / p.c1 ** 2 - (p.c0 / p.c1) * q
-
-
-def _bits(value):
-    if isinstance(value, tuple):
-        return tuple(_bits(v) for v in value)
-    if isinstance(value, np.ndarray) and value.ndim:
-        return value.dtype.str, value.tobytes()
-    return float(value).hex()
-
-
-def _bits_and_warnings(call):
-    """(bits of the result or the exception type, the set of warnings)."""
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = _bits(call())
-        except Exception as exc:  # the exception type is part of the contract
-            result = type(exc)
-    return result, {(w.category, str(w.message)) for w in caught}
 
 
 def _kernel_inputs(m):
-    """Coordinates across the former search interval, next to a finite boundary,
-    and in far tails where exp(-c1 q) overflows (full-line families) or
-    q * q does (harmonic)."""
-    from test_family_records import _reference_default_interval
-
-    a0, b0 = _reference_default_interval(m)
-    qs = [*np.linspace(a0, b0, 61), b0 * 1e3, 1e200]
+    """(near, far): coordinates across the span an automatic grid covers (a
+    full-line family's envelope, a half-line family's grid) and next to a
+    finite boundary; and far tails, where exp(-c1 q) overflows (full-line
+    families), q * q does (harmonic) or (c1 q + 1)^2 does (Kratzer-Fues)."""
     if math.isfinite(m.q_lower):
-        qs += [float(np.nextafter(m.q_lower, math.inf))]
-        qs += [m.q_lower + 10.0 ** -k for k in range(1, 16)]
+        grid = auto_grid(m)
+        a0, b0 = grid.q_min, grid.q_max
     else:
-        qs += [a0 * 1e3, -1e200]
-    return [q for q in map(float, qs) if m.q_lower < q]
+        a0, b0 = family_of(m).envelope(m.params)
+    near = [*np.linspace(a0, b0, 61)]
+    far = [b0 * 1e3, 1e200]
+    if math.isfinite(m.q_lower):
+        near += [np.nextafter(m.q_lower, math.inf), *(m.q_lower + 10.0 ** -k for k in range(1, 16))]
+    else:
+        far += [a0 * 1e3, -1e200]
+    return [q for q in map(float, near) if m.q_lower < q], far
 
 
 _KERNEL_MODELS = _PARITY_MODELS + [
@@ -421,52 +294,66 @@ _KERNEL_MODELS = _PARITY_MODELS + [
 ]
 
 
+def _kernel_outcome(m, q):
+    """(x, x', log psi0) from the kernel at np.float64(q), and the warning
+    categories it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = tuple(map(float, kernel(m)(np.float64(q), xp=True, log_psi0=True)))
+    return values, {w.category for w in caught}
+
+
+def _far_tail_values(m, q):
+    """(x, x', log psi0) at q = +-1e200, None where the value is finite."""
+    inf = math.inf
+    if m.family == HARMONIC:
+        return None, -1.0, -inf  # q * q overflows in log psi0 only
+    if q > 0.0:
+        return None, None, None  # exp(-c1 q) underflows; (c1 q + 1)^2 overflows in x' = -1/w^2
+    if m.family == GENERALIZED_MORSE:
+        return inf, -inf, -inf
+    return math.nan, math.nan, -inf  # full-line Wei Hua: inf/inf in x and x'
+
+
 @pytest.mark.parametrize("m", _KERNEL_MODELS, ids=lambda m: m.family)
-def test_kernel_matches_the_former_closed_forms(m):
-    """x, x' and log psi0 from the family kernel: the public evaluators
-    (scalar and array), the fused call grid_fields makes, and the searches'
-    float evaluations give the bits, warnings and exceptions of the former
-    separate closed forms."""
-    from anhosc.models import _as_input_shape, check_domain, kernel
-    from anhosc.states import _search_functions, ground_state
-
-    def former(closed_form):
-        return lambda q: _as_input_shape(closed_form(m, check_domain(m, q)), q)
-
-    pairs = [
-        (lambda q: eval_superpotential(m, q), former(_former_superpotential)),
-        (lambda q: eval_superpotential_derivative(m, q), former(_former_superpotential_derivative)),
-        # log psi0 as WaveFunction.evaluator asks the kernel for it.
-        (lambda q: kernel(m)(check_domain(m, q), x=False, log_psi0=True)[2],
-         former(_former_log_ground_amplitude)),
-        (lambda q: ground_state(m).evaluator(q),
-         former(lambda m, q: np.exp(_former_log_ground_amplitude(m, q)))),
-    ]
-    inside = _kernel_inputs(m)
+def test_kernel_far_tail_contract(m):
+    """The kernel the edge searches and grid_fields call never raises on a
+    domain point. Across the span a grid covers, and next to a finite
+    boundary, x, x' and log psi0 are finite and silent. In a far tail a
+    value may leave float64, never silently: numpy raises a RuntimeWarning
+    (which auto_grid's errstate turns off), log psi0 goes to -inf and not to
+    NaN, x' stays <= 0, and psi0 is 0. Outside the domain every evaluator
+    raises DomainViolationError."""
+    near, far = _kernel_inputs(m)
+    for q in near:
+        (x, xp, log_psi0), caught = _kernel_outcome(m, q)
+        assert caught == set() and xp < 0.0, q
+        assert all(map(math.isfinite, (x, xp, log_psi0))), q
+    for q in far:
+        values, caught = _kernel_outcome(m, q)
+        x, xp, log_psi0 = values
+        assert caught <= {RuntimeWarning}, q
+        if not all(map(math.isfinite, values)):
+            assert caught == {RuntimeWarning}, q
+        assert log_psi0 == -math.inf or math.isfinite(log_psi0), q
+        assert xp <= 0.0 or (math.isnan(xp) and math.isnan(x)), q
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert ground_state(m).evaluator(q) == 0.0, q
+        if abs(q) == 1e200:
+            expected = _far_tail_values(m, q)
+            for got, want in zip(values, expected):
+                if want is None:
+                    assert math.isfinite(got), (q, values)
+                else:
+                    assert got == want or (math.isnan(got) and math.isnan(want)), (q, values)
     outside = [math.nan, -math.inf, math.inf]
     if math.isfinite(m.q_lower):
         outside += [m.q_lower, m.q_lower - 1.0]
-    qa = np.array(inside)
-    for new, old in pairs:
-        for q in [*map(np.float64, inside), *outside, qa]:
-            assert _bits_and_warnings(lambda: new(q)) == _bits_and_warnings(lambda: old(q)), q
-
-    def fused():
-        return kernel(m)(qa, xp=True, log_psi0=True)
-
-    def separate():
-        return tuple(f(m, qa) for f in (_former_superpotential, _former_superpotential_derivative,
-                                        _former_log_ground_amplitude))
-
-    assert _bits_and_warnings(fused) == _bits_and_warnings(separate)
-
-    for t in (0.0, 0.3, -1.2):
-        x_and_log_amplitude = _search_functions(m, t)
-
-        def former_x_and_log_amplitude(q):
-            x = float(former(_former_superpotential)(q))
-            return x, float(_former_log_ground_amplitude(m, np.float64(q))) + t * q
-
-        for q in inside + outside:
-            assert (_bits_and_warnings(lambda: x_and_log_amplitude(q))
-                    == _bits_and_warnings(lambda: former_x_and_log_amplitude(q))), q
+    for q in outside:
+        for evaluate in (eval_superpotential, eval_superpotential_derivative,
+                         closed_form_potential, check_domain):
+            with pytest.raises(DomainViolationError):
+                evaluate(m, q)
+        with pytest.raises(DomainViolationError):
+            ground_state(m).evaluator(q)
