@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import functools
+import os
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .families import FAMILIES, family_of
 from .fit import PotentialSample, fit_expansion
 from .generator import (
     FORM_CONSTANT,
+    FORMS,
     GeneratingSeries,
     closed_form_from_series,
     superpotential_from_series,
@@ -102,24 +104,16 @@ def _build_model(name: str, params: dict[str, float]) -> OscillatorModel:
     return _CLI_FAMILIES[name].make(*(params[key] for key in expected))
 
 
-def _resolve_grid(args, model: OscillatorModel, alpha: complex | None = None) -> Grid:
-    """The explicit grid, or the automatic one for psi_alpha (psi0 for None)."""
-    explicit = args.qmin is not None or args.qmax is not None
-    if explicit:
-        if args.qmin is None or args.qmax is None:
-            raise InvalidParameterError("--qmin and --qmax must be given together")
-        grid = make_grid(args.qmin, args.qmax, args.n)
-        require_grid_in_domain(model, grid)
-        return grid
-    if alpha is None:
-        if not is_admissible(model, 0.0):
-            b = admissible_bound(model)
-            raise InadmissibleAlphaError(
-                f"ground state not normalizable (coherent states need sqrt(2) Re(alpha) in "
-                f"({b.inf_re_alpha:.6g}, {b.sup_re_alpha:.6g})); give --qmin and --qmax"
-            )
-        alpha = 0.0
-    return auto_grid(model, alpha=alpha, n=args.n)
+def _explicit_grid(args, model: OscillatorModel) -> Grid | None:
+    """The --qmin/--qmax grid inside the model's domain, or None when neither
+    is given and the caller chooses an automatic grid."""
+    if args.qmin is None and args.qmax is None:
+        return None
+    if args.qmin is None or args.qmax is None:
+        raise InvalidParameterError("--qmin and --qmax must be given together")
+    grid = make_grid(args.qmin, args.qmax, args.n)
+    require_grid_in_domain(model, grid)
+    return grid
 
 
 def _model_header_lines(model: OscillatorModel) -> list[str]:
@@ -140,18 +134,17 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_table(path: str, header_lines: list[str], columns: list[str], data) -> None:
+def _write_table(args, header_lines: list[str], columns: list[str], data) -> None:
+    """The table at args.out, and with --emit plotscript a gnuplot script
+    for it at args.out + ".gp"."""
     # %r of a Python float is byte-equal to fmt_float of the float64 it came from.
     row_format = ",".join(["%r"] * len(columns))
     rows = zip(*(column.tolist() for column in data))
     lines = [*header_lines, ",".join(columns), *(row_format % row for row in rows)]
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_plotscript(table_path: str, columns: list[str]) -> None:
-    import os
-
-    base = os.path.basename(table_path)
+    _write_text(args.out, "\n".join(lines) + "\n")
+    if args.emit != "plotscript":
+        return
+    base = os.path.basename(args.out)
     lines = [
         "# gnuplot script for " + base,
         'set datafile separator ","',
@@ -162,15 +155,21 @@ def _write_plotscript(table_path: str, columns: list[str]) -> None:
             for idx, name in enumerate(columns[1:], start=2)
         ),
     ]
-    _write_text(table_path + ".gp", "\n".join(lines) + "\n")
+    _write_text(args.out + ".gp", "\n".join(lines) + "\n")
 
 
 def cmd_construct(args) -> int:
     model = _build_model(args.family, _parse_params(args.param))
-    grid = _resolve_grid(args, model)
-    fields = grid_fields(model, grid)
+    grid = _explicit_grid(args, model)
+    if grid is None and not is_admissible(model, 0.0):
+        b = admissible_bound(model)
+        raise InadmissibleAlphaError(
+            f"ground state not normalizable (coherent states need sqrt(2) Re(alpha) in "
+            f"({b.inf_re_alpha:.6g}, {b.sup_re_alpha:.6g})); give --qmin and --qmax"
+        )
+    fields = grid_fields(model, auto_grid(model, n=args.n) if grid is None else grid)
     psi0 = fields.sample().values
-    if args.qmin is not None:  # warn where coherent and verify refuse the grid
+    if grid is not None:  # warn where coherent and verify refuse the grid
         try:
             fields.normalized()
         except AnhoscError as exc:
@@ -178,16 +177,14 @@ def cmd_construct(args) -> int:
     v = closed_form_potential(model, fields.q)
     columns = ["q", "x", "dx_dq", "v_minus_e0", "psi0"]
     header = ["# anhosc construct"] + _model_header_lines(model)
-    _write_table(args.out, header, columns, (fields.q, fields.x, fields.xp, v, psi0))
-    if args.emit == "plotscript":
-        _write_plotscript(args.out, columns)
+    _write_table(args, header, columns, (fields.q, fields.x, fields.xp, v, psi0))
     return _EXIT_OK
 
 
 def cmd_coherent(args) -> int:
     model = _build_model(args.family, _parse_params(args.param))
     alpha = parse_complex(args.alpha)
-    grid = _resolve_grid(args, model, alpha)
+    grid = _explicit_grid(args, model) or auto_grid(model, alpha=alpha, n=args.n)
     require_admissible(model, alpha)
     fields = grid_fields(model, grid)
     sampled, norm = fields.normalized(alpha)
@@ -197,9 +194,7 @@ def cmd_coherent(args) -> int:
     header.append(f"# alpha: {format_complex(alpha)}")
     header.append(f"# norm_before_scaling: {_fmt(norm)}")
     data = (fields.q, values.real, values.imag, np.abs(values) ** 2)
-    _write_table(args.out, header, columns, data)
-    if args.emit == "plotscript":
-        _write_plotscript(args.out, columns)
+    _write_table(args, header, columns, data)
     report = verify_coherent(model, alpha, grid, _tolerances(args), fields=fields,
                              normalized=sampled)
     _write_text(args.report, report.to_text())
@@ -219,7 +214,7 @@ def _tolerances(args) -> Tolerances:
             overrides[key] = float(value)
         except ValueError as exc:
             raise InvalidParameterError(f"non-numeric tolerance in {item!r}") from exc
-    return replace(tol, **overrides) if overrides else tol
+    return dataclasses.replace(tol, **overrides) if overrides else tol
 
 
 def cmd_verify(args) -> int:
@@ -228,21 +223,18 @@ def cmd_verify(args) -> int:
     if not alphas:
         raise InvalidParameterError("--alphas must list at least one value")
     tol = _tolerances(args)
+    explicit = _explicit_grid(args, model)
+    # One record per distinct grid: every alpha on an explicit grid shares it.
+    fields = None if explicit is None else grid_fields(model, explicit)
     sections: list[str] = []
     all_passed = True
-    # One record per distinct grid: every alpha on an explicit grid shares it.
-    fields = None
     if is_admissible(model, 0.0):
-        grid0 = _resolve_grid(args, model)
-        fields = grid_fields(model, grid0)
-        report = verify_model(model, grid0, tol, fields=fields)
+        if fields is None:
+            fields = grid_fields(model, auto_grid(model, n=args.n))
+        report = verify_model(model, fields.grid, tol, fields=fields)
         all_passed &= report.passed
         sections.append(report.to_text())
     else:
-        # psi0 itself is not normalizable; an explicit grid is still
-        # validated up front and shared by the alphas.
-        if args.qmin is not None or args.qmax is not None:
-            fields = grid_fields(model, _resolve_grid(args, model))
         sections.append(f"model: {describe(model)}\nalpha: none\n"
                         "result: skipped (ground state not normalizable)\n")
     for alpha in alphas:
@@ -252,10 +244,11 @@ def cmd_verify(args) -> int:
             continue
         # A failing alpha must not abort the sweep: record it, exit 1.
         try:
-            grid = _resolve_grid(args, model, alpha)
-            if fields is None or grid != fields.grid:
-                fields = grid_fields(model, grid)
-            rep = verify_coherent(model, alpha, grid, tol, fields=fields)
+            if explicit is None:
+                grid = auto_grid(model, alpha=alpha, n=args.n)
+                if fields is None or grid != fields.grid:
+                    fields = grid_fields(model, grid)
+            rep = verify_coherent(model, alpha, fields.grid, tol, fields=fields)
         except AnhoscError as exc:
             all_passed = False
             sections.append(head + f"result: error ({exc})\n")
@@ -266,18 +259,16 @@ def cmd_verify(args) -> int:
     return _EXIT_OK if all_passed else _EXIT_CHECK_FAILED
 
 
+#: The --param names of generate: GeneratingSeries' fields after form.
+_SERIES_PARAMS = [field.name for field in dataclasses.fields(GeneratingSeries)[1:]]
+
+
 def cmd_generate(args) -> int:
     params = _parse_params(args.param)
-    extra = [key for key in params if key not in ("c0", "c1", "c2", "x0")]
+    extra = [key for key in params if key not in _SERIES_PARAMS]
     if extra:
         raise InvalidParameterError(f"unknown parameter {extra[0]!r} for form {args.form!r}")
-    series = GeneratingSeries(
-        form=args.form,
-        c0=params.get("c0", 0.0),
-        c1=params.get("c1", 0.0),
-        c2=params.get("c2", 0.0),
-        x0=params.get("x0"),
-    )
+    series = GeneratingSeries(args.form, **params)
     grid = make_grid(0.0, args.qmax, args.n)
     numeric = superpotential_from_series(series, grid)
     header = ["# anhosc generate", f"# form: {args.form}"]
@@ -301,9 +292,7 @@ def cmd_generate(args) -> int:
         header.append(f"# max_deviation: {_fmt(max_dev)}")
         columns.append("x_closed")
         data.append(closed)
-    _write_table(args.out, header, columns, data)
-    if args.emit == "plotscript":
-        _write_plotscript(args.out, columns)
+    _write_table(args, header, columns, data)
     return _EXIT_OK
 
 
@@ -393,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_generate = sub.add_parser("generate", help="integrate dx/dq = -f(x) and compare")
-    p_generate.add_argument("--form", required=True,
-                            help="constant|linear|parabolic|squared_linear")
+    p_generate.add_argument("--form", required=True, help="|".join(FORMS))
     p_generate.add_argument("--param", action="append", metavar="NAME=VALUE")
     p_generate.add_argument("--qmax", type=float, default=5.0)
     p_generate.add_argument("--n", type=int, default=5001)

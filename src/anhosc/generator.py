@@ -29,7 +29,7 @@ FORM_LINEAR = "linear"
 FORM_PARABOLIC = "parabolic"
 FORM_SQUARED_LINEAR = "squared_linear"
 
-_FORMS = (FORM_CONSTANT, FORM_LINEAR, FORM_PARABOLIC, FORM_SQUARED_LINEAR)
+FORMS = (FORM_CONSTANT, FORM_LINEAR, FORM_PARABOLIC, FORM_SQUARED_LINEAR)
 
 
 class ExpansionRangeWarning(UserWarning):
@@ -53,9 +53,9 @@ class GeneratingSeries:
     x0: float | None = None
 
     def __post_init__(self) -> None:
-        if self.form not in _FORMS:
+        if self.form not in FORMS:
             raise UnsupportedFormError(
-                f"unsupported form {self.form!r}; expected one of {_FORMS}"
+                f"unsupported form {self.form!r}; expected one of {FORMS}"
             )
         for name in ("c0", "c1", "c2", "x0"):
             value = getattr(self, name)

@@ -16,10 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainViolationError
-from .families import (  # noqa: F401  names and model type re-exported from here
-    GENERALIZED_KRATZER_FUES, GENERALIZED_MORSE, HARMONIC, KRATZER_FUES, WEI_HUA,
-    OscillatorModel, family_of,
-)
+from .families import OscillatorModel, family_of
 
 
 def describe(model: OscillatorModel) -> str:

@@ -43,14 +43,17 @@ SQRT2 = math.sqrt(2.0)
 ANNIHILATION = "annihilation"
 CREATION = "creation"
 
-#: Target for the relative L2 mass allowed outside the grid (times a local
-#: moment lever) when choosing the far edge automatically.
+#: Negligible tail mass, relative to the whole. One value serves auto_grid's
+#: budget beyond each edge (times a local moment lever of at least 2) and
+#: normalization's gate, so the gate is never stricter than that budget.
 _MASS_TOL = 1e-7
 
 #: Normalization accepts a grid when each edge value is below this fraction
-#: of the peak, or when the estimated beyond-edge mass is negligible.
+#: of the peak, or when the estimated beyond-edge mass is below _MASS_TOL.
 _EDGE_RATIO = 1e-12
-_EDGE_MASS_TOL = 1e-7
+
+#: The TruncationError message for a state that float64 cannot hold on its grid.
+_OVERFLOW = "state overflows float64 on the grid; reduce |Re(alpha)|"
 
 #: Fixed offset (in units of 1/c1) between a finite domain boundary and the
 #: grid edge. Keeping it at 1e-3 bounds the superpotential magnitude near the
@@ -168,7 +171,7 @@ class GridFields:
             # SampledFunction refused non-finite samples; name the overflow.
             if np.all(np.isfinite(values)):
                 raise
-            raise TruncationError("state overflows float64 on the grid; reduce |Re(alpha)|") from None
+            raise TruncationError(_OVERFLOW) from None
 
     def normalized(self, alpha: complex | None = None) -> tuple[SampledFunction, float]:
         """psi0 or psi_alpha scaled to unit L2 norm on the grid, as complex
@@ -176,15 +179,22 @@ class GridFields:
 
         Raises TruncationError when the grid does not cover the support, i.e.
         neither the edge-magnitude rule nor the estimated-tail-mass rule holds
-        at an edge; the caller must widen the grid.
+        at an edge, so the caller must widen the grid; and when the state or
+        its squared norm overflows float64.
         """
         values = self.sample(alpha).values
         mag = np.abs(values)
-        if mag.max() == 0.0:
+        peak = float(mag.max())
+        if peak == 0.0:
             raise TruncationError("state is identically zero on the grid")
-        mass = float(integrate_samples(self.grid, mag ** 2))
+        if math.isinf(peak * peak):  # |psi|^2 overflows where psi does not
+            raise TruncationError(_OVERFLOW)
+        with np.errstate(over="ignore"):  # and finite squares may sum past float64
+            mass = float(integrate_samples(self.grid, mag ** 2))
+        if math.isinf(mass):
+            raise TruncationError(_OVERFLOW)
         for left in (True, False):
-            if not _edge_covered(self.model, self.grid, mag, mass, left):
+            if not _edge_covered(self.model, self.grid, mag, peak, mass, left):
                 side = "left" if left else "right"
                 raise TruncationError(
                     f"{side} grid edge does not cover the support; widen the grid"
@@ -229,10 +239,9 @@ def l2_norm_of(grid: Grid, values: np.ndarray) -> float:
 
 
 def _edge_covered(
-    model: OscillatorModel, grid: Grid, mag: np.ndarray, mass: float, left: bool
+    model: OscillatorModel, grid: Grid, mag: np.ndarray, peak: float, mass: float, left: bool
 ) -> bool:
     edge = float(mag[0] if left else mag[-1])
-    peak = float(mag.max())
     if edge <= _EDGE_RATIO * peak:
         return True
     boundary = model.q_lower if left else model.q_upper
@@ -240,14 +249,14 @@ def _edge_covered(
         # Power-law zero at a finite boundary: the omitted mass is bounded by
         # the edge value squared times the offset.
         offset = abs((grid.q_min if left else grid.q_max) - boundary)
-        return edge * edge * offset <= _EDGE_MASS_TOL * mass
+        return edge * edge * offset <= _MASS_TOL * mass
     inner = float(mag[1] if left else mag[-2])
     if inner <= edge:
         return False  # not decaying toward the edge
     # Exponential-tail estimate of the mass beyond the edge.
     decay = math.log(inner / edge) / grid.step
     tail = edge * edge / (2.0 * decay)
-    return tail <= _EDGE_MASS_TOL * mass
+    return tail <= _MASS_TOL * mass
 
 
 def normalize(psi: WaveFunction, grid: Grid) -> WaveFunction:
@@ -382,7 +391,7 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
         _, xp, log_psi0 = kernel(model)(np.float64(q_peak), x=False, xp=True, log_psi0=True)
         log_mass = 2.0 * (float(log_psi0) + t * q_peak) + 0.5 * math.log(math.pi / -float(xp))
         if not math.isfinite(log_mass):
-            raise TruncationError("state overflows float64 on the grid; reduce |Re(alpha)|")
+            raise TruncationError(_OVERFLOW)
         log_budget = math.log(_MASS_TOL) + log_mass
         # The first outward step is 1, or |q_peak| 2^-50 (4 to 8 ulps) where
         # that is larger: beyond 2^53, q_peak + 1 rounds back to q_peak.

@@ -183,9 +183,10 @@ class TestCoherent:
         assert "pole offset" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
-    @pytest.mark.parametrize("alpha", ["-2000", "-2000+3i"])
+    @pytest.mark.parametrize("alpha", ["-2000", "-2000+3i", "-20", "19", "-20+3i", "18.82"])
     def test_overflowing_state_is_usage_error(self, tmp_path, capsys, alpha):
-        # The closed form exceeds float64 on the grid around its peak; numpy's
+        # The closed form (-2000), its square (from |Re(alpha)| ~ 18.84) or
+        # the sum of its squares (18.82) exceeds float64 on the grid; numpy's
         # overflow warning is silenced and the cause is named instead.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -341,11 +342,12 @@ class TestVerifyCommand:
         )
         assert sections[3] == verify_coherent(m, 0.05, auto_grid(m, 0.05)).to_text()
 
-    def test_overflowing_alpha_is_isolated(self, tmp_path, capsys):
+    @pytest.mark.parametrize("alpha", ["-2000", "19", "18.82"])
+    def test_overflowing_alpha_is_isolated(self, tmp_path, capsys, alpha):
         rep = tmp_path / "r.txt"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code = run("verify", "--family", "harmonic", "--alphas=0.1,-2000",
+            code = run("verify", "--family", "harmonic", f"--alphas=0.1,{alpha}",
                        "--n", "1001", "--report", str(rep))
         assert code == 1
         assert capsys.readouterr().err == ""
@@ -353,7 +355,7 @@ class TestVerifyCommand:
         assert len(sections) == 3
         assert "result: pass" in sections[1]
         assert sections[2] == (
-            "model: harmonic\nalpha: -2000.0+0.0i\n"
+            f"model: harmonic\nalpha: {float(alpha)!r}+0.0i\n"
             "result: error (state overflows float64 on the grid; reduce |Re(alpha)|)\n"
         )
 
@@ -799,6 +801,54 @@ def test_tables_are_pinned(tmp_path, argv, code, warns, digests):
         warnings.simplefilter("always")
         assert run(*argv) == code
     assert any(issubclass(w.category, ExpansionRangeWarning) for w in caught) == warns
+    prefix = str(tmp_path).encode()
+    assert {
+        p.name: hashlib.sha256(p.read_bytes().replace(prefix, b"")).hexdigest()
+        for p in tmp_path.iterdir()
+    } == digests
+
+
+# (argv, exit code, stderr, SHA-256 of every output file with the output
+# directory taken out) on explicit grids: a half-given pair, a grid outside
+# the domain, one that does not cover the state and ones that do, a ground
+# state that is not normalizable, whose alphas share the explicit grid, and
+# the gnuplot scripts. No numpy warning is raised.
+_PINNED_EXPLICIT_GRIDS = [
+    ('construct --family harmonic --qmin=-5', 2, 'error: --qmin and --qmax must be given together\n', {}),
+    ('coherent --family harmonic --qmax=5 --alpha 0.1', 2, 'error: --qmin and --qmax must be given together\n', {}),
+    ('verify --family harmonic --qmin=-5 --alphas 0.1', 2, 'error: --qmin and --qmax must be given together\n', {}),
+    ('construct --family kratzer --param c1=0.5 --qmin=-3 --qmax=10', 2, 'error: grid [-3.0, 10.0] not inside open domain (-2.0, inf)\n', {}),
+    ('coherent --family kratzer --param c1=0.5 --qmin=-3 --qmax=10 --alpha=-2000', 2, 'error: grid [-3.0, 10.0] not inside open domain (-2.0, inf)\n', {}),
+    ('verify --family kratzer --param c1=0.5 --qmin=-3 --qmax=10 --alphas 0.1', 2, 'error: grid [-3.0, 10.0] not inside open domain (-2.0, inf)\n', {}),
+    ('construct --family harmonic --qmin=-1 --qmax=1 --n 101', 0, 'warning: left grid edge does not cover the support; widen the grid\n', {'t.csv': 'b9206cddf89e46d0526c62375328601b6f04dce2e6e82990e87412e2b93f4483'}),
+    ('coherent --family harmonic --qmin=-1 --qmax=1 --n 101 --alpha 0.1', 2, 'error: left grid edge does not cover the support; widen the grid\n', {}),
+    ('verify --family harmonic --qmin=-1 --qmax=1 --n 101 --alphas 0.1', 2, 'error: left grid edge does not cover the support; widen the grid\n', {}),
+    ('construct --family harmonic --qmin=-8 --qmax=8 --n 801', 0, '', {'t.csv': 'c18aaf9133cc4e08d1bde4ec4096533784ed701b53998aad218ce9bfc69b6691'}),
+    ('coherent --family harmonic --qmin=-8 --qmax=8 --n 801 --alpha 0.2+0.3i --emit plotscript', 0, '', {'r.txt': '0851386ecadb22e9dba54c5086b8133f9abcde80dd15eb0a0990093a8c8f2fe1', 't.csv': '80cbef7467e67413d579565dbd5e094ae660d05da2e4d9bdca29711e08188501', 't.csv.gp': '13a7b2474bd95c046099977ab0feb6b177ed2507a140ae8498eab89a3a32ee52'}),
+    ('coherent --family harmonic --qmin=-8 --qmax=8 --n 801 --alpha 0.2+0.3i --tol product=x', 2, "error: non-numeric tolerance in 'product=x'\n", {'t.csv': '80cbef7467e67413d579565dbd5e094ae660d05da2e4d9bdca29711e08188501'}),
+    ('verify --family harmonic --qmin=-8 --qmax=8 --n 801 --alphas 0,0.1,0.05+0.1i', 0, '', {'r.txt': '84255f35d603b71aa52b1f84f68461572c75008ece4eb842a55638def7b43611'}),
+    ('verify --family kratzer --param c1=0.5 --qmin=-1.99 --qmax=40 --n 801 --alphas 0,0.1,2,-0.2', 1, '', {'r.txt': '1993b08121a6374b4b6b45b925d52c15d6a42e2ae3ad909de1a2b5555f9c3d98'}),
+    ('coherent --family morse --param s=1 --param xe=0.5 --qmin=-3 --qmax=20 --n 801 --alpha 0.9', 2, 'error: sqrt(2) Re(alpha) = 1.27279 outside (-inf, 0.5); state not normalizable\n', {}),
+    ('construct --family weihua --param c0=5 --param c1=1 --param c2=-0.3', 2, 'error: ground state not normalizable (coherent states need sqrt(2) Re(alpha) in (1.66667, 5)); give --qmin and --qmax\n', {}),
+    ('construct --family weihua --param c0=5 --param c1=1 --param c2=-0.3 --qmin=-10 --qmax=10 --n 401', 0, 'warning: left grid edge does not cover the support; widen the grid\n', {'t.csv': 'ea7a2786e2df42809d8162d3a690cd0c56a02fb9e883657afe31367947cff2fc'}),
+    ('coherent --family weihua --param c0=5 --param c1=1 --param c2=-0.3 --qmin=-30 --qmax=40 --n 1001 --alpha 2', 1, '', {'r.txt': '42bb9de44d049a5201e15c7f94d2dc2b32516b120a95bf0624481bdc746a8c86', 't.csv': 'eda34941bdf63bca4cd9ea1674eb66c2dd336ec99f598269cf79835da83b106c'}),
+    ('verify --family weihua --param c0=5 --param c1=1 --param c2=-0.3 --qmin=-30 --qmax=40 --n 1001 --alphas 0,2,2.5', 1, '', {'r.txt': 'a5aec5346abbc7abbfc0975761b21dd8a7c4698cd2903b4e483506636111e28c'}),
+    ('verify --family weihua --param c0=5 --param c1=1 --param c2=-0.3 --qmin=-30 --qmax=40 --n 1001 --alphas 2 --tol nope=1', 2, "error: unknown tolerance 'nope'\n", {}),
+    ('generate --form linear --param c0=0.5 --param c1=1 --n 501 --emit plotscript', 0, '', {'t.csv': '974e66c0b76abb043ebed78c73e76a2c5d10ef3f7fafe0fdc20585c8ba85e9f2', 't.csv.gp': 'a35cf59031c98e63fd87214ee0db46a42c440fa2b8087f73cbe0f3a88209f7c8'}),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, stderr, digests", _PINNED_EXPLICIT_GRIDS,
+                         ids=[case[0] for case in _PINNED_EXPLICIT_GRIDS])
+def test_explicit_grid_runs_are_pinned(tmp_path, capsys, argv, code, stderr, digests):
+    argv = argv.split()
+    argv += ["--report", str(tmp_path / "r.txt")] if argv[0] == "verify" else \
+        ["--out", str(tmp_path / "t.csv")]
+    if argv[0] == "coherent":
+        argv += ["--report", str(tmp_path / "r.txt")]
+    assert run(*argv) == code
+    assert capsys.readouterr().err == stderr
     prefix = str(tmp_path).encode()
     assert {
         p.name: hashlib.sha256(p.read_bytes().replace(prefix, b"")).hexdigest()

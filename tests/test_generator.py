@@ -11,6 +11,12 @@ from anhosc.errors import (
     InvalidParameterError,
     UnsupportedFormError,
 )
+from anhosc.families import (
+    GENERALIZED_KRATZER_FUES,
+    GENERALIZED_MORSE,
+    HARMONIC,
+    WEI_HUA,
+)
 from anhosc.generator import (
     FORM_CONSTANT,
     FORM_LINEAR,
@@ -22,14 +28,7 @@ from anhosc.generator import (
     eval_generating_function,
     superpotential_from_series,
 )
-from anhosc.models import (
-    GENERALIZED_KRATZER_FUES,
-    GENERALIZED_MORSE,
-    HARMONIC,
-    WEI_HUA,
-    eval_superpotential,
-    eval_superpotential_derivative,
-)
+from anhosc.models import eval_superpotential, eval_superpotential_derivative
 from anhosc.numerics import (
     SampledFunction,
     differentiate,

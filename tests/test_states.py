@@ -23,6 +23,9 @@ from anhosc.errors import (
     TruncationError,
 )
 from anhosc.families import (
+    GENERALIZED_MORSE,
+    HARMONIC,
+    WEI_HUA,
     make_generalized_kratzer_fues,
     make_generalized_morse,
     make_harmonic,
@@ -30,13 +33,7 @@ from anhosc.families import (
     make_wei_hua,
 )
 from anhosc.numerics import differentiate, make_grid, solve_first_order_ode
-from anhosc.models import (
-    GENERALIZED_MORSE,
-    HARMONIC,
-    WEI_HUA,
-    eval_superpotential,
-    kernel,
-)
+from anhosc.models import eval_superpotential, kernel
 from anhosc.states import (
     ANNIHILATION,
     CREATION,
@@ -119,7 +116,11 @@ class TestGroundState:
             make_kratzer_fues(0.5),
         ):
             grid = make_grid(0.0, 12.0, 2401)
-            rhs = lambda q, p: float(eval_superpotential(m, q)) * p
+            # The kernel on np.float64 gives eval_superpotential's bits (see
+            # test_kernel_on_a_numpy_scalar_gives_the_bits_of_a_zero_dim_array)
+            # without a domain check and a kernel build per call.
+            x = kernel(m)
+            rhs = lambda q, p: float(x(np.float64(q))[0]) * p
             numeric = solve_first_order_ode(rhs, 1.0, grid)
             closed = ground_state(m).evaluator(grid.points()).real
             ratio = numeric.values / closed
@@ -432,6 +433,20 @@ class TestNormalize:
             for sample in (psi.sample, lambda g: normalize(psi, g)):
                 with pytest.raises(TruncationError, match="overflows float64"):
                     sample(grid)
+
+    @pytest.mark.parametrize("alpha", [-20.0, 19.0, -20.0 + 3.0j, 18.82])
+    def test_a_finite_state_whose_norm_overflows_is_a_truncation_error(self, alpha):
+        # The samples are finite (peak exp(t^2/2), t = sqrt(2) Re(alpha)), but
+        # |psi|^2 overflows from Re(alpha) ~ 18.84, and at 18.82 the squares
+        # are finite while their Simpson sum is not.
+        m = make_harmonic()
+        grid = auto_grid(m, alpha, n=1001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for normalized in (lambda: normalize(coherent_state(m, alpha), grid),
+                               lambda: grid_fields(m, grid).normalized(alpha)):
+                with pytest.raises(TruncationError, match="overflows float64"):
+                    normalized()
 
     def test_wrong_shaped_fields_are_not_called_an_overflow(self):
         m = make_harmonic()
