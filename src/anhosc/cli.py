@@ -184,6 +184,7 @@ def cmd_construct(args) -> int:
 def cmd_coherent(args) -> int:
     model = _build_model(args.family, _parse_params(args.param))
     alpha = parse_complex(args.alpha)
+    tol = _tolerances(args)  # a bad --tol leaves no table behind
     grid = _explicit_grid(args, model) or auto_grid(model, alpha=alpha, n=args.n)
     require_admissible(model, alpha)
     fields = grid_fields(model, grid)
@@ -195,8 +196,7 @@ def cmd_coherent(args) -> int:
     header.append(f"# norm_before_scaling: {_fmt(norm)}")
     data = (fields.q, values.real, values.imag, np.abs(values) ** 2)
     _write_table(args, header, columns, data)
-    report = verify_coherent(model, alpha, grid, _tolerances(args), fields=fields,
-                             normalized=sampled)
+    report = verify_coherent(model, alpha, grid, tol, fields=fields, normalized=sampled)
     _write_text(args.report, report.to_text())
     return _EXIT_OK if report.passed else _EXIT_CHECK_FAILED
 

@@ -106,18 +106,69 @@ def integrate_samples(grid: Grid, values: np.ndarray) -> complex | float:
     return _simpson(y, grid.step)
 
 
+#: -0.0 viewed as an int64: the smallest int64, so a minimum finds any -0.0.
+_NEGATIVE_ZERO = np.iinfo(np.int64).min
+
+
+def _product_is_quotient(parts: np.ndarray, r: float) -> bool:
+    """True when parts * r rounds, and raises floating-point flags, as
+    numpy's complex division by c = 1/r does: every part finite, none -0.0,
+    and no product beyond float64."""
+    lo, hi = float(parts.min()), float(parts.max())  # a NaN propagates
+    return (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(max(-lo, hi) * r)
+            and int(parts.view(np.int64).min()) != _NEGATIVE_ZERO)
+
+
+def divide_in_place(values: np.ndarray, c: float, *, complex_rounding: bool = False) -> np.ndarray:
+    """values /= c for a positive float c, with the bits of np.divide.
+
+    numpy divides a complex re + i im by a real c as ((re + im 0) (1/c),
+    (im - re 0) (1/c)), Smith's algorithm (R. L. Smith, CACM 5 (1962) 435)
+    with a zero imaginary divisor. That is re (1/c), im (1/c) bit for bit
+    unless a part is -0.0 (-0.0 + 0.0 is +0.0) or not finite (inf 0 is NaN),
+    so a complex array is scaled through its float64 view, and divided only
+    when it holds such a part or a product would overflow. A real array is
+    divided; with complex_rounding it is scaled by 1/c instead, as the real
+    part of its complex cast would be: the same bits up to the sign of a zero.
+    """
+    if np.iscomplexobj(values):
+        parts = values.view(np.float64)
+        if c > 0.0 and _product_is_quotient(parts, 1.0 / c):
+            np.multiply(parts, 1.0 / c, out=parts)
+            return values
+    elif complex_rounding and c > 0.0:
+        return np.multiply(values, 1.0 / c, out=values)
+    return np.divide(values, c, out=values)
+
+
 def differentiate(f: SampledFunction, order: int = 1) -> SampledFunction:
     """First or second derivative by five-point stencils.
 
     Central differences in the interior (O(step^4) accurate) and one-sided
     five-point stencils at the two points next to each boundary, so edge error
-    stays high-order. The interior is accumulated in place with one scratch
-    array, in the operation order of the written-out expression.
+    stays high-order.
+    """
+    return SampledFunction(f.grid, differentiate_samples(f.grid, f.values, order))
+
+
+def differentiate_samples(
+    grid: Grid, values: np.ndarray, order: int = 1, *, _complex_rounding: bool = False
+) -> np.ndarray:
+    """differentiate(SampledFunction(grid, values), order).values, same bits,
+    without either finiteness scan: a caller that integrates the result gets
+    integrate_samples' InvalidParameterError for a non-finite one.
+
+    The interior is accumulated in place with one scratch array, in the
+    operation order of the written-out expression, and the whole array is
+    then divided by 12 h or 12 h^2 with divide_in_place. _complex_rounding
+    scales real samples as that divides the real part of their complex cast.
     """
     if order not in (1, 2):
         raise InvalidParameterError(f"derivative order must be 1 or 2, got {order}")
-    y = f.values
-    h = f.grid.step
+    y = np.asarray(values)
+    if y.shape != (grid.n,):
+        raise InvalidParameterError(f"expected {grid.n} samples, got shape {y.shape}")
+    h = grid.step
     d = np.empty_like(y)
     mid = d[2:-2]
     scratch = np.empty_like(mid)
@@ -126,25 +177,24 @@ def differentiate(f: SampledFunction, order: int = 1) -> SampledFunction:
         np.subtract(y[:-4], np.multiply(8.0, y[1:-3], out=scratch), out=mid)
         np.add(mid, np.multiply(8.0, y[3:-1], out=scratch), out=mid)
         np.subtract(mid, y[4:], out=mid)
-        np.divide(mid, 12.0 * h, out=mid)
-        d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / (12.0 * h)
-        d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / (12.0 * h)
-        d[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3] + 6.0 * y[-4] - y[-5]) / (12.0 * h)
-        d[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3] - 16.0 * y[-4] + 3.0 * y[-5]) / (12.0 * h)
+        d[0] = -25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]
+        d[1] = -3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]
+        d[-2] = 3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3] + 6.0 * y[-4] - y[-5]
+        d[-1] = 25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3] - 16.0 * y[-4] + 3.0 * y[-5]
+        divisor = 12.0 * h
     else:
-        hh = 12.0 * h * h
-        # (-y[:-4] + 16 y[1:-3] - 30 y[2:-2] + 16 y[3:-1] - y[4:]) / hh, the
-        # first sum written 16 y[1:-3] - y[:-4]: the same IEEE result.
+        # (-y[:-4] + 16 y[1:-3] - 30 y[2:-2] + 16 y[3:-1] - y[4:]) / (12 h^2),
+        # the first sum written 16 y[1:-3] - y[:-4]: the same IEEE result.
         np.subtract(np.multiply(16.0, y[1:-3], out=mid), y[:-4], out=mid)
         np.subtract(mid, np.multiply(30.0, y[2:-2], out=scratch), out=mid)
         np.add(mid, np.multiply(16.0, y[3:-1], out=scratch), out=mid)
         np.subtract(mid, y[4:], out=mid)
-        np.divide(mid, hh, out=mid)
-        d[0] = (35.0 * y[0] - 104.0 * y[1] + 114.0 * y[2] - 56.0 * y[3] + 11.0 * y[4]) / hh
-        d[1] = (11.0 * y[0] - 20.0 * y[1] + 6.0 * y[2] + 4.0 * y[3] - y[4]) / hh
-        d[-2] = (11.0 * y[-1] - 20.0 * y[-2] + 6.0 * y[-3] + 4.0 * y[-4] - y[-5]) / hh
-        d[-1] = (35.0 * y[-1] - 104.0 * y[-2] + 114.0 * y[-3] - 56.0 * y[-4] + 11.0 * y[-5]) / hh
-    return SampledFunction(f.grid, d)
+        d[0] = 35.0 * y[0] - 104.0 * y[1] + 114.0 * y[2] - 56.0 * y[3] + 11.0 * y[4]
+        d[1] = 11.0 * y[0] - 20.0 * y[1] + 6.0 * y[2] + 4.0 * y[3] - y[4]
+        d[-2] = 11.0 * y[-1] - 20.0 * y[-2] + 6.0 * y[-3] + 4.0 * y[-4] - y[-5]
+        d[-1] = 35.0 * y[-1] - 104.0 * y[-2] + 114.0 * y[-3] - 56.0 * y[-4] + 11.0 * y[-5]
+        divisor = 12.0 * h * h
+    return divide_in_place(d, divisor, complex_rounding=_complex_rounding)
 
 
 def solve_first_order_ode(

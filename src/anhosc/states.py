@@ -36,7 +36,7 @@ from .models import (
     check_domain,
     kernel,
 )
-from .numerics import Grid, SampledFunction, integrate_samples, make_grid
+from .numerics import Grid, SampledFunction, divide_in_place, integrate_samples, make_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -171,11 +171,14 @@ class GridFields:
             # SampledFunction refused non-finite samples; name the overflow.
             if np.all(np.isfinite(values)):
                 raise
-            raise TruncationError(_OVERFLOW) from None
+            raise TruncationError(_overflow(alpha)) from None
 
-    def normalized(self, alpha: complex | None = None) -> tuple[SampledFunction, float]:
+    def normalized(
+        self, alpha: complex | None = None, *, _cast: bool = True
+    ) -> tuple[SampledFunction, float]:
         """psi0 or psi_alpha scaled to unit L2 norm on the grid, as complex
-        samples, and the norm before scaling.
+        samples, and the norm before scaling. With _cast False the ground
+        state stays float64: the real parts of the complex samples.
 
         Raises TruncationError when the grid does not cover the support, i.e.
         neither the edge-magnitude rule nor the estimated-tail-mass rule holds
@@ -188,21 +191,33 @@ class GridFields:
         if peak == 0.0:
             raise TruncationError("state is identically zero on the grid")
         if math.isinf(peak * peak):  # |psi|^2 overflows where psi does not
-            raise TruncationError(_OVERFLOW)
+            raise TruncationError(_overflow(alpha))
         with np.errstate(over="ignore"):  # and finite squares may sum past float64
             mass = float(integrate_samples(self.grid, mag ** 2))
         if math.isinf(mass):
-            raise TruncationError(_OVERFLOW)
+            raise TruncationError(_overflow(alpha))
         for left in (True, False):
             if not _edge_covered(self.model, self.grid, mag, peak, mass, left):
                 side = "left" if left else "right"
                 raise TruncationError(
                     f"{side} grid edge does not cover the support; widen the grid"
                 )
+        del mag
         norm = math.sqrt(mass)
-        # Scale before the complex cast: a real ground state divided after the
-        # cast would round differently.
-        return SampledFunction(self.grid, np.asarray(values / norm, dtype=complex)), norm
+        # The samples are this call's own: scale them in place, and before the
+        # complex cast, since a real ground state divided after the cast would
+        # round differently.
+        values = divide_in_place(values, norm)
+        if _cast:
+            values = np.asarray(values, dtype=complex)
+        return SampledFunction(self.grid, values), norm
+
+
+def _overflow(alpha: complex | None) -> str:
+    # No alpha moves the ground state: name the grid instead.
+    if alpha is None:
+        return "ground state overflows float64 on the grid; narrow the grid"
+    return _OVERFLOW
 
 
 def grid_fields(model: OscillatorModel, grid: Grid) -> GridFields:
@@ -216,10 +231,14 @@ def grid_fields(model: OscillatorModel, grid: Grid) -> GridFields:
     return GridFields(model, grid, q, x, xp, log_psi0)
 
 
-def ladder_values(dpsi: np.ndarray, x_psi: np.ndarray, which: str) -> np.ndarray:
+def ladder_values(
+    dpsi: np.ndarray, x_psi: np.ndarray, which: str, *, _complex_rounding: bool = False
+) -> np.ndarray:
     """Annihilation (psi' - x psi)/sqrt(2) or creation (-psi' - x psi)/sqrt(2)
     from samples of psi' and of x psi on one grid, computed in place in the
-    one array allocated, which rounds exactly as the written-out expression."""
+    one array allocated, which rounds exactly as the written-out expression.
+    _complex_rounding divides real samples as numpy divides the real part of
+    their complex cast (divide_in_place)."""
     if which == ANNIHILATION:
         out = np.subtract(dpsi, x_psi)
     elif which == CREATION:
@@ -228,7 +247,7 @@ def ladder_values(dpsi: np.ndarray, x_psi: np.ndarray, which: str) -> np.ndarray
         np.subtract(out, x_psi, out=out)
     else:
         raise InvalidParameterError(f"unknown ladder operator {which!r}")
-    return np.divide(out, SQRT2, out=out)
+    return divide_in_place(out, SQRT2, complex_rounding=_complex_rounding)
 
 
 def l2_norm_of(grid: Grid, values: np.ndarray) -> float:

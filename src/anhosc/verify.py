@@ -18,7 +18,7 @@ from ._format import fmt_complex as format_complex
 from ._format import fmt_float
 from .errors import InvalidParameterError
 from .models import OscillatorModel, closed_form_potential, describe
-from .numerics import Grid, SampledFunction, differentiate, integrate_samples
+from .numerics import Grid, SampledFunction, differentiate_samples, integrate_samples
 from .states import (
     ANNIHILATION,
     CREATION,
@@ -109,9 +109,10 @@ def _check(name: str, value: float, tol: float) -> tuple[str, float, float, bool
     return (name, float(value), float(tol), bool(value < tol))
 
 
-def _moment(grid: Grid, conj_psi: np.ndarray, acted: np.ndarray) -> complex:
-    """<psi| O |psi> by Simpson quadrature, from conj(psi) and samples of O psi."""
-    return complex(integrate_samples(grid, conj_psi * acted))
+def _moment(grid: Grid, conj_psi: np.ndarray, acted: np.ndarray, out: np.ndarray) -> complex:
+    """<psi| O |psi> by Simpson quadrature, from conj(psi) and samples of O psi;
+    the product conj(psi) O psi is formed in out, which may be acted."""
+    return complex(integrate_samples(grid, np.multiply(conj_psi, acted, out=out)))
 
 
 def _fields_for(model: OscillatorModel, grid: Grid, fields: GridFields | None) -> GridFields:
@@ -138,6 +139,11 @@ def verify_model(
     the grid_fields() record of (model, grid), built here when not given; x'
     serves both the Riccati combination and the commutator term, x all ladder
     applications. The closed-form potential is evaluated once.
+
+    psi0, the probe and its ladder images have zero imaginary parts, so they
+    are float64 here, and each quotient is rounded as numpy rounds the real
+    part of the complex one (the _complex_rounding of the stencils and the
+    ladder). Only their magnitudes reach the report, so it keeps its bits.
     """
     tol = tolerances or Tolerances()
     fields = _fields_for(model, grid, fields)
@@ -146,34 +152,37 @@ def verify_model(
 
     riccati = float(np.max(np.abs(v - 0.5 * (x * x + xp))))
 
-    # Normalization doubles as the truncation-sufficiency gate for the grid.
-    s0, _ = fields.normalized()
-    psi0 = s0.values
-    norm0 = l2_norm_of(grid, psi0)
-    d1 = differentiate(s0, 1).values
-    ann = l2_norm_of(grid, ladder_values(d1, x * psi0, ANNIHILATION)) / norm0
-    del d1
+    def derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
+        return differentiate_samples(grid, values, order, _complex_rounding=True)
 
-    d2 = differentiate(s0, 2).values
+    def ladder(dpsi: np.ndarray, x_psi: np.ndarray, which: str) -> np.ndarray:
+        return ladder_values(dpsi, x_psi, which, _complex_rounding=True)
+
+    # Normalization doubles as the truncation-sufficiency gate for the grid.
+    psi0 = fields.normalized(_cast=False)[0].values
+    norm0 = l2_norm_of(grid, psi0)
+    ann = l2_norm_of(grid, ladder(derivative(psi0), x * psi0, ANNIHILATION)) / norm0
+
+    d2 = derivative(psi0, 2)
     sch = l2_norm_of(grid, -0.5 * d2 + v * psi0) / norm0
-    del d2, v, s0, psi0
+    del d2, v, psi0
 
     # Commutator action on a Gaussian test function. The ground state is a
     # bad probe here (A-dagger-A annihilates it), and a narrow centered
     # Gaussian keeps both grid edges and any domain pole out of play.
     center = 0.5 * (grid.q_min + grid.q_max)
     sigma = (grid.q_max - grid.q_min) / 20.0
-    phi = SampledFunction(grid, np.exp(-0.5 * ((q - center) / sigma) ** 2).astype(complex))
-    dphi = differentiate(phi, 1).values
-    x_phi = x * phi.values
-    up = SampledFunction(grid, ladder_values(dphi, x_phi, CREATION))
-    down = SampledFunction(grid, ladder_values(dphi, x_phi, ANNIHILATION))
+    phi = np.exp(-0.5 * ((q - center) / sigma) ** 2)
+    dphi = derivative(phi)
+    x_phi = x * phi
+    up = ladder(dphi, x_phi, CREATION)
+    down = ladder(dphi, x_phi, ANNIHILATION)
     del dphi, x_phi
-    a_adag = ladder_values(differentiate(up, 1).values, x * up.values, ANNIHILATION)
+    a_adag = ladder(derivative(up), x * up, ANNIHILATION)
     del up
-    adag_a = ladder_values(differentiate(down, 1).values, x * down.values, CREATION)
+    adag_a = ladder(derivative(down), x * down, CREATION)
     del down
-    comm = l2_norm_of(grid, (a_adag - adag_a) + xp * phi.values) / l2_norm_of(grid, phi.values)
+    comm = l2_norm_of(grid, (a_adag - adag_a) + xp * phi) / l2_norm_of(grid, phi)
 
     checks = (
         _check("riccati", riccati, tol.riccati),
@@ -224,21 +233,28 @@ def verify_coherent(
     x = fields.x
 
     norm = l2_norm_of(grid, psi)
-    d1 = differentiate(s, 1).values
-    x_psi = x * psi
-    eig = l2_norm_of(grid, ladder_values(d1, x_psi, ANNIHILATION) - alpha * psi) / norm
+    # Three work arrays beside psi: the stencils skip the finiteness scan (a
+    # non-finite derivative reaches integrate_samples, which refuses it with
+    # the same error), and x psi is formed again rather than kept.
+    d1 = differentiate_samples(grid, psi, 1)
+    work = np.multiply(x, psi)
+    residual = ladder_values(d1, work, ANNIHILATION)
+    np.subtract(residual, np.multiply(alpha, psi, out=work), out=residual)
+    eig = l2_norm_of(grid, residual) / norm
 
     # Position-like observables multiply by x, x^2 or x'; p and p^2 act as
-    # -i d/dq and -d^2/dq^2 on the same samples.
-    conj_psi = np.conj(psi)
-    ex = _moment(grid, conj_psi, x_psi)
-    del x_psi
-    ex2 = _moment(grid, conj_psi, x ** 2 * psi)
-    ep = _moment(grid, conj_psi, -1j * d1)
-    del d1
-    ep2 = _moment(grid, conj_psi, -differentiate(s, 2).values)
+    # -i d/dq and -d^2/dq^2 on the same samples. Each product is formed in
+    # an array no longer needed: the residual's, then the second derivative's.
+    conj_psi = np.conj(psi, out=work)
+    work = residual
+    ex = _moment(grid, conj_psi, np.multiply(x, psi, out=work), work)
+    ex2 = _moment(grid, conj_psi, np.multiply(x ** 2, psi, out=work), work)
+    ep = _moment(grid, conj_psi, np.multiply(-1j, d1, out=work), work)
+    del d1, work, residual
+    d2 = differentiate_samples(grid, psi, 2)
+    ep2 = _moment(grid, conj_psi, np.negative(d2, out=d2), d2)
     # x' psi is -[A, A^dagger] psi bit for bit: negation is exact.
-    exp_prime = _moment(grid, conj_psi, fields.xp * psi)
+    exp_prime = _moment(grid, conj_psi, np.multiply(fields.xp, psi, out=d2), d2)
 
     var_x = (ex2 - ex ** 2).real
     var_p = (ep2 - ep ** 2).real

@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 from anhosc.errors import DivergenceError, InvalidParameterError
 from anhosc.numerics import (
     SampledFunction,
+    _product_is_quotient,
     differentiate,
+    differentiate_samples,
+    divide_in_place,
     integrate_samples,
     integrate_simpson,
     make_grid,
@@ -314,6 +317,74 @@ class TestInPlaceStencils:
             tracemalloc.stop()
         assert d.values.nbytes == f.values.nbytes
         assert peak <= 2.5 * f.values.nbytes
+
+
+def _division_outcome(fn):
+    """Value bits, or the exception, plus the category and text of every warning."""
+    outcome, caught = _simpson_outcome(fn)
+    return outcome, [(category, message) for category, message, _, _ in caught]
+
+
+class TestDivideInPlace:
+    @pytest.mark.parametrize("n", [5, 7, 2001, 16001])
+    def test_complex_bits_and_warnings_match_np_divide(self, n):
+        rng = np.random.default_rng([n, 18])
+        paths = set()
+        for trial in range(6):
+            y = _stencil_inputs(rng, n, complex)
+            cases = [
+                y,  # negative zeros: np.divide
+                y + 0.0,  # every -0.0 part made +0.0
+                np.asarray(np.abs(y.real), dtype=complex),  # all-+0 imaginary parts
+                np.where(np.abs(y) < 1e280, y + 0.0, 1.5),  # no product beyond float64
+            ]
+            cases[3][rng.integers(0, n)] = complex(math.inf, 0.0) if trial % 2 else math.nan
+            for values in cases:
+                for c in (10.0 ** rng.uniform(-3.0, 3.0), 12.0 * 1e-3 ** 2, 5e-324, math.sqrt(2.0)):
+                    expected = _division_outcome(lambda: np.divide(values, c))
+                    got = _division_outcome(lambda: divide_in_place(values.copy(), c))
+                    assert got == expected, (trial, c)
+                    paths.add(_product_is_quotient(values.view(np.float64), 1.0 / c))
+        assert paths == {True, False}
+
+    def test_an_all_positive_zero_imaginary_part_takes_the_product(self):
+        q = make_grid(-40.0, 40.0, 16001).points()
+        values = np.asarray(np.exp(-0.5 * q * q), dtype=complex)  # tails underflow to +0.0
+        c = 1.7724538509055159
+        assert _product_is_quotient(values.view(np.float64), 1.0 / c)
+        assert divide_in_place(values.copy(), c).tobytes() == np.divide(values, c).tobytes()
+
+    def test_real_values_are_divided_or_rounded_as_a_complex_real_part(self):
+        rng = np.random.default_rng(18)
+        y = _stencil_inputs(rng, 2001, float)
+        y[np.abs(y) > 1e290] = 1.0
+        for c in (3.0, 0.07, 12.0 * 1e-3 ** 2):
+            assert divide_in_place(y.copy(), c).tobytes() == np.divide(y, c).tobytes()
+            as_part = np.divide(np.asarray(y, dtype=complex), c).real
+            got = divide_in_place(y.copy(), c, complex_rounding=True)
+            assert np.array_equal(got, as_part)  # -0.0 == +0.0
+            assert np.abs(got).tobytes() == np.abs(as_part).tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_real_stencils_round_as_the_real_part_of_the_complex_ones(self, order):
+        rng = np.random.default_rng([order, 18])
+        for n in (5, 2001, 16001):
+            g = make_grid(-1.0, -1.0 + 10.0 ** rng.uniform(-2.0, 2.0), n)
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-200.0, 200.0, n)
+            y[:: 7] = -0.0
+            as_part = differentiate(SampledFunction(g, np.asarray(y, dtype=complex)), order).values
+            got = differentiate_samples(g, y, order, _complex_rounding=True)
+            assert got.dtype == y.dtype
+            assert np.array_equal(got, as_part.real)
+            assert np.abs(got).tobytes() == np.abs(as_part).tobytes()
+
+    def test_samples_are_not_scanned(self):
+        g = make_grid(0.0, 1.0, 7)
+        y = np.array([1.0, 2.0, math.inf, 0.0, 1.0, 2.0, 3.0])
+        with np.errstate(invalid="ignore"):
+            assert not np.all(np.isfinite(differentiate_samples(g, y, 1)))
+        with pytest.raises(InvalidParameterError, match="expected 7 samples"):
+            differentiate_samples(g, y[:5], 1)
 
 
 class TestOde:

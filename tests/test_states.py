@@ -395,6 +395,17 @@ class TestGridFields:
         with pytest.raises(TruncationError, match="overflows float64"):
             fields.sample(-2000.0)
 
+    @pytest.mark.parametrize("q_min", [-300.0, -1000.0])
+    def test_a_ground_state_overflow_names_the_grid(self, q_min):
+        # psi0 of this full-line Wei Hua model grows as exp(c0 |q| / c1) to
+        # the left: at -300 its square overflows, at -1000 the state itself.
+        m = make_wei_hua(5.0, 1.0, -0.3)
+        with np.errstate(all="ignore"):
+            fields = grid_fields(m, make_grid(q_min, 10.0, 1001))
+        with pytest.raises(TruncationError) as refused:
+            fields.normalized()
+        assert str(refused.value) == "ground state overflows float64 on the grid; narrow the grid"
+
 
 class TestNormalize:
     def test_harmonic_norm_is_pi_quarter(self):

@@ -3,6 +3,7 @@ determinism, and tolerance handling."""
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -388,3 +389,25 @@ def test_verify_reports_are_pinned(name, alpha, grid, digest):
     else:
         report = verify_coherent(model, alpha, g)
     assert hashlib.sha256(report.to_text().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("alpha, bound", [(None, 3.5), (0.1 + 0.2j, 3.75)])
+def test_peak_memory_stays_below_the_complex_path(alpha, bound):
+    # In complex arrays of the grid: the complex path of verify_model peaked
+    # at 6 of them, and verify_coherent at 4 beside psi. verify_model now runs
+    # in float64 (3), and verify_coherent reuses its work arrays (3, plus
+    # half of one for |residual| or x^2).
+    m = make_harmonic()
+    g = make_grid(-10.0, 10.0, 64001)
+    fields = grid_fields(m, g)
+    psi = None if alpha is None else fields.normalized(alpha)[0]
+    tracemalloc.start()
+    try:
+        if alpha is None:
+            verify_model(m, g, fields=fields)
+        else:
+            verify_coherent(m, alpha, g, fields=fields, normalized=psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 16 * g.n
