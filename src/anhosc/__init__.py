@@ -64,6 +64,7 @@ from .states import (
     AdmissibilityBound,
     GridFields,
     WaveFunction,
+    Workspace,
     admissible_bound,
     auto_grid,
     coherent_state,

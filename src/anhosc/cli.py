@@ -36,6 +36,7 @@ from .models import OscillatorModel, closed_form_potential, describe
 from .models import eval_superpotential as model_superpotential
 from .numerics import Grid, make_grid
 from .states import (
+    Workspace,
     admissible_bound,
     auto_grid,
     grid_fields,
@@ -188,7 +189,9 @@ def cmd_coherent(args) -> int:
     grid = _explicit_grid(args, model) or auto_grid(model, alpha=alpha, n=args.n)
     require_admissible(model, alpha)
     fields = grid_fields(model, grid)
-    sampled, norm = fields.normalized(alpha)
+    # The table's samples and the checks' work arrays share one workspace.
+    workspace = Workspace(grid.n)
+    sampled, norm = fields.normalized(alpha, workspace=workspace)
     values = sampled.values
     columns = ["q", "psi_re", "psi_im", "abs2"]
     header = ["# anhosc coherent"] + _model_header_lines(model)
@@ -196,7 +199,8 @@ def cmd_coherent(args) -> int:
     header.append(f"# norm_before_scaling: {_fmt(norm)}")
     data = (fields.q, values.real, values.imag, np.abs(values) ** 2)
     _write_table(args, header, columns, data)
-    report = verify_coherent(model, alpha, grid, tol, fields=fields, normalized=sampled)
+    report = verify_coherent(model, alpha, grid, tol, fields=fields, normalized=sampled,
+                             workspace=workspace)
     _write_text(args.report, report.to_text())
     return _EXIT_OK if report.passed else _EXIT_CHECK_FAILED
 
@@ -237,6 +241,9 @@ def cmd_verify(args) -> int:
     else:
         sections.append(f"model: {describe(model)}\nalpha: none\n"
                         "result: skipped (ground state not normalizable)\n")
+    # Every grid of the job has args.n points, so one workspace serves every
+    # alpha; its arrays are allocated at the first admissible one.
+    workspace = Workspace(args.n)
     for alpha in alphas:
         head = f"model: {describe(model)}\nalpha: {format_complex(alpha)}\n"
         if not is_admissible(model, alpha):
@@ -248,7 +255,8 @@ def cmd_verify(args) -> int:
                 grid = auto_grid(model, alpha=alpha, n=args.n)
                 if fields is None or grid != fields.grid:
                     fields = grid_fields(model, grid)
-            rep = verify_coherent(model, alpha, fields.grid, tol, fields=fields)
+            rep = verify_coherent(model, alpha, fields.grid, tol, fields=fields,
+                                  workspace=workspace)
         except AnhoscError as exc:
             all_passed = False
             sections.append(head + f"result: error ({exc})\n")

@@ -242,9 +242,22 @@ def _wei_hua_kernel(p: WeiHuaParams) -> Callable:
         ce = big_c * np.exp(neg_c1 * q)
         w = 1.0 - ce
         return (x_scale * ce / w - slope if x else None,
-                xp_scale * ce / w ** 2 if xp else None,
+                _over_square(xp_scale * ce, w) if xp else None,
                 np.log(w / w0) / c2 - slope * q if log_psi0 else None)
     return fields
+
+
+def _over_square(num, w):
+    """num / w ** 2, divided by w twice where w ** 2 alone overflows float64
+    (finite |w| above 1.3e154, far left on the full line), so x' there is
+    the tiny value it is and not -0.0; every other quotient keeps its bits."""
+    with np.errstate(over="ignore"):
+        square = w ** 2
+    quotient = num / square
+    far = np.isinf(square) & np.isfinite(w)
+    if far.any():
+        quotient = np.where(far, num / w / w, quotient)
+    return quotient
 
 
 def _wei_hua_potential(p: WeiHuaParams, q: np.ndarray) -> np.ndarray:

@@ -152,7 +152,13 @@ def differentiate(f: SampledFunction, order: int = 1) -> SampledFunction:
 
 
 def differentiate_samples(
-    grid: Grid, values: np.ndarray, order: int = 1, *, _complex_rounding: bool = False
+    grid: Grid,
+    values: np.ndarray,
+    order: int = 1,
+    *,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+    _complex_rounding: bool = False,
 ) -> np.ndarray:
     """differentiate(SampledFunction(grid, values), order).values, same bits,
     without either finiteness scan: a caller that integrates the result gets
@@ -162,6 +168,8 @@ def differentiate_samples(
     operation order of the written-out expression, and the whole array is
     then divided by 12 h or 12 h^2 with divide_in_place. _complex_rounding
     scales real samples as that divides the real part of their complex cast.
+    out (the result) and scratch are arrays of the samples' shape and dtype,
+    neither of them values, to write into instead of allocating.
     """
     if order not in (1, 2):
         raise InvalidParameterError(f"derivative order must be 1 or 2, got {order}")
@@ -169,9 +177,9 @@ def differentiate_samples(
     if y.shape != (grid.n,):
         raise InvalidParameterError(f"expected {grid.n} samples, got shape {y.shape}")
     h = grid.step
-    d = np.empty_like(y)
+    d = np.empty_like(y) if out is None else out
     mid = d[2:-2]
-    scratch = np.empty_like(mid)
+    scratch = np.empty_like(mid) if scratch is None else scratch[2:-2]
     if order == 1:
         # (y[:-4] - 8 y[1:-3] + 8 y[3:-1] - y[4:]) / (12 h)
         np.subtract(y[:-4], np.multiply(8.0, y[1:-3], out=scratch), out=mid)

@@ -13,12 +13,18 @@ from one state sample it once with GridFields.normalized() and work on those
 arrays with ladder_values(), l2_norm_of() and the numerics functions on
 (grid, values). The record's arrays are read-only, so one record can be
 shared across threads as freely as a model.
+
+A Workspace holds the full-size arrays that one state's normalization and
+checks write into. A sweep passes one workspace to every state of its
+point count, so those arrays are allocated once, not once per alpha; it
+belongs to one caller and is not shared across threads.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -54,6 +60,9 @@ _EDGE_RATIO = 1e-12
 
 #: The TruncationError message for a state that float64 cannot hold on its grid.
 _OVERFLOW = "state overflows float64 on the grid; reduce |Re(alpha)|"
+
+#: Half of the largest float64: the headroom _im_alpha_limit() keeps.
+_HALF_MAX = 0.5 * sys.float_info.max
 
 #: Fixed offset (in units of 1/c1) between a finite domain boundary and the
 #: grid edge. Keeping it at 1e-3 bounds the superpotential magnitude near the
@@ -129,12 +138,18 @@ def require_admissible(model: OscillatorModel, alpha: complex) -> None:
         )
 
 
-def _state_values(log_psi0: np.ndarray, q: np.ndarray, alpha: complex | None) -> np.ndarray:
+def _state_values(
+    log_psi0: np.ndarray, q: np.ndarray, alpha: complex | None, out: np.ndarray | None = None
+) -> np.ndarray:
     """psi0 = exp(log psi0) for alpha None, else psi_alpha = exp(log psi0 +
-    sqrt(2) alpha q): the one place either state is formed from log psi0."""
+    sqrt(2) alpha q): the one place either state is formed from log psi0.
+    Each step is written into out (float64 for psi0, complex for psi_alpha),
+    or into the one array allocated, with the bits of the written-out sum."""
     if alpha is None:
-        return np.exp(log_psi0)
-    return np.exp(log_psi0 + SQRT2 * complex(alpha) * q)
+        return np.exp(log_psi0, out=out)
+    values = np.multiply(SQRT2 * complex(alpha), q, out=out)
+    np.add(log_psi0, values, out=values)
+    return np.exp(values, out=values)
 
 
 def ground_state(model: OscillatorModel) -> WaveFunction:
@@ -146,6 +161,52 @@ def coherent_state(model: OscillatorModel, alpha: complex) -> WaveFunction:
     """Coherent state psi_alpha = psi0 * exp(sqrt(2) alpha q), unnormalized."""
     require_admissible(model, alpha)
     return WaveFunction(model, complex(alpha))
+
+
+class Workspace:
+    """Full-size arrays for the states of one point count n, written into
+    by GridFields.normalized(), verify_coherent() and the numerics they call
+    instead of allocating: the samples of a state (complex for psi_alpha,
+    float64 for psi0), three complex work arrays, and one float64 array.
+    Each is allocated at its first use and kept for the workspace's life.
+
+    One caller owns a workspace; it is not thread-safe. Every call that is
+    passed it overwrites what the last one left there, the normalized
+    samples that call returned included.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = int(n)
+        self._arrays: dict[tuple[str, type], np.ndarray] = {}
+
+    def _array(self, name: str, dtype: type) -> np.ndarray:
+        array = self._arrays.get((name, dtype))
+        if array is None:
+            array = self._arrays[(name, dtype)] = np.empty(self.n, dtype)
+        return array
+
+    def state(self, alpha: complex | None) -> np.ndarray:
+        """The array for the samples of psi_alpha, or of psi0 for alpha None."""
+        return self._array("state", float if alpha is None else complex)
+
+    def work(self, index: int) -> np.ndarray:
+        """Complex work array 0, 1 or 2."""
+        return self._array(f"work{index}", complex)
+
+    def real(self) -> np.ndarray:
+        """The float64 work array."""
+        return self._array("real", float)
+
+
+def workspace_for(grid: Grid, workspace: Workspace | None) -> Workspace:
+    """workspace, or a new one for the grid when None; InvalidParameterError
+    when it was made for another point count."""
+    if workspace is None:
+        return Workspace(grid.n)
+    if workspace.n != grid.n:
+        raise InvalidParameterError(
+            f"workspace holds {workspace.n} points; the grid has {grid.n}")
+    return workspace
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,11 +221,17 @@ class GridFields:
     xp: np.ndarray
     log_psi0: np.ndarray
 
-    def sample(self, alpha: complex | None = None) -> SampledFunction:
-        """psi0 (real, alpha None) or psi_alpha samples for an admissible alpha;
-        TruncationError on overflow."""
+    def sample(
+        self, alpha: complex | None = None, *, out: np.ndarray | None = None
+    ) -> SampledFunction:
+        """psi0 (real, alpha None) or psi_alpha samples for an admissible alpha,
+        written into out when given (Workspace.state(alpha)); TruncationError
+        on overflow, and for an |Im(alpha)| beyond what the checks of the
+        state can hold (_im_alpha_limit())."""
+        if alpha is not None:
+            _require_im_alpha_within(complex(alpha), self.grid)
         with np.errstate(over="ignore"):
-            values = _state_values(self.log_psi0, self.q, alpha)
+            values = _state_values(self.log_psi0, self.q, alpha, out)
         try:
             return SampledFunction(self.grid, values)
         except InvalidParameterError:
@@ -174,26 +241,36 @@ class GridFields:
             raise TruncationError(_overflow(alpha)) from None
 
     def normalized(
-        self, alpha: complex | None = None, *, _cast: bool = True
+        self,
+        alpha: complex | None = None,
+        *,
+        workspace: Workspace | None = None,
+        _cast: bool = True,
     ) -> tuple[SampledFunction, float]:
         """psi0 or psi_alpha scaled to unit L2 norm on the grid, as complex
         samples, and the norm before scaling. With _cast False the ground
-        state stays float64: the real parts of the complex samples.
+        state stays float64: the real parts of the complex samples. The
+        samples are workspace.state(alpha), from a workspace of the grid's
+        point count (a new one when None).
 
         Raises TruncationError when the grid does not cover the support, i.e.
         neither the edge-magnitude rule nor the estimated-tail-mass rule holds
-        at an edge, so the caller must widen the grid; and when the state or
-        its squared norm overflows float64.
+        at an edge, so the caller must widen the grid; when the state or
+        its squared norm overflows float64; and where sample() does.
         """
-        values = self.sample(alpha).values
-        mag = np.abs(values)
+        workspace = workspace_for(self.grid, workspace)
+        values = self.sample(alpha, out=workspace.state(alpha)).values
+        # |psi| and |psi|^2 go into the two float64 halves of a work array,
+        # which the checks of the state take over only after this returns.
+        mag, squares = workspace.work(0).view(np.float64).reshape(2, -1)
+        np.abs(values, out=mag)
         peak = float(mag.max())
         if peak == 0.0:
             raise TruncationError("state is identically zero on the grid")
         if math.isinf(peak * peak):  # |psi|^2 overflows where psi does not
             raise TruncationError(_overflow(alpha))
         with np.errstate(over="ignore"):  # and finite squares may sum past float64
-            mass = float(integrate_samples(self.grid, mag ** 2))
+            mass = float(integrate_samples(self.grid, np.square(mag, out=squares)))
         if math.isinf(mass):
             raise TruncationError(_overflow(alpha))
         for left in (True, False):
@@ -202,15 +279,34 @@ class GridFields:
                 raise TruncationError(
                     f"{side} grid edge does not cover the support; widen the grid"
                 )
-        del mag
         norm = math.sqrt(mass)
-        # The samples are this call's own: scale them in place, and before the
+        # The samples are the workspace's: scale them in place, and before the
         # complex cast, since a real ground state divided after the cast would
         # round differently.
         values = divide_in_place(values, norm)
         if _cast:
             values = np.asarray(values, dtype=complex)
         return SampledFunction(self.grid, values), norm
+
+
+def _im_alpha_limit(grid: Grid) -> float:
+    """The largest |Im(alpha)| whose state and checks float64 holds on the
+    grid, with a factor 2 of headroom. The phase sqrt(2) Im(alpha) q must be
+    finite at both edges; the momentum identities square 2 Im(alpha); and
+    the eigenvalue residual of a unit-norm state holds alpha psi, whose
+    squares sum with Simpson's weights (1, 4, 2, ..., 4, 1) to about
+    |alpha|^2 3/h."""
+    reach = max(abs(grid.q_min), abs(grid.q_max))
+    return min(_HALF_MAX / (SQRT2 * reach),
+               math.sqrt(_HALF_MAX / max(4.0, 3.0 / grid.step)))
+
+
+def _require_im_alpha_within(alpha: complex, grid: Grid) -> None:
+    limit = _im_alpha_limit(grid)
+    if abs(alpha.imag) > limit:
+        raise TruncationError(
+            f"|Im(alpha)| = {abs(alpha.imag):.6g} exceeds {limit:.6g}, beyond which the "
+            "checks of the state overflow float64 on the grid; reduce |Im(alpha)|")
 
 
 def _overflow(alpha: complex | None) -> str:
@@ -232,29 +328,37 @@ def grid_fields(model: OscillatorModel, grid: Grid) -> GridFields:
 
 
 def ladder_values(
-    dpsi: np.ndarray, x_psi: np.ndarray, which: str, *, _complex_rounding: bool = False
+    dpsi: np.ndarray,
+    x_psi: np.ndarray,
+    which: str,
+    *,
+    out: np.ndarray | None = None,
+    _complex_rounding: bool = False,
 ) -> np.ndarray:
     """Annihilation (psi' - x psi)/sqrt(2) or creation (-psi' - x psi)/sqrt(2)
-    from samples of psi' and of x psi on one grid, computed in place in the
-    one array allocated, which rounds exactly as the written-out expression.
-    _complex_rounding divides real samples as numpy divides the real part of
-    their complex cast (divide_in_place)."""
+    from samples of psi' and of x psi on one grid, computed in place in out,
+    which may be dpsi, or in the one array allocated; either rounds exactly
+    as the written-out expression. _complex_rounding divides real samples as
+    numpy divides the real part of their complex cast (divide_in_place)."""
     if which == ANNIHILATION:
-        out = np.subtract(dpsi, x_psi)
+        out = np.subtract(dpsi, x_psi, out=out)
     elif which == CREATION:
+        if out is None:
+            out = np.empty(np.shape(dpsi), np.result_type(dpsi, x_psi))
         # A real psi' negates before the cast, as -dpsi would: +0.0 imaginary parts.
-        out = np.negative(dpsi, out=np.empty(np.shape(dpsi), np.result_type(dpsi, x_psi)))
-        np.subtract(out, x_psi, out=out)
+        np.subtract(np.negative(dpsi, out=out), x_psi, out=out)
     else:
         raise InvalidParameterError(f"unknown ladder operator {which!r}")
     return divide_in_place(out, SQRT2, complex_rounding=_complex_rounding)
 
 
-def l2_norm_of(grid: Grid, values: np.ndarray) -> float:
+def l2_norm_of(grid: Grid, values: np.ndarray, *, scratch: np.ndarray | None = None) -> float:
     """L2 norm of samples on a grid, such as a state or a residual, by
-    Simpson quadrature; InvalidParameterError unless they and their squared
-    magnitudes are finite."""
-    return math.sqrt(float(integrate_samples(grid, np.abs(values) ** 2)))
+    Simpson quadrature, with |values|^2 formed in scratch (a float64 array
+    of their shape) when given; InvalidParameterError unless they and their
+    squared magnitudes are finite."""
+    squares = np.abs(values, out=scratch)
+    return math.sqrt(float(integrate_samples(grid, np.square(squares, out=squares))))
 
 
 def _edge_covered(

@@ -24,10 +24,12 @@ from .states import (
     CREATION,
     SQRT2,
     GridFields,
+    Workspace,
     grid_fields,
     l2_norm_of,
     ladder_values,
     require_admissible,
+    workspace_for,
 )
 
 
@@ -210,6 +212,7 @@ def verify_coherent(
     *,
     fields: GridFields | None = None,
     normalized: SampledFunction | None = None,
+    workspace: Workspace | None = None,
 ) -> VerificationReport:
     """Coherent-state identities for one admissible alpha.
 
@@ -221,26 +224,33 @@ def verify_coherent(
     commutator expectation. A caller that already holds the samples of
     fields.normalized(alpha) passes them as normalized, and psi_alpha is
     not formed again.
+
+    Every full-size array is one of workspace's, a Workspace of the grid's
+    point count (a new one when None): a sweep that passes one workspace to
+    each of its alphas allocates them once. The report is the same either way.
     """
     tol = tolerances or Tolerances()
     alpha = complex(alpha)
     require_admissible(model, alpha)
     fields = _fields_for(model, grid, fields)
-    s = fields.normalized(alpha)[0] if normalized is None else normalized
-    if s.grid != grid:
+    workspace = workspace_for(grid, workspace)
+    if normalized is None:
+        normalized = fields.normalized(alpha, workspace=workspace)[0]
+    if normalized.grid != grid:
         raise InvalidParameterError("normalized samples were taken on another grid")
-    psi = s.values
+    psi = normalized.values
     x = fields.x
+    d1, work, residual = workspace.work(0), workspace.work(1), workspace.work(2)
+    real = workspace.real()
 
-    norm = l2_norm_of(grid, psi)
+    norm = l2_norm_of(grid, psi, scratch=real)
     # Three work arrays beside psi: the stencils skip the finiteness scan (a
     # non-finite derivative reaches integrate_samples, which refuses it with
     # the same error), and x psi is formed again rather than kept.
-    d1 = differentiate_samples(grid, psi, 1)
-    work = np.multiply(x, psi)
-    residual = ladder_values(d1, work, ANNIHILATION)
+    differentiate_samples(grid, psi, 1, out=d1, scratch=work)
+    ladder_values(d1, np.multiply(x, psi, out=work), ANNIHILATION, out=residual)
     np.subtract(residual, np.multiply(alpha, psi, out=work), out=residual)
-    eig = l2_norm_of(grid, residual) / norm
+    eig = l2_norm_of(grid, residual, scratch=real) / norm
 
     # Position-like observables multiply by x, x^2 or x'; p and p^2 act as
     # -i d/dq and -d^2/dq^2 on the same samples. Each product is formed in
@@ -248,10 +258,9 @@ def verify_coherent(
     conj_psi = np.conj(psi, out=work)
     work = residual
     ex = _moment(grid, conj_psi, np.multiply(x, psi, out=work), work)
-    ex2 = _moment(grid, conj_psi, np.multiply(x ** 2, psi, out=work), work)
+    ex2 = _moment(grid, conj_psi, np.multiply(np.square(x, out=real), psi, out=work), work)
     ep = _moment(grid, conj_psi, np.multiply(-1j, d1, out=work), work)
-    del d1, work, residual
-    d2 = differentiate_samples(grid, psi, 2)
+    d2 = differentiate_samples(grid, psi, 2, out=d1, scratch=work)
     ep2 = _moment(grid, conj_psi, np.negative(d2, out=d2), d2)
     # x' psi is -[A, A^dagger] psi bit for bit: negation is exact.
     exp_prime = _moment(grid, conj_psi, np.multiply(fields.xp, psi, out=d2), d2)

@@ -446,6 +446,27 @@ class TestNonFiniteParameters:
             assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", ["1e300i", "1e307i", "-1e307i", "0.1+1e308i"])
+@pytest.mark.parametrize("family", ["harmonic", "kratzer"])
+def test_a_huge_imaginary_alpha_is_refused_by_name(tmp_path, capsys, family, alpha):
+    # Its checks would overflow float64 (numpy warned, and the error was a
+    # generic "samples must all be finite"): one message names |Im(alpha)|,
+    # with no warning; verify reports it in the alpha's section, coherent
+    # writes no table.
+    model = ["--family", family, *_param_flags(_CLI_FAMILY_PARAMS[family])]
+    assert run("coherent", *model, f"--alpha={alpha}", "--out", str(tmp_path / "c.csv"),
+               "--report", str(tmp_path / "c.txt")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: |Im(alpha)| = ") and err.endswith("reduce |Im(alpha)|\n")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    assert run("verify", *model, "--alphas", f"0.1,{alpha}", "--report", str(tmp_path / "r.txt")) == 1
+    assert capsys.readouterr().err == ""
+    last = (tmp_path / "r.txt").read_text().split("---\n")[-1]
+    assert last.splitlines()[-1] == f"result: error ({err[len('error: '):-1]})"
+
+
 class TestExplicitGrids:
     # psi0 = exp(-q^2/2) is 1.5e-8 of its peak at q = +-6, and normalization's
     # tail-mass rule accepts the grid; construct warns by that same rule.
@@ -813,8 +834,7 @@ def test_tables_are_pinned(tmp_path, argv, code, warns, digests):
 # the domain, one that does not cover the state and ones that do, a ground
 # state that is not normalizable, whose alphas share the explicit grid, and
 # the gnuplot scripts. The harmonic [-40, 40] states hold negative zeros, so
-# their scaling takes np.divide. No numpy warning is raised, except the one
-# case marked.
+# their scaling takes np.divide. No numpy warning is raised.
 _PINNED_EXPLICIT_GRIDS = [
     ('construct --family harmonic --qmin=-5', 2, 'error: --qmin and --qmax must be given together\n', {}),
     ('coherent --family harmonic --qmax=5 --alpha 0.1', 2, 'error: --qmin and --qmax must be given together\n', {}),
@@ -830,13 +850,16 @@ _PINNED_EXPLICIT_GRIDS = [
     ('coherent --family harmonic --qmin=-8 --qmax=8 --n 801 --alpha 0.2+0.3i --tol product=x', 2, "error: non-numeric tolerance in 'product=x'\n", {}),
     ('verify --family harmonic --qmin=-8 --qmax=8 --n 801 --alphas 0,0.1,0.05+0.1i', 0, '', {'r.txt': '84255f35d603b71aa52b1f84f68461572c75008ece4eb842a55638def7b43611'}),
     ('verify --family harmonic --qmin=-40 --qmax=40 --n 16001 --alphas 0,0.1,0.05+0.1i,-0.1-0.2i', 0, '', {'r.txt': '10b5dba09aed911b60f254d429773682bec6aa722c28472257243d2b5802b9aa'}),
+    # A huge imaginary part is refused by name: 1e+308i was "state overflows
+    # float64; reduce |Re(alpha)|", the others "samples must all be finite".
+    ('verify --family harmonic --qmin=-8 --qmax=8 --n 801 --alphas 0,1e300i,1e307i,1e308i', 1, '', {'r.txt': '87eff07ef175c2c64acab57355eb5d68cdaea5bf7b9b960a202d1143083c7c3f'}),
     ('verify --family kratzer --param c1=0.5 --qmin=-1.99 --qmax=40 --n 801 --alphas 0,0.1,2,-0.2', 1, '', {'r.txt': '1993b08121a6374b4b6b45b925d52c15d6a42e2ae3ad909de1a2b5555f9c3d98'}),
     ('coherent --family morse --param s=1 --param xe=0.5 --qmin=-3 --qmax=20 --n 801 --alpha 0.9', 2, 'error: sqrt(2) Re(alpha) = 1.27279 outside (-inf, 0.5); state not normalizable\n', {}),
     ('construct --family weihua --param c0=5 --param c1=1 --param c2=-0.3', 2, 'error: ground state not normalizable (coherent states need sqrt(2) Re(alpha) in (1.66667, 5)); give --qmin and --qmax\n', {}),
     ('construct --family weihua --param c0=5 --param c1=1 --param c2=-0.3 --qmin=-10 --qmax=10 --n 401', 0, 'warning: left grid edge does not cover the support; widen the grid\n', {'t.csv': 'ea7a2786e2df42809d8162d3a690cd0c56a02fb9e883657afe31367947cff2fc'}),
-    # The kernel's x' squares a w beyond 1e154 there and warns on its own.
-    pytest.param('construct --family weihua --param c0=5 --param c1=1 --param c2=-0.3 --qmin=-400 --qmax=10 --n 1001', 0, 'warning: ground state overflows float64 on the grid; narrow the grid\n', {'t.csv': '394a70f61a4f55ed21c2dd7f3ffa11394312cab0c07dfb8d287c7d6ce240e12b'},
-                 marks=pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")),
+    # w beyond 1e154 there: x' is divided by w twice, not by w ** 2, which
+    # overflowed with a numpy warning and left -0.0 in 108 rows.
+    ('construct --family weihua --param c0=5 --param c1=1 --param c2=-0.3 --qmin=-400 --qmax=10 --n 1001', 0, 'warning: ground state overflows float64 on the grid; narrow the grid\n', {'t.csv': '942a28b067d496e6ea8959d31e27fb7a87c11f4b110faf74439e9702a2515439'}),
     ('coherent --family weihua --param c0=5 --param c1=1 --param c2=-0.3 --qmin=-30 --qmax=40 --n 1001 --alpha 2', 1, '', {'r.txt': '42bb9de44d049a5201e15c7f94d2dc2b32516b120a95bf0624481bdc746a8c86', 't.csv': 'eda34941bdf63bca4cd9ea1674eb66c2dd336ec99f598269cf79835da83b106c'}),
     ('verify --family weihua --param c0=5 --param c1=1 --param c2=-0.3 --qmin=-30 --qmax=40 --n 1001 --alphas 0,2,2.5', 1, '', {'r.txt': 'a5aec5346abbc7abbfc0975761b21dd8a7c4698cd2903b4e483506636111e28c'}),
     ('verify --family weihua --param c0=5 --param c1=1 --param c2=-0.3 --qmin=-30 --qmax=40 --n 1001 --alphas 2 --tol nope=1', 2, "error: unknown tolerance 'nope'\n", {}),

@@ -116,6 +116,33 @@ class TestWeiHua:
         assert abs(x_left - 1.0) < 1e-12
         assert abs(x_right - (-1.0)) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_x_prime_where_w_squared_overflows(self):
+        # x' = (-c1^2/c2) C e^{-c1 q} / w^2 with w = 1 - C e^{-c1 q}. Far left
+        # on the full line |w| passes 1.3e154 and w^2 overflows: there x' is
+        # divided by w twice; everywhere else it keeps the bits of / w ** 2.
+        m = make_wei_hua(5.0, 1.0, -0.3)
+        p = m.params
+        q = np.linspace(-400.0, 10.0, 1001)
+        ce = p.big_c * np.exp(-p.c1 * q)
+        w = 1.0 - ce
+        num = -(p.c1 ** 2 / p.c2) * ce
+        with np.errstate(over="ignore"):
+            far = np.isinf(w ** 2)
+            before = num / w ** 2
+        assert 100 < far.sum() < q.size
+        got = eval_superpotential_derivative(m, q)
+        assert got[~far].tobytes() == before[~far].tobytes()
+        assert got[far].tobytes() == (num[far] / w[far] / w[far]).tobytes()
+        assert np.all(got[far] < 0.0) and np.all(before[far] == 0.0)
+        # Neighbouring x' differ by the factor e^{c1 h} on both sides of the switch.
+        ratio = got[1:] / got[:-1]
+        np.testing.assert_allclose(ratio[: far.sum() + 5], math.exp(p.c1 * (q[1] - q[0])),
+                                   rtol=1e-12)
+        for value, expected in zip(q[::50], got[::50]):
+            scalar = eval_superpotential_derivative(m, float(value))
+            assert np.float64(scalar).tobytes() == expected.tobytes()
+
 
 class TestKratzerFamilies:
     def test_generalized_constants(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from anhosc.cli import main
-from anhosc.errors import InvalidParameterError
+from anhosc.errors import InvalidParameterError, TruncationError
 from anhosc.families import (
     make_generalized_kratzer_fues,
     make_generalized_morse,
@@ -20,7 +20,7 @@ from anhosc.families import (
 )
 from anhosc.numerics import make_grid
 from anhosc import cli, models, states, verify
-from anhosc.states import auto_grid, grid_fields
+from anhosc.states import Workspace, auto_grid, grid_fields
 from anhosc.verify import Tolerances, verify_coherent, verify_model
 
 
@@ -219,9 +219,9 @@ class TestSampleOnce:
         formed = []
         state_values = states._state_values
 
-        def counting(log_psi0, q, alpha):
+        def counting(log_psi0, q, alpha, out=None):
             formed.append(alpha)
-            return state_values(log_psi0, q, alpha)
+            return state_values(log_psi0, q, alpha, out)
 
         monkeypatch.setattr(states, "_state_values", counting)
         code = main(["coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
@@ -411,3 +411,125 @@ def test_peak_memory_stays_below_the_complex_path(alpha, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 16 * g.n
+
+
+def _poison(workspace):
+    """NaN in every array of the workspace, so that stale data would show."""
+    for array in (workspace.state(None), workspace.state(0j), workspace.work(0),
+                  workspace.work(1), workspace.work(2), workspace.real()):
+        array.fill(np.nan)
+
+
+class TestWorkspace:
+    def test_one_workspace_per_n_reproduces_the_pinned_reports(self):
+        # One workspace per point count serves every model, alpha and grid
+        # (auto and explicit) of that count, refilled with NaN between calls.
+        workspaces = {}
+        for name, alpha, spec, digest in _PINNED_REPORTS:
+            if alpha is None:
+                continue
+            model = _PINNED_MODELS[name]
+            grid = _pinned_grid(model, alpha, spec)
+            workspace = workspaces.setdefault(grid.n, Workspace(grid.n))
+            _poison(workspace)
+            text = verify_coherent(model, alpha, grid, workspace=workspace).to_text()
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, alpha, spec)
+
+    @pytest.mark.parametrize("model", desk_models(), ids=lambda m: m.family)
+    def test_reuse_across_alphas_and_auto_grids_matches_fresh_calls(self, model):
+        workspace = Workspace(4001)
+        for alpha in (0.0, 0.1, -0.3, 0.1 + 0.3j, -0.1 - 0.2j):
+            grid = auto_grid(model, alpha)
+            _poison(workspace)
+            assert (verify_coherent(model, alpha, grid, workspace=workspace).to_text()
+                    == verify_coherent(model, alpha, grid).to_text())
+
+    def test_reuse_on_an_explicit_grid_with_negative_zero_tails(self):
+        # The harmonic [-40, 40] states underflow to -0.0 parts in their
+        # tails, so their scaling takes np.divide; the CLI's dense sweep.
+        m = make_harmonic()
+        grid = make_grid(-40.0, 40.0, 16001)
+        fields = grid_fields(m, grid)
+        workspace = Workspace(grid.n)
+        negative_zeros = 0
+        for alpha in (0.0, 0.1, 0.05 + 0.1j, -0.1 - 0.2j, 0.3j):
+            samples, norm = fields.normalized(alpha)
+            parts = samples.values.view(np.float64)
+            negative_zeros += np.count_nonzero((parts == 0.0) & np.signbit(parts))
+            _poison(workspace)
+            shared, shared_norm = fields.normalized(alpha, workspace=workspace)
+            assert shared.values.tobytes() == samples.values.tobytes() and shared_norm == norm
+            assert np.shares_memory(shared.values, workspace.state(alpha))
+            _poison(workspace)
+            assert (verify_coherent(m, alpha, grid, fields=fields, workspace=workspace).to_text()
+                    == verify_coherent(m, alpha, grid).to_text())
+        assert negative_zeros > 0
+
+    def test_the_ground_state_takes_the_float_array(self):
+        m = make_generalized_morse(1.0, 0.5)
+        fields = grid_fields(m, auto_grid(m))
+        workspace = Workspace(fields.grid.n)
+        _poison(workspace)
+        shared, norm = fields.normalized(workspace=workspace, _cast=False)
+        fresh, fresh_norm = fields.normalized(_cast=False)
+        assert shared.values.dtype == float and norm == fresh_norm
+        assert shared.values.tobytes() == fresh.values.tobytes()
+        assert np.shares_memory(shared.values, workspace.state(None))
+
+    def test_a_workspace_for_another_point_count_is_refused(self):
+        m = make_harmonic()
+        grid = auto_grid(m, 0.1)
+        with pytest.raises(InvalidParameterError, match="workspace holds 2001 points"):
+            verify_coherent(m, 0.1, grid, workspace=Workspace(2001))
+        with pytest.raises(InvalidParameterError, match="workspace holds 2001 points"):
+            grid_fields(m, grid).normalized(0.1, workspace=Workspace(2001))
+
+    def test_a_warm_workspace_allocates_less_than_half_a_complex_array(self):
+        # Every full-size array of a second alpha is the workspace's: what is
+        # left is a finiteness mask (1 byte a point) and scalars.
+        m = make_harmonic()
+        g = make_grid(-10.0, 10.0, 64001)
+        fields = grid_fields(m, g)
+        workspace = Workspace(g.n)
+        verify_coherent(m, 0.1 + 0.2j, g, fields=fields, workspace=workspace)
+        tracemalloc.start()
+        try:
+            verify_coherent(m, -0.2 + 0.1j, g, fields=fields, workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 16 * g.n
+
+    def test_a_new_workspace_holds_what_the_per_alpha_path_peaked_at(self):
+        # psi, three complex work arrays and one float64 array: 4.5 complex
+        # arrays of the grid, as the path held before it wrote into a workspace.
+        m = make_harmonic()
+        g = make_grid(-10.0, 10.0, 64001)
+        fields = grid_fields(m, g)
+        tracemalloc.start()
+        try:
+            verify_coherent(m, 0.1 + 0.2j, g, fields=fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.75 * 16 * g.n
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [801, 16001])
+def test_an_imaginary_part_at_the_limit_is_checked_or_refused_without_warnings(n):
+    # Just inside the limit the checks stay finite (they fail: no grid
+    # resolves such a phase); just beyond it the state is refused by name.
+    m = make_harmonic()
+    grid = make_grid(-8.0, 8.0, n)
+    limit = states._im_alpha_limit(grid)
+    report = verify_coherent(m, complex(0.1, 0.999 * limit), grid)
+    assert all(math.isfinite(value) for _, value, _, _ in report.checks)
+    assert not report.passed
+    beyond = complex(0.1, -1.001 * limit)
+    message = r"^\|Im\(alpha\)\| = .* reduce \|Im\(alpha\)\|$"
+    for refuse in (lambda: verify_coherent(m, beyond, grid),
+                   lambda: grid_fields(m, grid).sample(beyond),
+                   lambda: states.coherent_state(m, beyond).sample(grid)):
+        with pytest.raises(TruncationError, match=message):
+            refuse()
