@@ -431,11 +431,13 @@ def _peak(model: OscillatorModel, t: float) -> float:
     return q_peak
 
 
-def _bisect(keep: Callable[[float], bool], a: float, b: float, steps: int) -> tuple[float, float]:
+def _bisect(keep: Callable[[float], bool], a: float, b: float, steps: int,
+            decided: Callable[[float], bool]) -> tuple[float, float]:
     """Shrink the bracket (a, b), either order, with keep(a) true and keep(b)
     false, by at most steps bisections; return it. Stops once the midpoint is
     an end: its side is known, so the update would leave the bracket
-    unchanged, and so would every later step."""
+    unchanged, and so would every later step. Stops too once decided(b)
+    holds for the rejected end b, which only ever moves toward a."""
     for _ in range(steps):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
@@ -444,6 +446,8 @@ def _bisect(keep: Callable[[float], bool], a: float, b: float, steps: int) -> tu
             a = mid
         else:
             b = mid
+            if decided(b):
+                break
     return a, b
 
 
@@ -453,10 +457,17 @@ def _edge_by_mass(
     q_peak: float,
     start: float,
     log_budget: float,
+    envelope: float,
 ) -> float:
     """Move outward from the peak, from start on, until the estimated tail mass
     (weighted by a local moment lever) drops below the budget, then bisect
-    the last step: from the last point at or above the budget to the first below."""
+    the last step: from the last point at or above the budget to the first below.
+
+    envelope is the family's envelope edge on the search's side, to which
+    the caller widens the edge (-inf on the right, +inf on the left, where
+    there is none). The bisection stops once its rejected end gives an edge
+    within envelope: that end only moves toward the peak and the edge is
+    monotone in it in float64, so the full bisection's would lie within too."""
 
     def excess(q: float) -> float:
         x, log_amplitude = x_and_log_amplitude(q)
@@ -479,8 +490,14 @@ def _edge_by_mass(
         inner, outer = outer, q_peak + 2.0 * (outer - q_peak)
     else:
         raise TruncationError("tail does not decay; cannot truncate the domain")
-    outer = _bisect(lambda q: excess(q) >= 0.0, inner, outer, 120)[1]
-    return q_peak + 1.05 * (outer - q_peak)
+
+    def edge(outer: float) -> float:
+        return q_peak + 1.05 * (outer - q_peak)
+
+    def decided(outer: float) -> bool:
+        return edge(outer) <= envelope if start > q_peak else edge(outer) >= envelope
+
+    return edge(_bisect(lambda q: excess(q) >= 0.0, inner, outer, 120, decided)[1])
 
 
 def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Grid:
@@ -496,11 +513,14 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
     The peak of |psi_alpha|, where x(q) = -sqrt(2) Re(alpha), comes from the
     family's closed-form inverse of x. Each edge search steps outward from
     the peak (on the full line, from the envelope edge where that lies
-    beyond) and bisects its last bracket until it stops shrinking in float64.
+    beyond) and bisects its last bracket until it stops shrinking in float64,
+    or on the full line until the edge is known to lie within the envelope,
+    whose edge the grid then takes, bit for bit as after a full bisection.
     Raises TruncationError when the peak is not a finite float (Re(alpha) at
     its admissibility bound to float64 precision) or lies inside the pole
     offset (Re(alpha) too negative), when the state overflows float64 at its
-    peak, or when a tail leaves float64 range before it decays.
+    peak (or x' underflows to zero there), or when a tail leaves float64
+    range before it decays.
     """
     alpha = complex(alpha)
     require_admissible(model, alpha)
@@ -512,6 +532,8 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
     with np.errstate(all="ignore"):
         # log psi0 and x' at the peak from one kernel call on np.float64.
         _, xp, log_psi0 = kernel(model)(np.float64(q_peak), x=False, xp=True, log_psi0=True)
+        if not xp < 0.0:  # x' underflows to -0.0 at the peak of a gkf model with a tiny c0
+            raise TruncationError(_OVERFLOW)
         log_mass = 2.0 * (float(log_psi0) + t * q_peak) + 0.5 * math.log(math.pi / -float(xp))
         if not math.isfinite(log_mass):
             raise TruncationError(_OVERFLOW)
@@ -520,18 +542,18 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
         # that is larger: beyond 2^53, q_peak + 1 rounds back to q_peak.
         step = max(1.0, abs(q_peak) * 2.0 ** -50)
 
-        def edge(start: float) -> float:
-            return _edge_by_mass(x_and_log_amplitude, t, q_peak, start, log_budget)
+        def edge(start: float, envelope: float) -> float:
+            return _edge_by_mass(x_and_log_amplitude, t, q_peak, start, log_budget, envelope)
 
         if math.isfinite(model.q_lower):
             # Half-line family: the pole offset on the left, the mass rule alone
             # on the right; an envelope would stretch the uniform grid until
             # stencil error near the pole swamps the identity checks.
-            a, b = _pole_edge(model), edge(q_peak + step)
+            a, b = _pole_edge(model), edge(q_peak + step, -math.inf)
         else:
             # Full-line family: tails die at least as fast as a Gaussian on
             # one side, so the envelope is kept and only ever widened.
             a0, b0 = family_of(model).envelope(model.params)
-            b = max(b0, edge(max(b0, q_peak + step)))
-            a = min(a0, edge(min(a0, q_peak - step)))
+            b = max(b0, edge(max(b0, q_peak + step), b0))
+            a = min(a0, edge(min(a0, q_peak - step), a0))
     return make_grid(a, b, n)

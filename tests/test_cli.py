@@ -225,6 +225,26 @@ class TestCoherent:
             "error: state overflows float64 on the grid; reduce |Re(alpha)|\n"
         )
 
+    @pytest.mark.parametrize("c0", ["1e-155", "1e-200", "1e-300"])
+    @pytest.mark.parametrize("command", [
+        ["construct", "--out", "g.csv"],
+        ["coherent", "--alpha", "0", "--out", "g.csv", "--report", "g.txt"],
+        ["verify", "--alphas", "0,0.1", "--report", "g.txt"],
+    ], ids=lambda command: command[0])
+    def test_a_gkf_peak_whose_curvature_underflows_is_an_overflow(
+            self, tmp_path, capsys, monkeypatch, c0, command):
+        # x' at the peak underflows to -0.0: refused as at c0 = 1e-154, where
+        # it ended in a ZeroDivisionError traceback and exit 1.
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(*command, "--family", "gkf", "--param", f"c0={c0}", "--param", "c1=0.5")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: state overflows float64 on the grid; reduce |Re(alpha)|\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_inadmissible_alpha(self, tmp_path):
         code = run("coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
                    "--alpha", "0.5+0i", "--out", str(tmp_path / "c.csv"),

@@ -26,6 +26,7 @@ from anhosc.families import (
     GENERALIZED_MORSE,
     HARMONIC,
     WEI_HUA,
+    family_of,
     make_generalized_kratzer_fues,
     make_generalized_morse,
     make_harmonic,
@@ -767,21 +768,37 @@ def test_a_peak_beyond_float64_is_an_overflow(alpha):
     assert str(caught.value) == "state overflows float64 on the grid; reduce |Re(alpha)|"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c0", [1e-155, 1e-200, 1e-300])
+def test_a_peak_whose_curvature_underflows_is_an_overflow(c0):
+    # x' at the gkf peak, near 2 c1 / c0, underflows to -0.0 and leaves no
+    # Laplace mass estimate (a ZeroDivisionError before); the refusal is the
+    # one c0 = 1e-154 gets from its overflowing mass.
+    m = make_generalized_kratzer_fues(c0, 0.5)
+    with np.errstate(over="ignore"):
+        assert kernel(m)(np.float64(states._peak(m, 0.0)), x=False, xp=True)[1] == 0.0
+    with pytest.raises(TruncationError) as caught:
+        auto_grid(m)
+    assert str(caught.value) == "state overflows float64 on the grid; reduce |Re(alpha)|"
+
+
 def _points_per_bisection(monkeypatch, model, alpha):
     """The coordinates each bisection of one auto_grid call evaluated, one
-    list per bisection (one per edge search)."""
+    list per bisection (one per edge search), each with whether the envelope
+    decided it: whether the stop test holds at its last rejected end."""
     bisections = []
     bisect = states._bisect
 
-    def recording_bisect(keep, a, b, steps):
+    def recording_bisect(keep, a, b, steps, decided):
         points = []
-        bisections.append(points)
 
         def recorded(q):
             points.append(q)
             return keep(q)
 
-        return bisect(recorded, a, b, steps)
+        bracket = bisect(recorded, a, b, steps, decided)
+        bisections.append((points, decided(bracket[1])))
+        return bracket
 
     monkeypatch.setattr(states, "_bisect", recording_bisect)
     auto_grid(model, alpha, 2001)
@@ -791,16 +808,23 @@ def _points_per_bisection(monkeypatch, model, alpha):
 @pytest.mark.parametrize("m, alpha", [
     (make_generalized_morse(1.0, 0.5), 0.1),
     *_search_draws(60, seed=91),
+    (make_harmonic(), 5.0),
 ], ids=lambda v: getattr(v, "family", None))
 def test_no_point_is_evaluated_twice_within_one_bisection(monkeypatch, m, alpha):
     # A bisection stops when its midpoint is a bracket end, whose side is
     # known, instead of evaluating that point again (once per bisection
-    # before).
+    # before). One the envelope decides stops after one to three points; every
+    # other one runs on until its bracket stops shrinking.
     bisections = _points_per_bisection(monkeypatch, m, alpha)
     assert len(bisections) == (1 if math.isfinite(m.q_lower) else 2)
-    for points in bisections:
-        assert len(points) > 10
+    for points, decided in bisections:
         assert len(points) == len(set(points))
+        if not decided:
+            assert len(points) > 10
+    # No envelope decides a half-line search, nor the right edge of harmonic
+    # alpha = 5, whose peak 5 sqrt(2) lies within 1 of the envelope edge 8.
+    if math.isfinite(m.q_lower) or (m.family == HARMONIC and alpha == 5.0):
+        assert not bisections[0][1]
 
 
 def _points_per_edge_search(monkeypatch, model, alpha):
@@ -838,6 +862,76 @@ def test_no_point_is_evaluated_twice_within_one_edge_search(monkeypatch, m, alph
         assert len(points) == len(set(points))
 
 
+def _search_without_envelope(monkeypatch):
+    """Pass no envelope to auto_grid's edge searches, so that every bisection
+    runs until its bracket stops shrinking."""
+    edge_by_mass = states._edge_by_mass
+
+    def full_search(x_and_log_amplitude, t, q_peak, start, log_budget, envelope):
+        no_envelope = -math.inf if start > q_peak else math.inf
+        return edge_by_mass(x_and_log_amplitude, t, q_peak, start, log_budget, no_envelope)
+
+    monkeypatch.setattr(states, "_edge_by_mass", full_search)
+
+
+def _edges_or_refusals(draws):
+    """float.hex of each draw's auto_grid edges, or its TruncationError."""
+    edges = []
+    for m, alpha in draws:
+        try:
+            g = auto_grid(m, alpha, 2001)
+        except TruncationError as exc:
+            edges.append(str(exc))
+        else:
+            edges.append((g.q_min.hex(), g.q_max.hex()))
+    return edges
+
+
+def test_an_edge_the_envelope_decides_is_the_full_searchs_edge(monkeypatch):
+    # A full-line search stops once its rejected end gives an edge within
+    # the envelope; the grid then takes the envelope edge, as it does from
+    # the edge of the full bisection, bit for bit.
+    draws = _search_draws(2000, seed=2024)
+    stopped = _edges_or_refusals(draws)
+    with monkeypatch.context() as patch:
+        _search_without_envelope(patch)
+        assert _edges_or_refusals(draws) == stopped
+    # Not vacuous: most full-line grids take an envelope edge.
+    on_envelope = 0
+    for (m, _), edges in zip(draws, stopped):
+        if not math.isfinite(m.q_lower) and isinstance(edges, tuple):
+            a0, b0 = family_of(m).envelope(m.params)
+            on_envelope += (edges[0] == a0.hex()) + (edges[1] == b0.hex())
+    assert on_envelope > 1000
+
+
+# Points each edge search of auto_grid evaluates, right edge first, with and
+# without the envelope passed. A search the envelope decides stops after 2
+# to 4 points; the others evaluate as many as a full search, as before the
+# envelope was passed.
+_SEARCH_COUNTS = [
+    ("harmonic", 0.1, [3, 3], [54, 55]),
+    ("harmonic", 5.0, [55, 2], [55, 56]),
+    ("harmonic", -5.0, [2, 55], [56, 55]),
+    ("morse", 0.1, [3, 4], [54, 54]),
+    ("morse", -2.0, [2, 53], [57, 53]),
+    ("morse", (0.2+0.3j), [54, 4], [54, 54]),
+    ("weihua_full_line", 0.1, [55, 2], [55, 58]),
+    ("weihua", 0.1, [61], [61]),
+    ("kratzer", 0.1, [57], [57]),
+    ("gkf", 0.1, [57], [57]),
+]
+
+
+@pytest.mark.parametrize("name, alpha, counts, full_counts", _SEARCH_COUNTS)
+def test_edge_search_evaluation_counts_are_pinned(monkeypatch, name, alpha, counts, full_counts):
+    m = {**_DESK_MODELS, **_WIDE_MODELS}[name]
+    with monkeypatch.context() as patch:
+        assert [len(p) for p in _points_per_edge_search(patch, m, alpha)] == counts
+    _search_without_envelope(monkeypatch)
+    assert [len(p) for p in _points_per_edge_search(monkeypatch, m, alpha)] == full_counts
+
+
 def test_bisection_stops_before_a_bracket_end():
     # keep() holds left of 1; the bracket shrinks onto (1 - ulp, 1) and the
     # midpoint of two adjacent floats is one of them.
@@ -847,14 +941,51 @@ def test_bisection_stops_before_a_bracket_end():
         seen.append(q)
         return q < 1.0
 
-    a, b = states._bisect(keep, 0.0, 3.0, 200)
+    def undecided(b):
+        return False
+
+    a, b = states._bisect(keep, 0.0, 3.0, 200, undecided)
     assert (a, b) == (np.nextafter(1.0, 0.0), 1.0)
     assert len(seen) == len(set(seen)) and a in seen and b in seen
     # Either order: here the kept end is the right one.
     seen.clear()
-    a, b = states._bisect(lambda q: not keep(q), 3.0, 0.0, 200)
+    a, b = states._bisect(lambda q: not keep(q), 3.0, 0.0, 200, undecided)
     assert (a, b) == (1.0, np.nextafter(1.0, 0.0))
     assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("kept", ["left", "right"])
+def test_a_decided_bisection_bounds_the_full_one(kept):
+    # keep() changes sign 41 times in the bracket, so no stop test can
+    # foresee where the bisection ends. Wherever decided() stops it, its
+    # bracket holds the full bisection's: the stopped rejected end bounds
+    # the full one, which makes the edge searches' stop exact.
+    end = math.sqrt(41.0 * math.pi)  # cos(end^2) = -1: a rejected end
+    points = []
+
+    def keep(q):
+        points.append(q)
+        return math.cos((q if kept == "left" else end - q) ** 2) > 0.0
+
+    a, b = (0.0, end) if kept == "left" else (end, 0.0)
+    full = states._bisect(keep, a, b, 200, lambda rejected: False)
+    full_count = len(points)
+    sign = 1.0 if kept == "left" else -1.0  # rejected ends move by -sign
+    early = []
+    for bound in np.linspace(0.0, end, 38)[1:-1]:
+
+        def decided(rejected):
+            return sign * rejected <= sign * bound
+
+        points.clear()
+        stopped = states._bisect(keep, a, b, 200, decided)
+        assert sign * stopped[0] <= sign * full[0] < sign * full[1] <= sign * stopped[1]
+        if decided(full[1]):
+            assert decided(stopped[1])
+            early.append(len(points) < full_count)
+        else:
+            assert stopped == full
+    assert len(early) > 5 and all(early)
 
 
 @pytest.mark.parametrize("t", [1e17 * SQRT2, -1e17 * SQRT2])

@@ -230,11 +230,10 @@ class TestSampleOnce:
         assert code == 0
         assert formed == [0.1 + 0.2j]
 
-    def test_a_search_point_is_one_kernel_call_and_one_exponential(self, kernel_calls, monkeypatch):
-        # x and log psi0 of an edge-search point share one exp(-c1 q) (two
-        # exponentials and two evaluations before); the peak comes from its
-        # closed form, with no kernel call (one x-only call per bisection
-        # point before).
+    @staticmethod
+    def _edge_search_points(kernel_calls, monkeypatch, model, alpha):
+        """The points auto_grid's edge searches evaluated, each asserted to
+        be one scalar kernel call with one exponential."""
         exps = []
         exp = np.exp
 
@@ -243,16 +242,34 @@ class TestSampleOnce:
             return exp(value)
 
         monkeypatch.setattr(np, "exp", counting_exp)
-        model = make_generalized_morse(1.0, 0.5)
-        auto_grid(model, 0.1)
+        auto_grid(model, alpha)
         assert all(np.ndim(q) == 0 for _, q, _ in kernel_calls)
         peak = [q for _, q, outputs in kernel_calls if outputs == (True, False, False)]
         edge = [q for _, q, outputs in kernel_calls if outputs == (True, False, True)]
         # The one other call is x' at the peak, for the Laplace mass estimate.
         assert peak == []
         assert len(edge) == len(kernel_calls) - 1
-        assert len(edge) > 20
         assert len(exps) == len(kernel_calls)
+        return edge
+
+    def test_a_search_point_is_one_kernel_call_and_one_exponential(self, kernel_calls, monkeypatch):
+        # x and log psi0 of an edge-search point share one exp(-c1 q) (two
+        # exponentials and two evaluations before); the peak comes from its
+        # closed form, with no kernel call (one x-only call per bisection
+        # point before). The envelope decides both edges here, after 3 and
+        # 4 points (54 each in a full search).
+        edge = self._edge_search_points(kernel_calls, monkeypatch,
+                                        make_generalized_morse(1.0, 0.5), 0.1)
+        assert len(edge) == 3 + 4
+
+    @pytest.mark.parametrize("model, alpha", [
+        (make_generalized_morse(1.0, 0.5), -2.0),  # the left edge lies beyond the envelope
+        (make_wei_hua(0.2, 1.0, 0.5), 0.1),  # a half line has no envelope
+    ], ids=["morse", "weihua"])
+    def test_a_full_search_point_is_one_kernel_call_and_one_exponential(
+            self, kernel_calls, monkeypatch, model, alpha):
+        edge = self._edge_search_points(kernel_calls, monkeypatch, model, alpha)
+        assert len(edge) > 20
 
 
 class TestSharedFields:
