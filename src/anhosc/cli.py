@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from ._format import fmt_float
+from ._format import fmt_float, table_body
 from .errors import AnhoscError, InadmissibleAlphaError, InvalidParameterError
 from .families import FAMILIES, family_of
 from .fit import PotentialSample, fit_expansion
@@ -138,11 +138,10 @@ def _write_text(path: str, text: str) -> None:
 def _write_table(args, header_lines: list[str], columns: list[str], data) -> None:
     """The table at args.out, and with --emit plotscript a gnuplot script
     for it at args.out + ".gp"."""
-    # %r of a Python float is byte-equal to fmt_float of the float64 it came from.
-    row_format = ",".join(["%r"] * len(columns))
-    rows = zip(*(column.tolist() for column in data))
-    lines = [*header_lines, ",".join(columns), *(row_format % row for row in rows)]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    head = "\n".join([*header_lines, ",".join(columns)]) + "\n"
+    with open(args.out, "wb") as handle:
+        handle.write(head.encode("utf-8"))
+        handle.writelines(table_body(data))
     if args.emit != "plotscript":
         return
     base = os.path.basename(args.out)
@@ -429,11 +428,14 @@ def main(argv: list[str] | None = None) -> int:
         return _EXIT_USAGE
 
 
+def _warning_line(message, category, *_) -> str:
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def app() -> None:
     # The command prints each warning as one line, without the source
     # location, which moves with every edit and install of the package.
-    warnings.formatwarning = lambda message, category, *_: (
-        f"warning: {category.__name__}: {message}\n")
+    warnings.formatwarning = _warning_line
     raise SystemExit(main())
 
 

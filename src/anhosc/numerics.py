@@ -1,8 +1,10 @@
 """Uniform grids, composite-Simpson quadrature, five-point finite differences,
 and a classical fixed-step fourth-order ODE integrator.
 
-All operations are pure functions of immutable inputs and are safe to call
-concurrently from multiple threads.
+Operations leave their inputs unchanged, except where they are asked to
+write in place: divide_in_place scales its samples, and the out= and
+scratch= parameters name arrays to write into. Calls that share no array
+written in place are safe to make concurrently from multiple threads.
 """
 
 from __future__ import annotations

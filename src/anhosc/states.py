@@ -273,6 +273,9 @@ class GridFields:
             mass = float(integrate_samples(self.grid, np.square(mag, out=squares)))
         if math.isinf(mass):
             raise TruncationError(_overflow(alpha))
+        if mass == 0.0:  # a positive peak whose squares underflow in the sum
+            raise TruncationError("squared norm of the state underflows float64 on the grid; "
+                                  "move the grid to the support")
         for left in (True, False):
             if not _edge_covered(self.model, self.grid, mag, peak, mass, left):
                 side = "left" if left else "right"
