@@ -51,9 +51,8 @@ from .models import (
 from .numerics import (
     Grid,
     SampledFunction,
-    differentiate,
+    differentiate_samples,
     integrate_samples,
-    integrate_simpson,
     make_grid,
     ode_step_halving_error,
     solve_first_order_ode,

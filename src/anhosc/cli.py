@@ -189,8 +189,11 @@ def cmd_coherent(args) -> int:
     require_admissible(model, alpha)
     fields = grid_fields(model, grid)
     # The table's samples and the checks' work arrays share one workspace.
+    # The checks only read the samples; they run first, so a refusal writes no file.
     workspace = Workspace(grid.n)
     sampled, norm = fields.normalized(alpha, workspace=workspace)
+    report = verify_coherent(model, alpha, grid, tol, fields=fields, normalized=sampled,
+                             workspace=workspace)
     values = sampled.values
     columns = ["q", "psi_re", "psi_im", "abs2"]
     header = ["# anhosc coherent"] + _model_header_lines(model)
@@ -198,8 +201,6 @@ def cmd_coherent(args) -> int:
     header.append(f"# norm_before_scaling: {_fmt(norm)}")
     data = (fields.q, values.real, values.imag, np.abs(values) ** 2)
     _write_table(args, header, columns, data)
-    report = verify_coherent(model, alpha, grid, tol, fields=fields, normalized=sampled,
-                             workspace=workspace)
     _write_text(args.report, report.to_text())
     return _EXIT_OK if report.passed else _EXIT_CHECK_FAILED
 

@@ -83,19 +83,13 @@ def _simpson(y: np.ndarray, h: float) -> complex | float:
     return complex(result) if np.iscomplexobj(y) else float(result)
 
 
-def integrate_simpson(f: SampledFunction) -> complex | float:
-    """Composite-Simpson approximation of the integral of f over its grid.
-
-    Exact for polynomials up to degree three on any valid grid.
-    """
-    return _simpson(f.values, f.grid.step)
-
-
 def integrate_samples(grid: Grid, values: np.ndarray) -> complex | float:
-    """integrate_simpson(SampledFunction(grid, values)), same value, exception
-    and warnings, with the finiteness scan only after a non-finite sum: every
-    sample enters the sum, so a finite sum proves them finite. Finite samples
-    whose sum overflows are summed again with warnings on."""
+    """Composite-Simpson integral over the grid of real or complex samples,
+    exact for polynomials up to degree three; InvalidParameterError unless
+    there are grid.n samples, all finite. They are scanned only after a
+    non-finite sum, since a finite sum proves them finite. Finite samples
+    whose sum overflows are summed again under the caller's errstate, and
+    that sum, inf or NaN, is returned."""
     y = np.asarray(values)
     if y.shape != (grid.n,):
         raise InvalidParameterError(f"expected {grid.n} samples, got shape {y.shape}")
@@ -143,16 +137,6 @@ def divide_in_place(values: np.ndarray, c: float, *, complex_rounding: bool = Fa
     return np.divide(values, c, out=values)
 
 
-def differentiate(f: SampledFunction, order: int = 1) -> SampledFunction:
-    """First or second derivative by five-point stencils.
-
-    Central differences in the interior (O(step^4) accurate) and one-sided
-    five-point stencils at the two points next to each boundary, so edge error
-    stays high-order.
-    """
-    return SampledFunction(f.grid, differentiate_samples(f.grid, f.values, order))
-
-
 def differentiate_samples(
     grid: Grid,
     values: np.ndarray,
@@ -162,16 +146,19 @@ def differentiate_samples(
     scratch: np.ndarray | None = None,
     _complex_rounding: bool = False,
 ) -> np.ndarray:
-    """differentiate(SampledFunction(grid, values), order).values, same bits,
-    without either finiteness scan: a caller that integrates the result gets
-    integrate_samples' InvalidParameterError for a non-finite one.
+    """First or second derivative of real or complex samples by five-point
+    stencils, central in the interior and one-sided at the two points next
+    to each edge: exact up to degree four, error O(h^4), O(h^3) at the four
+    edge points of the second derivative. InvalidParameterError for another
+    order or a sample count other than grid.n. The samples are not scanned:
+    a non-finite result is left to integrate_samples to refuse.
 
-    The interior is accumulated in place with one scratch array, in the
-    operation order of the written-out expression, and the whole array is
-    then divided by 12 h or 12 h^2 with divide_in_place. _complex_rounding
-    scales real samples as that divides the real part of their complex cast.
-    out (the result) and scratch are arrays of the samples' shape and dtype,
-    neither of them values, to write into instead of allocating.
+    The bits are the written-out stencils' divided by 12 h or 12 h^2: the
+    interior is accumulated in place with one scratch array, in the
+    expression's operation order, then divided with divide_in_place.
+    _complex_rounding scales real samples as that divides the real part of
+    their complex cast. out (the result) and scratch are arrays of the
+    samples' shape and dtype, neither of them values, to write into.
     """
     if order not in (1, 2):
         raise InvalidParameterError(f"derivative order must be 1 or 2, got {order}")

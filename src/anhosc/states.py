@@ -85,11 +85,11 @@ class WaveFunction:
 
     def sample(self, grid: Grid) -> SampledFunction:
         """Complex samples on a grid inside the open domain, bit-equal to
-        GridFields.normalized() once normalized; TruncationError where they
-        overflow float64."""
+        GridFields.normalized()'s once normalized (the ground state's as real
+        parts); TruncationError where they overflow float64."""
         values = grid_fields(self.model, grid).sample(self.alpha).values
         if self.norm is not None:
-            # Divide before the complex cast, as GridFields.normalized() does.
+            # Divide before the complex cast, as GridFields.normalized() scales psi0.
             values = values / self.norm
         return SampledFunction(grid, np.asarray(values, dtype=complex))
 
@@ -241,17 +241,12 @@ class GridFields:
             raise TruncationError(_overflow(alpha)) from None
 
     def normalized(
-        self,
-        alpha: complex | None = None,
-        *,
-        workspace: Workspace | None = None,
-        _cast: bool = True,
+        self, alpha: complex | None = None, *, workspace: Workspace | None = None
     ) -> tuple[SampledFunction, float]:
-        """psi0 or psi_alpha scaled to unit L2 norm on the grid, as complex
-        samples, and the norm before scaling. With _cast False the ground
-        state stays float64: the real parts of the complex samples. The
-        samples are workspace.state(alpha), from a workspace of the grid's
-        point count (a new one when None).
+        """psi0 (float64, alpha None) or psi_alpha (complex) scaled to unit L2
+        norm on the grid, and the norm before scaling: sample()'s record,
+        scaled in place. The samples are workspace.state(alpha), from a
+        workspace of the grid's point count (a new one when None).
 
         Raises TruncationError when the grid does not cover the support, i.e.
         neither the edge-magnitude rule nor the estimated-tail-mass rule holds
@@ -259,7 +254,8 @@ class GridFields:
         its squared norm overflows float64; and where sample() does.
         """
         workspace = workspace_for(self.grid, workspace)
-        values = self.sample(alpha, out=workspace.state(alpha)).values
+        sampled = self.sample(alpha, out=workspace.state(alpha))
+        values = sampled.values
         # |psi| and |psi|^2 go into the two float64 halves of a work array,
         # which the checks of the state take over only after this returns.
         mag, squares = workspace.work(0).view(np.float64).reshape(2, -1)
@@ -283,13 +279,11 @@ class GridFields:
                     f"{side} grid edge does not cover the support; widen the grid"
                 )
         norm = math.sqrt(mass)
-        # The samples are the workspace's: scale them in place, and before the
-        # complex cast, since a real ground state divided after the cast would
-        # round differently.
-        values = divide_in_place(values, norm)
-        if _cast:
-            values = np.asarray(values, dtype=complex)
-        return SampledFunction(self.grid, values), norm
+        # The samples are the workspace's: scale them in place. They stay
+        # finite, since every Simpson weight is at least h/3: mass >= (h/3)
+        # peak^2, so |psi|/norm <= sqrt(3/h).
+        divide_in_place(values, norm)
+        return sampled, norm
 
 
 def _im_alpha_limit(grid: Grid) -> float:

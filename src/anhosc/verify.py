@@ -161,7 +161,7 @@ def verify_model(
         return ladder_values(dpsi, x_psi, which, _complex_rounding=True)
 
     # Normalization doubles as the truncation-sufficiency gate for the grid.
-    psi0 = fields.normalized(_cast=False)[0].values
+    psi0 = fields.normalized()[0].values
     norm0 = l2_norm_of(grid, psi0)
     ann = l2_norm_of(grid, ladder(derivative(psi0), x * psi0, ANNIHILATION)) / norm0
 
@@ -245,8 +245,8 @@ def verify_coherent(
 
     norm = l2_norm_of(grid, psi, scratch=real)
     # Three work arrays beside psi: the stencils skip the finiteness scan (a
-    # non-finite derivative reaches integrate_samples, which refuses it with
-    # the same error), and x psi is formed again rather than kept.
+    # non-finite derivative reaches integrate_samples, which refuses it), and
+    # x psi is formed again rather than kept.
     differentiate_samples(grid, psi, 1, out=d1, scratch=work)
     ladder_values(d1, np.multiply(x, psi, out=work), ANNIHILATION, out=residual)
     np.subtract(residual, np.multiply(alpha, psi, out=work), out=residual)

@@ -262,6 +262,20 @@ class TestCoherent:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an open leak of this class
+    def test_a_state_its_checks_refuse_leaves_no_file(self, tmp_path, capsys):
+        # Far left on this grid the Morse x overflows to inf where psi
+        # underflows to 0, so x psi holds NaN and its integral is refused.
+        # The checks run before the table is written, so exit 2 leaves no file.
+        code = run("coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
+                   "--qmin=-800", "--qmax=40", "--n", "4001", "--alpha", "0.1",
+                   "--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt"))
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: samples must all be finite"
+        assert [line for line in err if line.startswith("error:")] == err[-1:]
+        assert list(tmp_path.iterdir()) == []
+
     def test_kratzer_complex_alpha(self, tmp_path):
         code = run("coherent", "--family", "kratzer", "--param", "c1=0.5",
                    "--alpha", "0.1+0.2i", "--out", str(tmp_path / "c.csv"),

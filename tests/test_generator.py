@@ -30,8 +30,7 @@ from anhosc.generator import (
 )
 from anhosc.models import eval_superpotential, eval_superpotential_derivative
 from anhosc.numerics import (
-    SampledFunction,
-    differentiate,
+    differentiate_samples,
     make_grid,
     ode_step_halving_error,
     solve_first_order_ode,
@@ -165,7 +164,7 @@ def test_riccati_closure_of_numeric_superpotential(series):
     # differences, must match the dispatched model's Riccati potential.
     grid = make_grid(0.0, 5.0, 5001)
     numeric = superpotential_from_series(series, grid)
-    dx = differentiate(SampledFunction(grid, numeric.values), 1).values
+    dx = differentiate_samples(grid, numeric.values, 1)
     lhs = 0.5 * (numeric.values**2 + dx)
     model = closed_form_from_series(series)
     x = eval_superpotential(model, grid.points())

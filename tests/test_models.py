@@ -31,7 +31,7 @@ from anhosc.models import (
     eval_superpotential_derivative,
     kernel,
 )
-from anhosc.numerics import SampledFunction, differentiate
+from anhosc.numerics import differentiate_samples
 from anhosc.states import auto_grid, ground_state
 
 
@@ -113,8 +113,8 @@ class TestRiccati:
             wide = auto_grid(m)
             lo = wide.q_min if m.q_lower == -np.inf else m.q_lower + 1.0
             grid = make_grid(lo, wide.q_max, 4001)
-            x = SampledFunction(grid, np.asarray(eval_superpotential(m, grid.points())))
-            numeric = differentiate(x, 1).values
+            x = np.asarray(eval_superpotential(m, grid.points()))
+            numeric = differentiate_samples(grid, x, 1)
             analytic = eval_superpotential_derivative(m, grid.points())
             interior = slice(2, -2)
             err = np.max(np.abs(numeric[interior] - analytic[interior]))

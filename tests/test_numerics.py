@@ -17,19 +17,21 @@ from anhosc.errors import DivergenceError, InvalidParameterError
 from anhosc.numerics import (
     SampledFunction,
     _product_is_quotient,
-    differentiate,
     differentiate_samples,
     divide_in_place,
     integrate_samples,
-    integrate_simpson,
     make_grid,
     ode_step_halving_error,
     solve_first_order_ode,
 )
 
 
-def sample(grid, fn):
-    return SampledFunction(grid, fn(grid.points()))
+def integrate(grid, fn):
+    return integrate_samples(grid, fn(grid.points()))
+
+
+def differentiate(grid, fn, order):
+    return differentiate_samples(grid, fn(grid.points()), order)
 
 
 class TestGrid:
@@ -71,21 +73,21 @@ class TestSimpson:
     def test_quadratic(self):
         # Oracle: antiderivative q^3/3 over [-1, 1].
         expected = 1.0 / 3.0 - (-1.0 / 3.0)
-        got = integrate_simpson(sample(make_grid(-1, 1, 201), lambda q: q**2))
+        got = integrate(make_grid(-1, 1, 201), lambda q: q**2)
         assert abs(got - expected) < 1e-10
         assert abs(got - 2.0 / 3.0) < 1e-10
 
     @pytest.mark.parametrize("n", [5, 9, 101, 1001])
     def test_constant(self, n):
-        got = integrate_simpson(sample(make_grid(0, 1, n), np.ones_like))
+        got = integrate(make_grid(0, 1, n), np.ones_like)
         assert abs(got - 1.0) < 1e-14
 
     def test_odd_symmetry(self):
-        got = integrate_simpson(sample(make_grid(-1, 1, 201), lambda q: q))
+        got = integrate(make_grid(-1, 1, 201), lambda q: q)
         assert abs(got) < 1e-14
 
     def test_complex_values(self):
-        got = integrate_simpson(sample(make_grid(0, 1, 101), lambda q: q + 1j * q**2))
+        got = integrate(make_grid(0, 1, 101), lambda q: q + 1j * q**2)
         assert isinstance(got, complex)
         assert abs(got - (0.5 + 1j / 3.0)) < 1e-12
 
@@ -100,9 +102,7 @@ class TestSimpson:
         # Simpson reproduces polynomials up to degree 3 to machine precision.
         a, b, c, d = coeffs
         grid = make_grid(q0, q0 + width, 2 * half_intervals + 1)
-        got = integrate_simpson(
-            sample(grid, lambda q: a + b * q + c * q**2 + d * q**3)
-        )
+        got = integrate(grid, lambda q: a + b * q + c * q**2 + d * q**3)
         anti = lambda q: a * q + b * q**2 / 2 + c * q**3 / 3 + d * q**4 / 4
         expected = anti(grid.q_max) - anti(grid.q_min)
         scale = max(1.0, abs(expected))
@@ -138,15 +138,25 @@ def _simpson_inputs(rng, n, dtype, case):
     return y
 
 
-def _simpson_outcome(fn):
-    """Value bits or exception, plus every warning raised on the way."""
+def _checked_simpson(grid, y):
+    """The oracle of integrate_samples: SampledFunction's refusal of
+    non-finite samples, then the composite-Simpson sum written out."""
+    SampledFunction(grid, y)
+    total = y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()
+    result = total * (grid.step / 3.0)
+    return complex(result) if np.iscomplexobj(y) else float(result)
+
+
+def _outcome(fn):
+    """Value bits, or the exception, plus the category and text of every
+    warning raised on the way."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             outcome = np.asarray(fn()).tobytes()
         except (InvalidParameterError, FloatingPointError) as exc:
             outcome = (type(exc), str(exc))
-    return outcome, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return outcome, [(w.category, str(w.message)) for w in caught]
 
 
 class TestDeferredFinitenessCheck:
@@ -163,8 +173,8 @@ class TestDeferredFinitenessCheck:
             y = _simpson_inputs(rng, n, dtype, case)
             g = make_grid(-1.0, -1.0 + 10.0 ** rng.uniform(-3.0, 3.0), n)
             with np.errstate(all=err):
-                old = _simpson_outcome(lambda: integrate_simpson(SampledFunction(g, y)))
-                new = _simpson_outcome(lambda: integrate_samples(g, y))
+                old = _outcome(lambda: _checked_simpson(g, y))
+                new = _outcome(lambda: integrate_samples(g, y))
             assert new == old, trial
             kinds.add(type(old[0]))
         # Each case reaches the branch it names; a +-1e308 sum may cancel.
@@ -178,8 +188,8 @@ class TestDeferredFinitenessCheck:
     def test_finite_overflow_warns_as_before(self):
         g = make_grid(0.0, 1.0, 5)
         y = np.full(5, 1e308)
-        old = _simpson_outcome(lambda: integrate_simpson(SampledFunction(g, y)))
-        new = _simpson_outcome(lambda: integrate_samples(g, y))
+        old = _outcome(lambda: _checked_simpson(g, y))
+        new = _outcome(lambda: integrate_samples(g, y))
         assert new == old
         assert new[0] == np.asarray(math.inf).tobytes()
         assert new[1] and all(w[0] is RuntimeWarning for w in new[1])
@@ -193,24 +203,22 @@ class TestDifferentiate:
     def test_exponential_first_derivative_at_left_edge(self):
         # Oracle: d/dq e^{-q} = -e^{-q}, value -1 at q = 0.
         g = make_grid(0, 5, 2001)
-        d = differentiate(sample(g, lambda q: np.exp(-q)), 1)
-        assert abs(d.values[0] - (-1.0)) < 1e-8
+        d = differentiate(g, lambda q: np.exp(-q), 1)
+        assert abs(d[0] - (-1.0)) < 1e-8
 
     def test_linear_first_derivative(self):
         g = make_grid(-2, 3, 101)
-        d = differentiate(sample(g, lambda q: q), 1)
-        np.testing.assert_allclose(d.values, 1.0, atol=1e-12)
+        np.testing.assert_allclose(differentiate(g, lambda q: q, 1), 1.0, atol=1e-12)
 
     def test_quadratic_second_derivative(self):
         g = make_grid(-2, 3, 101)
-        d = differentiate(sample(g, lambda q: q**2), 2)
-        np.testing.assert_allclose(d.values, 2.0, atol=1e-10)
+        np.testing.assert_allclose(differentiate(g, lambda q: q**2, 2), 2.0, atol=1e-10)
 
     def test_quartic_first_derivative_everywhere(self):
         # Five-point stencils are exact for quartics.
         g = make_grid(-1, 2, 61)
-        d = differentiate(sample(g, lambda q: q**4), 1)
-        np.testing.assert_allclose(d.values, 4.0 * g.points() ** 3, atol=1e-10)
+        d = differentiate(g, lambda q: q**4, 1)
+        np.testing.assert_allclose(d, 4.0 * g.points() ** 3, atol=1e-10)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     def test_stencils_exact_for_quartics(self, degree):
@@ -218,26 +226,72 @@ class TestDifferentiate:
         # polynomials up to degree four.
         g = make_grid(-1.3, 2.7, 41)
         q = g.points()
-        f = sample(g, lambda q: q**degree)
         d1_expected = degree * q ** (degree - 1) if degree >= 1 else np.zeros_like(q)
         d2_expected = (
             degree * (degree - 1) * q ** (degree - 2) if degree >= 2 else np.zeros_like(q)
         )
-        np.testing.assert_allclose(differentiate(f, 1).values, d1_expected, atol=1e-10)
-        np.testing.assert_allclose(differentiate(f, 2).values, d2_expected, atol=1e-9)
+        f = lambda q: q**degree
+        np.testing.assert_allclose(differentiate(g, f, 1), d1_expected, atol=1e-10)
+        np.testing.assert_allclose(differentiate(g, f, 2), d2_expected, atol=1e-9)
 
     def test_invalid_order(self):
         g = make_grid(0, 1, 5)
-        with pytest.raises(InvalidParameterError):
-            differentiate(sample(g, np.ones_like), 3)
+        with pytest.raises(InvalidParameterError, match="derivative order must be 1 or 2"):
+            differentiate(g, np.ones_like, 3)
 
     def test_first_twice_matches_second(self):
         # Agreement within O(step^2) on a smooth function.
         g = make_grid(0, 3, 2001)
-        f = sample(g, np.sin)
-        twice = differentiate(differentiate(f, 1), 1).values
-        second = differentiate(f, 2).values
+        twice = differentiate_samples(g, differentiate(g, np.sin, 1), 1)
+        second = differentiate(g, np.sin, 2)
         assert np.max(np.abs(twice - second)) < 10.0 * g.step**2
+
+
+def _observed_orders(errors):
+    """log2 of the error ratios of successive halvings of the step."""
+    errors = np.asarray(errors)
+    return np.log2(errors[:-1] / errors[1:])
+
+
+class TestObservedOrder:
+    # Halving the step from n = 101 to 401 points: far enough from rounding,
+    # which pulls the interior order of the second derivative to about 3.1
+    # by n = 801. Oracles: closed-form derivatives and antiderivative.
+    @staticmethod
+    def f(q):
+        return np.exp(-q * q) * np.cos(3.0 * q)
+
+    @staticmethod
+    def f1(q):
+        return np.exp(-q * q) * (-2.0 * q * np.cos(3.0 * q) - 3.0 * np.sin(3.0 * q))
+
+    @staticmethod
+    def f2(q):
+        return np.exp(-q * q) * ((4.0 * q * q - 11.0) * np.cos(3.0 * q) + 12.0 * q * np.sin(3.0 * q))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_stencils_converge_at_their_order(self, order):
+        exact = self.f1 if order == 1 else self.f2
+        errors = []
+        for n in (101, 201, 401):
+            g = make_grid(-1.0, 1.5, n)
+            q = g.points()
+            e = np.abs(differentiate_samples(g, self.f(q), order) - exact(q))
+            # The interior, then each of the four points next to an edge.
+            errors.append((e[2:-2].max(), e[0], e[1], e[-2], e[-1]))
+        orders = _observed_orders(errors)
+        assert np.all(orders[:, 0] >= 3.8), orders
+        # One-sided stencils: O(h^4) for the first derivative, O(h^3) for the second.
+        assert np.all(orders[:, 1:] >= (3.8 if order == 1 else 2.8)), orders
+
+    def test_simpson_converges_at_fourth_order(self):
+        # A smooth integrand that does not decay, unlike a Gaussian over a
+        # wide interval, on which Simpson converges spectrally.
+        exact = (math.e * (math.sin(3.0) - 3.0 * math.cos(3.0)) + 3.0) / 10.0
+        f = lambda q: np.exp(q) * np.sin(3.0 * q)
+        errors = [abs(integrate(make_grid(0.0, 1.0, n), f) - exact) for n in (21, 41, 81, 161)]
+        orders = _observed_orders(errors)
+        assert np.all(orders >= 3.8), orders
 
 
 def _reference_differentiate(y, h, order):
@@ -284,23 +338,25 @@ class TestInPlaceStencils:
             g = make_grid(-1.0, -1.0 + 10.0 ** rng.uniform(-3.0, 3.0), n)
             for order in (1, 2):
                 ref = _reference_differentiate(y, g.step, order)
+                got = differentiate_samples(g, y, order)
+                assert got.dtype == y.dtype
                 if np.all(np.isfinite(ref)):
-                    got = differentiate(SampledFunction(g, y), order).values
-                    assert got.dtype == y.dtype
                     assert got.tobytes() == ref.tobytes(), (trial, order)
                 else:
+                    np.testing.assert_array_equal(got, ref)
                     with pytest.raises(InvalidParameterError, match="must all be finite"):
-                        differentiate(SampledFunction(g, y), order)
+                        SampledFunction(g, got)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("order", [1, 2])
-    def test_overflowing_stencil_raises_as_before(self, order, dtype):
+    def test_overflowing_stencil_is_refused_by_the_integral(self, order, dtype):
         g = make_grid(0.0, 1.0, 7)
         y = np.array([1e308, -1e308, 1e308, -1e308, 1e308, -1e308, 1e308], dtype=dtype)
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.all(np.isfinite(_reference_differentiate(y, g.step, order)))
+            d = differentiate_samples(g, y, order)
             with pytest.raises(InvalidParameterError, match="samples must all be finite"):
-                differentiate(SampledFunction(g, y), order)
+                integrate_samples(g, d)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_peak_memory_stays_near_two_arrays(self, order):
@@ -308,21 +364,15 @@ class TestInPlaceStencils:
         # of the stencil would show as three or more.
         g = make_grid(-5.0, 5.0, 64001)
         q = g.points()
-        f = SampledFunction(g, np.exp(-q * q + 1j * q))
+        f = np.exp(-q * q + 1j * q)
         tracemalloc.start()
         try:
-            d = differentiate(f, order)
+            d = differentiate_samples(g, f, order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert d.values.nbytes == f.values.nbytes
-        assert peak <= 2.5 * f.values.nbytes
-
-
-def _division_outcome(fn):
-    """Value bits, or the exception, plus the category and text of every warning."""
-    outcome, caught = _simpson_outcome(fn)
-    return outcome, [(category, message) for category, message, _, _ in caught]
+        assert d.nbytes == f.nbytes
+        assert peak <= 2.5 * f.nbytes
 
 
 class TestDivideInPlace:
@@ -341,8 +391,8 @@ class TestDivideInPlace:
             cases[3][rng.integers(0, n)] = complex(math.inf, 0.0) if trial % 2 else math.nan
             for values in cases:
                 for c in (10.0 ** rng.uniform(-3.0, 3.0), 12.0 * 1e-3 ** 2, 5e-324, math.sqrt(2.0)):
-                    expected = _division_outcome(lambda: np.divide(values, c))
-                    got = _division_outcome(lambda: divide_in_place(values.copy(), c))
+                    expected = _outcome(lambda: np.divide(values, c))
+                    got = _outcome(lambda: divide_in_place(values.copy(), c))
                     assert got == expected, (trial, c)
                     paths.add(_product_is_quotient(values.view(np.float64), 1.0 / c))
         assert paths == {True, False}
@@ -372,7 +422,7 @@ class TestDivideInPlace:
             g = make_grid(-1.0, -1.0 + 10.0 ** rng.uniform(-2.0, 2.0), n)
             y = rng.standard_normal(n) * 10.0 ** rng.uniform(-200.0, 200.0, n)
             y[:: 7] = -0.0
-            as_part = differentiate(SampledFunction(g, np.asarray(y, dtype=complex)), order).values
+            as_part = differentiate_samples(g, np.asarray(y, dtype=complex), order)
             got = differentiate_samples(g, y, order, _complex_rounding=True)
             assert got.dtype == y.dtype
             assert np.array_equal(got, as_part.real)

@@ -487,8 +487,8 @@ class TestWorkspace:
         fields = grid_fields(m, auto_grid(m))
         workspace = Workspace(fields.grid.n)
         _poison(workspace)
-        shared, norm = fields.normalized(workspace=workspace, _cast=False)
-        fresh, fresh_norm = fields.normalized(_cast=False)
+        shared, norm = fields.normalized(workspace=workspace)
+        fresh, fresh_norm = fields.normalized()
         assert shared.values.dtype == float and norm == fresh_norm
         assert shared.values.tobytes() == fresh.values.tobytes()
         assert np.shares_memory(shared.values, workspace.state(None))
