@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from ._format import fmt_float, table_body
-from .errors import AnhoscError, InadmissibleAlphaError, InvalidParameterError
+from .errors import AnhoscError, InadmissibleAlphaError, InvalidParameterError, TruncationError
 from .families import FAMILIES, family_of
 from .fit import PotentialSample, fit_expansion
 from .generator import (
@@ -36,6 +36,7 @@ from .models import OscillatorModel, closed_form_potential, describe
 from .models import eval_superpotential as model_superpotential
 from .numerics import Grid, make_grid
 from .states import (
+    GridFields,
     Workspace,
     admissible_bound,
     auto_grid,
@@ -117,6 +118,20 @@ def _explicit_grid(args, model: OscillatorModel) -> Grid | None:
     return grid
 
 
+def _checked_fields(model: OscillatorModel, grid: Grid) -> GridFields:
+    """grid_fields on an explicit grid for the checks, refused by name where
+    x or x' overflows float64 (inf, or NaN from inf / inf in a kernel): the
+    checks' products would turn it into NaN, and numpy's warnings, before
+    refusing the samples. construct takes grid_fields as it is, and warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fields = grid_fields(model, grid)
+    x, xp = fields.x, fields.xp
+    # min and max carry a NaN through, and allocate no full-size mask.
+    if not np.isfinite([x.min(), x.max(), xp.min(), xp.max()]).all():
+        raise TruncationError("superpotential overflows float64 on the grid; narrow the grid")
+    return fields
+
+
 def _model_header_lines(model: OscillatorModel) -> list[str]:
     consts = [f"e0={_fmt(model.e0)}"]
     if model.d_const is not None:
@@ -185,9 +200,10 @@ def cmd_coherent(args) -> int:
     model = _build_model(args.family, _parse_params(args.param))
     alpha = parse_complex(args.alpha)
     tol = _tolerances(args)  # a bad --tol leaves no table behind
-    grid = _explicit_grid(args, model) or auto_grid(model, alpha=alpha, n=args.n)
+    explicit = _explicit_grid(args, model)
+    grid = explicit or auto_grid(model, alpha=alpha, n=args.n)
     require_admissible(model, alpha)
-    fields = grid_fields(model, grid)
+    fields = grid_fields(model, grid) if explicit is None else _checked_fields(model, grid)
     # The table's samples and the checks' work arrays share one workspace.
     # The checks only read the samples; they run first, so a refusal writes no file.
     workspace = Workspace(grid.n)
@@ -229,7 +245,7 @@ def cmd_verify(args) -> int:
     tol = _tolerances(args)
     explicit = _explicit_grid(args, model)
     # One record per distinct grid: every alpha on an explicit grid shares it.
-    fields = None if explicit is None else grid_fields(model, explicit)
+    fields = None if explicit is None else _checked_fields(model, explicit)
     sections: list[str] = []
     all_passed = True
     if is_admissible(model, 0.0):

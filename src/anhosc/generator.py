@@ -79,32 +79,34 @@ class GeneratingSeries:
         return (1.0 - self.c0) / self.c1
 
 
-def _generating_function(series: GeneratingSeries):
-    """f as one closure over plain floats; numpy arrays pass through it too."""
+def _slope(series: GeneratingSeries):
+    """The slope dx/dq = -f(x) as one closure over plain floats; numpy arrays
+    pass through it too."""
     if series.form == FORM_CONSTANT:
-        return lambda x: 1.0
+        return lambda x: -1.0
     shift = series.c0 / series.c1
     c1, c2 = series.c1, series.c2
     if series.form == FORM_LINEAR:
-        return lambda x: c1 * (x + shift)
+        return lambda x: -(c1 * (x + shift))
     if series.form == FORM_PARABOLIC:
         def parabolic(x):
             y = x + shift
-            return c1 * y + c2 * y * y
+            return -(c1 * y + c2 * y * y)
         return parabolic
-    return lambda x: (c1 * (x + shift)) ** 2
+    return lambda x: -((c1 * (x + shift)) ** 2)
 
 
 def eval_generating_function(series: GeneratingSeries, x) -> float | np.ndarray:
-    """f(x) for the series form: a float for a scalar x, an array for an array."""
-    f = _generating_function(series)
+    """f(x) for the series form: a float for a scalar x, an array for an array.
+    It negates the slope, exactly, so f and the slope share their bits."""
+    slope = _slope(series)
     if not np.ndim(x):
         try:
-            return f(float(x))
+            return -slope(float(x))
         except OverflowError:  # only the square raises, and its value is +inf
             return math.inf
     x = np.asarray(x, dtype=float)
-    return np.ones_like(x) if series.form == FORM_CONSTANT else f(x)
+    return np.ones_like(x) if series.form == FORM_CONSTANT else -slope(x)
 
 
 def superpotential_from_series(series: GeneratingSeries, grid: Grid) -> SampledFunction:
@@ -118,9 +120,7 @@ def superpotential_from_series(series: GeneratingSeries, grid: Grid) -> SampledF
         raise InvalidParameterError(
             f"grid must start at q=0 (initial condition), got q_min={grid.q_min!r}"
         )
-    f = _generating_function(series)
-    rhs = lambda q, x: -f(x)
-    result = solve_first_order_ode(rhs, series.initial_value(), grid)
+    result = solve_first_order_ode(_slope(series), series.initial_value(), grid)
     if np.max(np.abs(result.values)) > 1.0:
         warnings.warn(
             "superpotential leaves |x| < 1, outside the guaranteed series "

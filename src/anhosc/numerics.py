@@ -195,9 +195,9 @@ def differentiate_samples(
 
 
 def solve_first_order_ode(
-    rhs: Callable[[float, float], float], x0: float, grid: Grid
+    rhs: Callable[[float], float], x0: float, grid: Grid
 ) -> SampledFunction:
-    """Integrate dx/dq = rhs(q, x) from q_min with x(q_min) = x0.
+    """Integrate the autonomous dx/dq = rhs(x) from q_min with x(q_min) = x0.
 
     Classical fourth-order Runge-Kutta, one step of grid.step per grid
     interval; global error is O(step^4).
@@ -212,38 +212,40 @@ def solve_first_order_ode(
         raise InvalidParameterError(
             f"initial value {x0!r} outside the integrator's range |x| <= {_ODE_OVERFLOW:g}"
         )
-    q_min, h = grid.q_min, grid.step
+    h = grid.step
+    half, sixth, limit = 0.5 * h, h / 6.0, _ODE_OVERFLOW
     x = float(x0)
     out = np.empty(grid.n, dtype=float)
     out[0] = x
-    for i in range(1, grid.n):
-        # Recompute q from the index so accumulated float drift cannot build up.
-        q = q_min + (i - 1) * h
-        try:
-            k1 = rhs(q, x)
-            k2 = rhs(q + 0.5 * h, x + 0.5 * h * k1)
-            k3 = rhs(q + 0.5 * h, x + 0.5 * h * k2)
-            k4 = rhs(q + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise DivergenceError(f"trajectory diverged near q={q:.6g} (pole of x(q))") from exc
-        if not math.isfinite(x) or abs(x) > _ODE_OVERFLOW:
-            raise DivergenceError(f"trajectory diverged near q={q:.6g} (pole of x(q))")
-        out[i] = x
+    try:
+        for i in range(1, grid.n):
+            k1 = rhs(x)
+            k2 = rhs(x + half * k1)
+            k3 = rhs(x + half * k2)
+            k4 = rhs(x + h * k3)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not -limit <= x <= limit:  # false for NaN too
+                raise DivergenceError(_diverged_near(grid, i))
+            out[i] = x
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DivergenceError(_diverged_near(grid, i)) from exc
     return SampledFunction(grid, out)
 
 
+def _diverged_near(grid: Grid, i: int) -> str:
+    # q at the start of step i, from its index, so that no rounding drift builds up.
+    q = grid.q_min + (i - 1) * grid.step
+    return f"trajectory diverged near q={q:.6g} (pole of x(q))"
+
+
 def ode_step_halving_error(
-    rhs: Callable[[float, float], float], x0: float, grid: Grid
+    rhs: Callable[[float], float], x0: float, grid: Grid
 ) -> float:
     """Max absolute difference between full-step and half-step integrations.
 
     A cheap a-posteriori error estimate for solve_first_order_ode on the same
     grid: the half-step run, on the grid's 2n - 1 point refinement and
     compared at every other point, is roughly sixteen times more accurate.
-    For an rhs of q as well as x, the refined midpoints q_min + (2i + 1) h/2
-    can round differently from (q_min + i h) + h/2, which moves the estimate
-    by a few ulps of x against two half steps inside each interval.
     """
     full = solve_first_order_ode(rhs, x0, grid)
     fine = make_grid(grid.q_min, grid.q_max, 2 * grid.n - 1)

@@ -264,16 +264,32 @@ class TestCoherent:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an open leak of this class
     def test_a_state_its_checks_refuse_leaves_no_file(self, tmp_path, capsys):
-        # Far left on this grid the Morse x overflows to inf where psi
-        # underflows to 0, so x psi holds NaN and its integral is refused.
+        # x = -q is finite on this grid, but its square, which the checks
+        # form, is not, so an integral in the checks refuses its samples.
         # The checks run before the table is written, so exit 2 leaves no file.
-        code = run("coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
-                   "--qmin=-800", "--qmax=40", "--n", "4001", "--alpha", "0.1",
+        code = run("coherent", "--family", "harmonic", "--qmin=-1e160", "--qmax=1e160",
+                   "--alpha", "0.1",
                    "--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt"))
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == "error: samples must all be finite"
         assert [line for line in err if line.startswith("error:")] == err[-1:]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_superpotential_that_overflows_the_grid_is_refused_by_name(
+            self, tmp_path, capsys):
+        # Far left on this grid the Morse x overflows to inf: one error line,
+        # where numpy's overflow and invalid-value warnings preceded
+        # "samples must all be finite", and no file.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("coherent", "--family", "morse", "--param", "s=1", "--param", "xe=0.5",
+                       "--qmin=-800", "--qmax=40", "--n", "4001", "--alpha", "0.1",
+                       "--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: superpotential overflows float64 on the grid; narrow the grid\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_kratzer_complex_alpha(self, tmp_path):
@@ -411,6 +427,32 @@ class TestVerifyCommand:
             "move Re(alpha) away from its admissibility bound)\n"
         )
         assert sections[2].endswith("result: pass\n")
+
+    @pytest.mark.parametrize("argv", [
+        # x and x' overflow to inf far left, where psi0 underflows to 0.
+        ("--family", "morse", "--param", "s=1", "--param", "xe=0.5",
+         "--qmin=-800", "--qmax=40", "--n", "4001", "--alphas", "0,0.1"),
+        ("--family", "morse", "--param", "s=263.97574085450566",
+         "--param", "xe=152.57195594648636", "--qmin=-49.09862390804451",
+         "--qmax=-48.72640340407472", "--n", "801", "--alphas=-0.020087385242388456"),
+        # Full-line Wei Hua: x is inf / inf, NaN, where exp(-c1 q) overflows.
+        ("--family", "weihua", "--param", "c0=0.2", "--param", "c1=1", "--param", "c2=-0.5",
+         "--qmin=-800", "--qmax=40", "--alphas", "0.1"),
+    ], ids=["morse", "morse_state_zero", "full_line_wei_hua"])
+    def test_a_superpotential_that_overflows_the_grid_is_refused_by_name(
+            self, tmp_path, capsys, argv):
+        # One error line and no report, where numpy's overflow and
+        # invalid-value warnings preceded "samples must all be finite" or
+        # "state is identically zero on the grid".
+        rep = tmp_path / "r.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("verify", *argv, "--report", str(rep))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: superpotential overflows float64 on the grid; narrow the grid\n"
+        )
+        assert not rep.exists()
 
     def test_failing_model_grid_is_usage_error(self, tmp_path):
         # The alpha = 0 grid serves the model-level checks; its failure still
@@ -644,6 +686,22 @@ class TestGenerate:
         )
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("n, q", [
+        ("5001", "0.401"),  # x leaves |x| <= 1e150 (the range test)
+        ("21", "0.75"),  # the slope's ** 2 raises OverflowError
+    ], ids=["range_test", "overflow"])
+    def test_a_pole_is_refused_with_its_q(self, tmp_path, capsys, n, q):
+        # x' = -(x + 1/2)^2 from x0 = -3 has its pole at q = 0.4; the message
+        # names q at the start of the step that left the range.
+        out = tmp_path / "g.csv"
+        assert run("generate", "--form", "squared_linear", "--param", "c0=0.5",
+                   "--param", "c1=1", "--param", "x0=-3", "--qmax", "5", "--n", n,
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: trajectory diverged near q={q} (pole of x(q))\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("form", ["constant", "linear", "parabolic", "squared_linear"])
     def test_every_form_takes_c0_c1_c2_and_x0(self, tmp_path, form):

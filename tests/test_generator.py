@@ -112,6 +112,18 @@ class TestIntegration:
         with pytest.raises(DivergenceError):
             superpotential_from_series(s, make_grid(0.0, 5.0, 5001))
 
+    @pytest.mark.parametrize("n, q, cause", [
+        (5001, "0.401", type(None)),  # x leaves |x| <= 1e150: the range test
+        (21, "0.75", OverflowError),  # the slope's ** 2 raises
+    ], ids=["range_test", "overflow"])
+    def test_divergence_names_the_step_that_left_the_range(self, n, q, cause):
+        # x' = -(x + 1/2)^2 from x0 = -3 has its pole at q = 0.4.
+        s = GeneratingSeries(FORM_SQUARED_LINEAR, c0=0.5, c1=1.0, x0=-3.0)
+        with pytest.raises(DivergenceError) as info:
+            superpotential_from_series(s, make_grid(0.0, 5.0, n))
+        assert str(info.value) == f"trajectory diverged near q={q} (pole of x(q))"
+        assert type(info.value.__cause__) is cause
+
 
 class TestDispatch:
     def test_constant_maps_to_harmonic(self):
@@ -216,23 +228,25 @@ def test_eval_generating_function_types_and_values(series):
 def _ode_cases():
     """(rhs, x0, exact solution, integration of the rhs on a grid from 0):
     the three round-trip series, integrated as generate does, against their
-    dispatched models; and three q-dependent rhs from x0 = 0.3 with closed-form
-    solutions: dx/dq = q^2 - x (q^2 - 2q + 2 + (x0 - 2) e^-q),
-    dx/dq = -(x + 1/2) + sin 3q (-1/2 + (sin 3q - 3 cos 3q)/10 + 1.1 e^-q)
-    and dx/dq = -x cos q (x0 e^-sin q)."""
+    dispatched models; and three autonomous rhs outside the series forms,
+    from x0 = 0.3, with closed-form solutions: dx/dq = sin x
+    (2 atan(tan(x0/2) e^q)), dx/dq = -sinh x (2 atanh(tanh(x0/2) e^-q)) and
+    dx/dq = -x - x^3 (x0 e^-q / sqrt(1 + x0^2 (1 - e^-2q))). dx/dq = -x^3
+    alone is not among them: from x0 = 0.3 it moves so little over [0, 5]
+    that at n = 401 its error is rounding, about 2e-15."""
     cases = []
     for series in ROUND_TRIP_CASES:
         model = closed_form_from_series(series)
         cases.append(pytest.param(
-            lambda q, x, s=series: -eval_generating_function(s, x), series.initial_value(),
+            lambda x, s=series: -eval_generating_function(s, x), series.initial_value(),
             lambda q, m=model: eval_superpotential(m, q),
             lambda grid, s=series: superpotential_from_series(s, grid).values, id=series.form))
     for name, rhs, exact in [
-        ("q_squared_minus_x", lambda q, x: q * q - x,
-         lambda q: q * q - 2.0 * q + 2.0 + (0.3 - 2.0) * np.exp(-q)),
-        ("forced_decay", lambda q, x: -(x + 0.5) + math.sin(3.0 * q),
-         lambda q: -0.5 + 0.1 * np.sin(3.0 * q) - 0.3 * np.cos(3.0 * q) + 1.1 * np.exp(-q)),
-        ("x_cos_q", lambda q, x: -x * math.cos(q), lambda q: 0.3 * np.exp(-np.sin(q))),
+        ("sine", math.sin, lambda q: 2.0 * np.arctan(math.tan(0.15) * np.exp(q))),
+        ("minus_sinh", lambda x: -math.sinh(x),
+         lambda q: 2.0 * np.arctanh(math.tanh(0.15) * np.exp(-q))),
+        ("linear_plus_cubic_decay", lambda x: -x - x * x * x,
+         lambda q: 0.3 * np.exp(-q) / np.sqrt(1.0 + 0.09 * (1.0 - np.exp(-2.0 * q)))),
     ]:
         cases.append(pytest.param(
             rhs, 0.3, exact,

@@ -440,26 +440,26 @@ class TestDivideInPlace:
 class TestOde:
     def test_constant_slope(self):
         g = make_grid(0, 2, 5)
-        out = solve_first_order_ode(lambda q, x: -1.0, 0.0, g)
+        out = solve_first_order_ode(lambda x: -1.0, 0.0, g)
         assert abs(out.values[-1] - (-2.0)) < 1e-15
 
     def test_linear_rhs_against_closed_form(self):
         # dx/dq = -(x + 0.5), x(0) = 0.5 has solution x = e^{-q} - 0.5.
         g = make_grid(0, 1, 1001)
-        out = solve_first_order_ode(lambda q, x: -(x + 0.5), 0.5, g)
+        out = solve_first_order_ode(lambda x: -(x + 0.5), 0.5, g)
         assert abs(out.values[-1] - (math.exp(-1.0) - 0.5)) < 1e-9
 
     def test_squared_linear_rhs_against_closed_form(self):
         # dx/dq = -(0.5 (x + 1.5))^2, x(0) = 0.5 has solution
         # x = 1/(0.5 (0.5 q + 1)) - 1.5.
         g = make_grid(0, 5, 5001)
-        out = solve_first_order_ode(lambda q, x: -((0.5 * (x + 1.5)) ** 2), 0.5, g)
+        out = solve_first_order_ode(lambda x: -((0.5 * (x + 1.5)) ** 2), 0.5, g)
         closed = 1.0 / (0.5 * (0.5 * g.points() + 1.0)) - 1.5
         assert np.max(np.abs(out.values - closed)) < 1e-8
 
     def test_fourth_order_convergence(self):
         closed = lambda q: np.exp(-q) - 0.5
-        rhs = lambda q, x: -(x + 0.5)
+        rhs = lambda x: -(x + 0.5)
         errors = []
         for n in (201, 401):
             g = make_grid(0, 1, n)
@@ -471,12 +471,12 @@ class TestOde:
         # dx/dq = x^2 from x(0) = 2 blows up at q = 0.5.
         g = make_grid(0, 2, 401)
         with pytest.raises(DivergenceError):
-            solve_first_order_ode(lambda q, x: x * x, 2.0, g)
+            solve_first_order_ode(lambda x: x * x, 2.0, g)
 
     def test_step_halving_error_estimate(self):
         g = make_grid(0, 1, 101)
-        est = ode_step_halving_error(lambda q, x: -(x + 0.5), 0.5, g)
-        out = solve_first_order_ode(lambda q, x: -(x + 0.5), 0.5, g)
+        est = ode_step_halving_error(lambda x: -(x + 0.5), 0.5, g)
+        out = solve_first_order_ode(lambda x: -(x + 0.5), 0.5, g)
         true_err = np.max(np.abs(out.values - (np.exp(-g.points()) - 0.5)))
         assert est > 0
         # The estimate tracks the true error to within an order of magnitude.
@@ -488,9 +488,9 @@ class TestOde:
         # simply does not hold it.
         g = make_grid(0, 1, 11)
         with pytest.raises(InvalidParameterError, match="outside the integrator's range"):
-            solve_first_order_ode(lambda q, x: -(x + 0.5), x0, g)
+            solve_first_order_ode(lambda x: -(x + 0.5), x0, g)
 
     def test_start_at_range_edge_is_integrated(self):
         g = make_grid(0, 1, 11)
-        out = solve_first_order_ode(lambda q, x: -(x + 0.5), -1e150, g)
+        out = solve_first_order_ode(lambda x: -(x + 0.5), -1e150, g)
         assert out.values[0] == -1e150

@@ -33,7 +33,7 @@ from anhosc.families import (
     make_kratzer_fues,
     make_wei_hua,
 )
-from anhosc.numerics import differentiate_samples, make_grid, solve_first_order_ode
+from anhosc.numerics import differentiate_samples, integrate_samples, make_grid
 from anhosc.models import eval_superpotential, kernel
 from anhosc.states import (
     ANNIHILATION,
@@ -109,22 +109,22 @@ class TestGroundState:
         assert spread < 1e-12
 
     def test_exponential_of_integrated_superpotential(self):
-        # psi0 must equal exp(integral of x) up to a constant factor; the
-        # integral is done by the package ODE integrator as an oracle.
+        # psi0 must equal exp(integral of x from 0 to q) up to a constant
+        # factor; the oracle integrates the kernel's x by Simpson over each
+        # prefix [0, q_j] of the grid with an odd point count.
         for m in (
             make_generalized_morse(1.0, 0.5),
             make_wei_hua(0.2, 1.0, 0.5),
             make_kratzer_fues(0.5),
         ):
             grid = make_grid(0.0, 12.0, 2401)
-            # The kernel on np.float64 gives eval_superpotential's bits (see
-            # test_kernel_on_a_numpy_scalar_gives_the_bits_of_a_zero_dim_array)
-            # without a domain check and a kernel build per call.
-            x = kernel(m)
-            rhs = lambda q, p: float(x(np.float64(q))[0]) * p
-            numeric = solve_first_order_ode(rhs, 1.0, grid)
-            closed = ground_state(m).evaluator(grid.points()).real
-            ratio = numeric.values / closed
+            q = grid.points()
+            x = kernel(m)(q)[0]
+            ends = range(4, grid.n, 2)
+            numeric = np.exp([integrate_samples(make_grid(0.0, q[j], j + 1), x[:j + 1])
+                              for j in ends])
+            closed = ground_state(m).evaluator(q[ends.start::2]).real
+            ratio = numeric / closed
             spread = (ratio.max() - ratio.min()) / abs(ratio.mean())
             assert spread < 1e-8, m.family
 
