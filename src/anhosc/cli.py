@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import dataclasses
 import functools
+import itertools
 import os
 import sys
 import warnings
+from typing import Iterable
 
 import numpy as np
 
@@ -36,14 +39,12 @@ from .models import OscillatorModel, closed_form_potential, describe
 from .models import eval_superpotential as model_superpotential
 from .numerics import Grid, make_grid
 from .states import (
-    GridFields,
     Workspace,
     admissible_bound,
     auto_grid,
     grid_fields,
     is_admissible,
     require_admissible,
-    require_grid_in_domain,
 )
 from .models import eval_superpotential_derivative  # noqa: F401  bench/spans.py wraps it by name
 from .states import normalize  # noqa: F401  not called here; bench/spans.py wraps it by name
@@ -74,17 +75,24 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _parse_params(items: list[str] | None) -> dict[str, float]:
-    params: dict[str, float] = {}
+def _parse_params(
+    items: list[str] | None, flag: str = "--param", noun: str = "value"
+) -> dict[str, float]:
+    """The NAME=VALUE items of a repeatable flag as floats by name;
+    InvalidParameterError for a malformed item, a name given twice or a
+    value that is not a number (a "non-numeric {noun}")."""
+    pairs: dict[str, float] = {}
     for item in items or []:
         key, sep, value = item.partition("=")
         if not sep or not key:
-            raise InvalidParameterError(f"expected --param name=value, got {item!r}")
+            raise InvalidParameterError(f"expected {flag} name=value, got {item!r}")
+        if key in pairs:
+            raise InvalidParameterError(f"{flag} {key} given more than once")
         try:
-            params[key] = float(value)
+            pairs[key] = float(value)
         except ValueError as exc:
-            raise InvalidParameterError(f"non-numeric value in {item!r}") from exc
-    return params
+            raise InvalidParameterError(f"non-numeric {noun} in {item!r}") from exc
+    return pairs
 
 
 #: The family records by their --family spelling, in the order --help lists them.
@@ -106,30 +114,14 @@ def _build_model(name: str, params: dict[str, float]) -> OscillatorModel:
     return _CLI_FAMILIES[name].make(*(params[key] for key in expected))
 
 
-def _explicit_grid(args, model: OscillatorModel) -> Grid | None:
-    """The --qmin/--qmax grid inside the model's domain, or None when neither
-    is given and the caller chooses an automatic grid."""
+def _explicit_grid(args) -> Grid | None:
+    """The --qmin/--qmax grid, or None when neither is given and the caller
+    chooses an automatic grid. grid_fields() refuses one outside the domain."""
     if args.qmin is None and args.qmax is None:
         return None
     if args.qmin is None or args.qmax is None:
         raise InvalidParameterError("--qmin and --qmax must be given together")
-    grid = make_grid(args.qmin, args.qmax, args.n)
-    require_grid_in_domain(model, grid)
-    return grid
-
-
-def _checked_fields(model: OscillatorModel, grid: Grid) -> GridFields:
-    """grid_fields on an explicit grid for the checks, refused by name where
-    x or x' overflows float64 (inf, or NaN from inf / inf in a kernel): the
-    checks' products would turn it into NaN, and numpy's warnings, before
-    refusing the samples. construct takes grid_fields as it is, and warns."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        fields = grid_fields(model, grid)
-    x, xp = fields.x, fields.xp
-    # min and max carry a NaN through, and allocate no full-size mask.
-    if not np.isfinite([x.min(), x.max(), xp.min(), xp.max()]).all():
-        raise TruncationError("superpotential overflows float64 on the grid; narrow the grid")
-    return fields
+    return make_grid(args.qmin, args.qmax, args.n)
 
 
 def _model_header_lines(model: OscillatorModel) -> list[str]:
@@ -145,20 +137,34 @@ def _model_header_lines(model: OscillatorModel) -> list[str]:
     ]
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+def _write(outputs: dict[str, Iterable[bytes]]) -> None:
+    """Write each path's chunks in turn, every path opened before any is written
+    and emptied only at its turn. When an open or a write fails, the files this
+    run created are removed: a refused run leaves no new file and no emptied one."""
+    created = [path for path in outputs if not os.path.exists(path)]
+    with contextlib.ExitStack() as stack:
+        try:
+            handles = [stack.enter_context(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666),
+                                                "wb")) for path in outputs]
+            for handle, (path, chunks) in zip(handles, outputs.items()):
+                if os.path.isfile(path):  # not a device or a pipe
+                    handle.truncate()
+                handle.writelines(chunks)
+                handle.close()
+        except BaseException:
+            for path in created:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
 
 
-def _write_table(args, header_lines: list[str], columns: list[str], data) -> None:
-    """The table at args.out, and with --emit plotscript a gnuplot script
-    for it at args.out + ".gp"."""
+def _table(args, header_lines: list[str], columns: list[str], data) -> dict[str, Iterable[bytes]]:
+    """The outputs of a table for _write(): the table at args.out, and with
+    --emit plotscript a gnuplot script for it at args.out + ".gp"."""
     head = "\n".join([*header_lines, ",".join(columns)]) + "\n"
-    with open(args.out, "wb") as handle:
-        handle.write(head.encode("utf-8"))
-        handle.writelines(table_body(data))
+    outputs = {args.out: itertools.chain([head.encode()], table_body(data))}
     if args.emit != "plotscript":
-        return
+        return outputs
     base = os.path.basename(args.out)
     lines = [
         "# gnuplot script for " + base,
@@ -170,12 +176,13 @@ def _write_table(args, header_lines: list[str], columns: list[str], data) -> Non
             for idx, name in enumerate(columns[1:], start=2)
         ),
     ]
-    _write_text(args.out + ".gp", "\n".join(lines) + "\n")
+    outputs[args.out + ".gp"] = [("\n".join(lines) + "\n").encode()]
+    return outputs
 
 
 def cmd_construct(args) -> int:
     model = _build_model(args.family, _parse_params(args.param))
-    grid = _explicit_grid(args, model)
+    grid = _explicit_grid(args)
     if grid is None and not is_admissible(model, 0.0):
         b = admissible_bound(model)
         raise InadmissibleAlphaError(
@@ -184,15 +191,17 @@ def cmd_construct(args) -> int:
         )
     fields = grid_fields(model, auto_grid(model, n=args.n) if grid is None else grid)
     psi0 = fields.sample().values
+    v = closed_form_potential(model, fields.q)
+    if not np.isfinite([v.min(), v.max()]).all():  # s = inf for a gkf c0 near 5e-324
+        raise TruncationError("closed-form potential leaves float64 range on the grid")
     if grid is not None:  # warn where coherent and verify refuse the grid
         try:
             fields.normalized()
         except AnhoscError as exc:
             print(f"warning: {exc}", file=sys.stderr)
-    v = closed_form_potential(model, fields.q)
     columns = ["q", "x", "dx_dq", "v_minus_e0", "psi0"]
     header = ["# anhosc construct"] + _model_header_lines(model)
-    _write_table(args, header, columns, (fields.q, fields.x, fields.xp, v, psi0))
+    _write(_table(args, header, columns, (fields.q, fields.x, fields.xp, v, psi0)))
     return _EXIT_OK
 
 
@@ -200,10 +209,10 @@ def cmd_coherent(args) -> int:
     model = _build_model(args.family, _parse_params(args.param))
     alpha = parse_complex(args.alpha)
     tol = _tolerances(args)  # a bad --tol leaves no table behind
-    explicit = _explicit_grid(args, model)
+    explicit = _explicit_grid(args)
     grid = explicit or auto_grid(model, alpha=alpha, n=args.n)
+    fields = grid_fields(model, grid)
     require_admissible(model, alpha)
-    fields = grid_fields(model, grid) if explicit is None else _checked_fields(model, grid)
     # The table's samples and the checks' work arrays share one workspace.
     # The checks only read the samples; they run first, so a refusal writes no file.
     workspace = Workspace(grid.n)
@@ -216,25 +225,16 @@ def cmd_coherent(args) -> int:
     header.append(f"# alpha: {format_complex(alpha)}")
     header.append(f"# norm_before_scaling: {_fmt(norm)}")
     data = (fields.q, values.real, values.imag, np.abs(values) ** 2)
-    _write_table(args, header, columns, data)
-    _write_text(args.report, report.to_text())
+    _write({**_table(args, header, columns, data), args.report: [report.to_text().encode()]})
     return _EXIT_OK if report.passed else _EXIT_CHECK_FAILED
 
 
 def _tolerances(args) -> Tolerances:
-    tol = Tolerances()
-    overrides = {}
-    for item in args.tol or []:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise InvalidParameterError(f"expected --tol name=value, got {item!r}")
-        if key not in tol.__dataclass_fields__:
-            raise InvalidParameterError(f"unknown tolerance {key!r}")
-        try:
-            overrides[key] = float(value)
-        except ValueError as exc:
-            raise InvalidParameterError(f"non-numeric tolerance in {item!r}") from exc
-    return dataclasses.replace(tol, **overrides) if overrides else tol
+    overrides = _parse_params(args.tol, "--tol", "tolerance")
+    unknown = [key for key in overrides if key not in Tolerances.__dataclass_fields__]
+    if unknown:
+        raise InvalidParameterError(f"unknown tolerance {unknown[0]!r}")
+    return Tolerances(**overrides)
 
 
 def cmd_verify(args) -> int:
@@ -243,9 +243,9 @@ def cmd_verify(args) -> int:
     if not alphas:
         raise InvalidParameterError("--alphas must list at least one value")
     tol = _tolerances(args)
-    explicit = _explicit_grid(args, model)
+    explicit = _explicit_grid(args)
     # One record per distinct grid: every alpha on an explicit grid shares it.
-    fields = None if explicit is None else _checked_fields(model, explicit)
+    fields = None if explicit is None else grid_fields(model, explicit)
     sections: list[str] = []
     all_passed = True
     if is_admissible(model, 0.0):
@@ -279,7 +279,7 @@ def cmd_verify(args) -> int:
             continue
         all_passed &= rep.passed
         sections.append(rep.to_text())
-    _write_text(args.report, "---\n".join(sections))
+    _write({args.report: ["---\n".join(sections).encode()]})
     return _EXIT_OK if all_passed else _EXIT_CHECK_FAILED
 
 
@@ -316,7 +316,7 @@ def cmd_generate(args) -> int:
         header.append(f"# max_deviation: {_fmt(max_dev)}")
         columns.append("x_closed")
         data.append(closed)
-    _write_table(args, header, columns, data)
+    _write(_table(args, header, columns, data))
     return _EXIT_OK
 
 
@@ -366,7 +366,7 @@ def cmd_fit(args) -> int:
         f"iterations: {result.iterations}",
         f"converged: {'true' if result.converged else 'false'}",
     ]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write({args.out: [("\n".join(lines) + "\n").encode()]})
     return _EXIT_OK if result.converged else _EXIT_CHECK_FAILED
 
 

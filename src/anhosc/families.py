@@ -16,6 +16,7 @@ rejected eagerly with a message naming the violated condition.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -123,6 +124,21 @@ def _require_finite(**params: float) -> None:
             raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
 
+def _float64_constants(make: Callable[..., OscillatorModel]) -> Callable[..., OscillatorModel]:
+    """make, refusing by name parameters whose derived constants raise in
+    float64: a quotient by a product that underflows to zero, or a power
+    that overflows."""
+    @functools.wraps(make)
+    def checked(*args: float, **kwargs: float) -> OscillatorModel:
+        try:
+            return make(*args, **kwargs)
+        except (ZeroDivisionError, OverflowError) as exc:
+            given = ", ".join([*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())])
+            raise InvalidParameterError(
+                f"derived constants of {make.__name__}({given}) leave float64 range") from exc
+    return checked
+
+
 def make_harmonic() -> OscillatorModel:
     """Harmonic oscillator: x(q) = -q, V - E0 = (q^2 - 1)/2, E0 = 1/2."""
     return OscillatorModel(
@@ -185,6 +201,7 @@ def _morse_potential(p: MorseParams, q: np.ndarray) -> np.ndarray:
     return 0.5 * ((p.s - u) ** 2 / (2.0 * p.x_e) - p.s + 0.5 * p.x_e)
 
 
+@_float64_constants
 def make_wei_hua(c0: float, c1: float, c2: float) -> OscillatorModel:
     """Wei Hua oscillator from the parabolic generating-series coefficients.
 
@@ -283,6 +300,7 @@ def _wei_hua_peak(p: WeiHuaParams, t: float) -> float:
     return math.log(p.big_c * one_plus_r / r) / p.c1
 
 
+@_float64_constants
 def make_generalized_kratzer_fues(c0: float, c1: float) -> OscillatorModel:
     """Generalized Kratzer-Fues oscillator on the half line (-1/c1, inf).
 

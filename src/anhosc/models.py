@@ -67,6 +67,9 @@ def closed_form_potential(model: OscillatorModel, q) -> float | np.ndarray:
 
     This is a different algebraic route than (x^2 + x')/2 from
     eval_superpotential and eval_superpotential_derivative; agreement of the
-    two is the Riccati consistency check.
+    two is the Riccati consistency check. Where float64 cannot hold a term,
+    the value is inf or NaN, without numpy's warnings, for the check to fail.
     """
-    return _as_input_shape(family_of(model).potential(model.params, check_domain(model, q)), q)
+    qa = check_domain(model, q)
+    with np.errstate(all="ignore"):
+        return _as_input_shape(family_of(model).potential(model.params, qa), q)

@@ -315,10 +315,21 @@ def _overflow(alpha: complex | None) -> str:
 
 def grid_fields(model: OscillatorModel, grid: Grid) -> GridFields:
     """Evaluate q, x, x' and log psi0 once on a grid inside the open domain,
-    in one kernel call: one exponential per point for all three."""
+    in one kernel call: one exponential per point for all three.
+    TruncationError where x, x' or their squares overflow float64 on the
+    grid: the checks square x and multiply by x', and the closed-form Morse
+    potential squares s + x'."""
     require_grid_in_domain(model, grid)
     q = grid.points()
-    x, xp, log_psi0 = kernel(model)(q, xp=True, log_psi0=True)
+    # Far tails overflow in the kernel and a pole divides by zero (inf, or NaN
+    # from inf / inf): the rule below refuses them by name.
+    with np.errstate(all="ignore"):
+        x, xp, log_psi0 = kernel(model)(q, xp=True, log_psi0=True)
+        # min and max carry a NaN through and allocate no full-size mask; a
+        # Python float squares to inf, not to an OverflowError.
+        extremes = (float(x.min()), float(x.max()), float(xp.min()), float(xp.max()))
+        if not all(math.isfinite(value * value) for value in extremes):
+            raise TruncationError("superpotential overflows float64 on the grid; narrow the grid")
     for array in (q, x, xp, log_psi0):
         array.setflags(write=False)
     return GridFields(model, grid, q, x, xp, log_psi0)
@@ -353,9 +364,10 @@ def l2_norm_of(grid: Grid, values: np.ndarray, *, scratch: np.ndarray | None = N
     """L2 norm of samples on a grid, such as a state or a residual, by
     Simpson quadrature, with |values|^2 formed in scratch (a float64 array
     of their shape) when given; InvalidParameterError unless they and their
-    squared magnitudes are finite."""
+    squared magnitudes are finite, and inf where their sum overflows float64."""
     squares = np.abs(values, out=scratch)
-    return math.sqrt(float(integrate_samples(grid, np.square(squares, out=squares))))
+    with np.errstate(over="ignore"):
+        return math.sqrt(float(integrate_samples(grid, np.square(squares, out=squares))))
 
 
 def _edge_covered(

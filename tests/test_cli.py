@@ -262,18 +262,19 @@ class TestCoherent:
         )
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an open leak of this class
     def test_a_state_its_checks_refuse_leaves_no_file(self, tmp_path, capsys):
         # x = -q is finite on this grid, but its square, which the checks
-        # form, is not, so an integral in the checks refuses its samples.
-        # The checks run before the table is written, so exit 2 leaves no file.
-        code = run("coherent", "--family", "harmonic", "--qmin=-1e160", "--qmax=1e160",
-                   "--alpha", "0.1",
-                   "--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt"))
+        # form, is not: the fields builder refuses the grid by name, where
+        # numpy's warnings preceded "samples must all be finite", and no file.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("coherent", "--family", "harmonic", "--qmin=-1e160", "--qmax=1e160",
+                       "--alpha", "0.1",
+                       "--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt"))
         assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err[-1] == "error: samples must all be finite"
-        assert [line for line in err if line.startswith("error:")] == err[-1:]
+        assert capsys.readouterr().err == (
+            "error: superpotential overflows float64 on the grid; narrow the grid\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_a_superpotential_that_overflows_the_grid_is_refused_by_name(
@@ -555,6 +556,119 @@ class TestNonFiniteParameters:
             assert run(*argv, "--report", str(tmp_path / "r.txt")) == 2
             assert capsys.readouterr().err == f"error: alpha must be finite, got {alpha!r}\n"
             assert list(tmp_path.iterdir()) == []
+
+
+class TestParametersAtFloat64Limits:
+    # Found by tests/test_cli_property.py: each left a traceback or numpy's
+    # warnings; each now has one named outcome.
+    @pytest.mark.filterwarnings("error")
+    def test_a_derived_constant_that_raises_is_a_usage_error(self, tmp_path, capsys):
+        assert run("construct", "--family", "kratzer", "--param", "c1=1e-200",
+                   "--out", str(tmp_path / "t.csv")) == 2
+        assert capsys.readouterr().err == (
+            "error: derived constants of make_generalized_kratzer_fues(1.0, 1e-200) "
+            "leave float64 range\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_generate_names_a_closed_form_it_cannot_build(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert run("generate", "--form", "squared_linear", "--param", "c0=0.5",
+                   "--param", "c1=1e-200", "--param", "x0=0.5", "--qmax", "1", "--n", "11",
+                   "--out", str(out)) == 0
+        assert out.read_text().splitlines()[3] == (
+            "# closed_form: unavailable (derived constants of "
+            "make_generalized_kratzer_fues(0.5, 1e-200) leave float64 range)")
+
+    @pytest.mark.filterwarnings("error")
+    def test_construct_refuses_a_potential_column_float64_cannot_hold(self, tmp_path, capsys):
+        # s = inf at this c0: the closed form is NaN on every grid.
+        assert run("construct", "--family", "gkf", "--param", "c0=5e-324", "--param", "c1=0.5",
+                   "--qmin=0", "--qmax=1", "--n", "101", "--out", str(tmp_path / "t.csv")) == 2
+        assert capsys.readouterr().err == (
+            "error: closed-form potential leaves float64 range on the grid\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_check_residual_beyond_float64_fails_its_check(self, tmp_path, capsys):
+        report = tmp_path / "r.txt"
+        assert run("verify", "--family", "weihua", "--param=c0=0.017315975240760163",
+                   "--param=c1=0.99", "--param=c2=1.2853008383819474e-118", "--qmin=-177.5",
+                   "--qmax=2.0089929403255813e+277", "--n", "275", "--alphas=0.1",
+                   "--report", str(report)) == 1
+        assert capsys.readouterr().err == ""
+        assert "  commutator_action: FAIL (value=inf, tolerance=1e-05)" in (
+            report.read_text().splitlines())
+
+
+class TestRepeatedNames:
+    # The last of two values silently won; a repeated name is a usage error.
+    MORSE = ("--family", "morse", "--param", "s=1", "--param", "xe=0.5")
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "--param", "s=2", *MORSE, "--out", "t.csv"),
+        ("coherent", *MORSE, "--param", "xe=0.25", "--alpha", "0.1",
+         "--out", "t.csv", "--report", "r.txt"),
+        ("verify", "--param", "s=2", *MORSE, "--alphas", "0.1", "--report", "r.txt"),
+        ("generate", "--form", "linear", "--param", "c0=0.5", "--param", "c1=1",
+         "--param", "c1=2", "--out", "t.csv"),
+    ], ids=["construct", "coherent", "verify", "generate"])
+    def test_a_repeated_param_is_a_usage_error(self, tmp_path, capsys, argv):
+        name = {"construct": "s", "coherent": "xe", "verify": "s", "generate": "c1"}[argv[0]]
+        argv = [str(tmp_path / a) if a in ("t.csv", "r.txt") else a for a in argv]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: --param {name} given more than once\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("coherent", *MORSE, "--alpha", "0.1", "--out", "t.csv", "--report", "r.txt"),
+        ("verify", *MORSE, "--alphas", "0.1", "--report", "r.txt"),
+    ], ids=["coherent", "verify"])
+    def test_a_repeated_tol_is_a_usage_error(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a in ("t.csv", "r.txt") else a for a in argv]
+        assert run(*argv, "--tol", "product=1e-3", "--tol", "riccati=1e-6",
+                   "--tol", "product=1e-2") == 2
+        assert capsys.readouterr().err == "error: --tol product given more than once\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputs:
+    # Every output is opened before any is written, so a path that cannot
+    # be opened refuses the run (exit 2) with no file written.
+    def test_an_unopenable_report_leaves_no_table(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "r.txt"
+        assert run("coherent", "--family", "harmonic", "--alpha", "0.1",
+                   "--out", str(tmp_path / "t.csv"), "--report", str(report)) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {str(report)!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_directory_in_place_of_the_plotscript_leaves_no_table(self, tmp_path, capsys):
+        (tmp_path / "t.csv.gp").mkdir()
+        assert run("construct", "--family", "harmonic", "--emit", "plotscript",
+                   "--out", str(tmp_path / "t.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv.gp"]
+
+    def test_a_refused_run_leaves_an_existing_file_as_it_was(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_bytes(b"earlier table\n")
+        assert run("coherent", "--family", "harmonic", "--alpha", "0.1", "--out", str(table),
+                   "--report", str(tmp_path / "missing" / "r.txt")) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        assert table.read_bytes() == b"earlier table\n"
+
+    def test_an_existing_file_is_overwritten_whole(self, tmp_path):
+        table = tmp_path / "t.csv"
+        assert run("construct", "--family", "harmonic", "--n", "101", "--out", str(table)) == 0
+        expected = table.read_bytes()
+        table.write_bytes(b"x" * (2 * len(expected)))
+        assert run("construct", "--family", "harmonic", "--n", "101", "--out", str(table)) == 0
+        assert table.read_bytes() == expected
+
+    def test_a_device_is_written_too(self):
+        # Only a regular file is emptied before it is written.
+        assert run("construct", "--family", "harmonic", "--n", "101", "--out", os.devnull) == 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -877,10 +991,6 @@ def test_module_entry_point_matches_in_process_main(tmp_path):
     ("generate --form constant --n 5001",
      "warning: ExpansionRangeWarning: superpotential leaves |x| < 1, outside the "
      "guaranteed series convergence range\n"),
-    ("construct --family harmonic --qmin 0 --qmax 1e300",
-     "warning: RuntimeWarning: overflow encountered in multiply\n"
-     "warning: left grid edge does not cover the support; widen the grid\n"
-     "warning: RuntimeWarning: overflow encountered in multiply\n"),
 ])
 def test_command_prints_warnings_without_source_locations(tmp_path, argv, expected):
     src = Path(__file__).resolve().parents[1] / "src"
@@ -995,7 +1105,9 @@ _PINNED_EXPLICIT_GRIDS = [
     # zeros, 96 subnormals and 3,432 values in exponent notation; then inf,
     # -0.0 and e+299 next to numpy's documented overflow warnings.
     ('construct --family harmonic --qmin=-40 --qmax=40 --n 4001', 0, '', {'t.csv': '587253208613353a421eb0903cada6683cc1edad845c513feb30404c3290fe44'}),
-    ('construct --family harmonic --qmin 0 --qmax 1e300 --n 5', 0, 'warning: RuntimeWarning: overflow encountered in multiply\nwarning: left grid edge does not cover the support; widen the grid\nwarning: RuntimeWarning: overflow encountered in multiply\n', {'t.csv': '158a608494a18f64bc537e22e5ae7918cf17e8121c33082f963997ef3454f853'}),
+    # x = -q squares past float64 on this grid: refused, where construct
+    # wrote inf and NaN columns after numpy's overflow warnings.
+    ('construct --family harmonic --qmin 0 --qmax 1e300 --n 5', 2, 'error: superpotential overflows float64 on the grid; narrow the grid\n', {}),
 ]
 
 

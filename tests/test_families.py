@@ -224,6 +224,20 @@ def test_constructors_reject_a_non_finite_parameter_by_name(make, valid, name, v
         make(**{**valid, name: value})
 
 
+@pytest.mark.parametrize("make, args", [
+    (make_generalized_kratzer_fues, (0.5, 1e-200)),  # c1^2 underflows: a ZeroDivisionError
+    (make_kratzer_fues, (1e-200,)),
+    (make_wei_hua, (-2.7e-218, 5e-324, 0.85)),  # 2 c1 (1 - c2) underflows
+    (make_wei_hua, (1e300, 5.88, -2.2)),  # (c0/c1) ** 2: an OverflowError
+])
+def test_derived_constants_beyond_float64_are_refused_by_name(make, args):
+    # Each raised a bare ZeroDivisionError or OverflowError, which left the
+    # command line as a traceback.
+    with pytest.raises(InvalidParameterError, match=r"^derived constants of make_\w+\(.*\) "
+                                                      "leave float64 range$"):
+        make(*args)
+
+
 class TestReductions:
     def test_standard_morse_limit(self):
         # s = 1 must reproduce the standard Morse forms, written here

@@ -357,3 +357,12 @@ def test_kernel_far_tail_contract(m):
                 evaluate(m, q)
         with pytest.raises(DomainViolationError):
             ground_state(m).evaluator(q)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_closed_form_potential_beyond_float64_is_nan_without_a_warning():
+    # s = (1 - c0 - c1^2)/c0 overflows at this c0, and 0 * inf is NaN: the
+    # Riccati check fails on it, and construct refuses it by name.
+    m = make_generalized_kratzer_fues(5e-324, 0.5)
+    assert math.isinf(m.params.s)
+    assert np.isnan(closed_form_potential(m, np.linspace(0.0, 1.0, 11))).all()

@@ -399,16 +399,50 @@ class TestGridFields:
         with pytest.raises(TruncationError, match="overflows float64"):
             fields.sample(-2000.0)
 
-    @pytest.mark.parametrize("q_min", [-300.0, -1000.0])
-    def test_a_ground_state_overflow_names_the_grid(self, q_min):
+    @pytest.mark.parametrize("q_min, message", [
+        (-300.0, "ground state overflows float64 on the grid; narrow the grid"),
+        (-1000.0, "superpotential overflows float64 on the grid; narrow the grid"),
+    ])
+    def test_a_ground_state_overflow_names_the_grid(self, q_min, message):
         # psi0 of this full-line Wei Hua model grows as exp(c0 |q| / c1) to
-        # the left: at -300 its square overflows, at -1000 the state itself.
+        # the left: at -300 its square overflows; at -1000 the kernel's
+        # exp(-c1 q) does, x' is inf / inf, and the builder refuses the grid.
         m = make_wei_hua(5.0, 1.0, -0.3)
-        with np.errstate(all="ignore"):
-            fields = grid_fields(m, make_grid(q_min, 10.0, 1001))
         with pytest.raises(TruncationError) as refused:
-            fields.normalized()
-        assert str(refused.value) == "ground state overflows float64 on the grid; narrow the grid"
+            grid_fields(m, make_grid(q_min, 10.0, 1001)).normalized()
+        assert str(refused.value) == message
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model, q_min, q_max", [
+        (make_harmonic(), -1e160, 1e160),  # x finite, x^2 not
+        (make_generalized_morse(1.0, 0.5), -800.0, 40.0),  # x = inf far left
+        (make_generalized_morse(5.0, 2.0), -177.5, 20.0),  # x and x^2 finite, x'^2 not
+        (make_wei_hua(5.0, 1.0, -0.3), -1000.0, 10.0),  # x' = inf / inf = NaN
+    ], ids=["harmonic", "morse", "morse-xp-squared", "weihua"])
+    def test_a_superpotential_float64_cannot_square_is_refused(self, model, q_min, q_max):
+        with pytest.raises(TruncationError) as refused:
+            grid_fields(model, make_grid(q_min, q_max, 801))
+        assert str(refused.value) == (
+            "superpotential overflows float64 on the grid; narrow the grid")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", [
+        make_harmonic(), make_generalized_morse(1.0, 0.5), make_wei_hua(0.2, 1.0, 0.5),
+        make_kratzer_fues(0.5), make_generalized_kratzer_fues(0.75, 0.5),
+    ], ids=lambda m: m.family)
+    def test_the_desk_models_auto_grids_are_accepted(self, model):
+        for alpha in (0.0, 0.1):
+            fields = grid_fields(model, auto_grid(model, alpha=alpha))
+            for array in (fields.x, fields.xp):
+                assert np.isfinite(np.square(array)).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_l2_norm_beyond_float64_is_inf_without_a_warning():
+    # The squares are finite, their Simpson sum is not: a check's residual
+    # of that size fails its check.
+    grid = make_grid(0.0, 1.0, 101)
+    assert l2_norm_of(grid, np.full(101, 1.3e154)) == math.inf
 
 
 class TestNormalize:
