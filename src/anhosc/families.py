@@ -330,11 +330,14 @@ def make_generalized_kratzer_fues(c0: float, c1: float) -> OscillatorModel:
     )
 
 
+@_float64_constants
 def make_kratzer_fues(c1: float) -> OscillatorModel:
     """Kratzer-Fues oscillator: the c0 = 1 - c1^2 special case (s = 0)."""
     c1 = float(c1)
-    # The generalized constructor checks c1 before the derived c0, so it names a bad c1.
-    return replace(make_generalized_kratzer_fues(1.0 - c1 * c1, c1), family=KRATZER_FUES)
+    # The generalized constructor checks c1 before the derived c0, so it names
+    # a bad c1; undecorated, so that a float64 refusal names this call.
+    make = make_generalized_kratzer_fues.__wrapped__
+    return replace(make(1.0 - c1 * c1, c1), family=KRATZER_FUES)
 
 
 def _kratzer_kernel(p: KratzerFuesParams) -> Callable:

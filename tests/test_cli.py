@@ -566,8 +566,7 @@ class TestParametersAtFloat64Limits:
         assert run("construct", "--family", "kratzer", "--param", "c1=1e-200",
                    "--out", str(tmp_path / "t.csv")) == 2
         assert capsys.readouterr().err == (
-            "error: derived constants of make_generalized_kratzer_fues(1.0, 1e-200) "
-            "leave float64 range\n")
+            "error: derived constants of make_kratzer_fues(1e-200) leave float64 range\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")

@@ -232,9 +232,10 @@ def test_constructors_reject_a_non_finite_parameter_by_name(make, valid, name, v
 ])
 def test_derived_constants_beyond_float64_are_refused_by_name(make, args):
     # Each raised a bare ZeroDivisionError or OverflowError, which left the
-    # command line as a traceback.
-    with pytest.raises(InvalidParameterError, match=r"^derived constants of make_\w+\(.*\) "
-                                                      "leave float64 range$"):
+    # command line as a traceback. Each names the constructor called, not
+    # one it delegates to.
+    pattern = rf"^derived constants of {make.__name__}\(.*\) leave float64 range$"
+    with pytest.raises(InvalidParameterError, match=pattern):
         make(*args)
 
 

@@ -2,8 +2,10 @@
 values of a row and "\\n" after it, over all its blocks."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,11 +28,15 @@ def as_columns(values, width):
 def tables(draw):
     """Raw 64-bit patterns viewed as float64: some drawn one by one, the rest
     from a seeded generator, in 1 to 6 columns, with row counts on both
-    sides of a block boundary."""
+    sides of a block boundary and of a gather slice's end."""
     width = draw(st.integers(1, 6))
     block_rows = max(1, _format._BLOCK // width)
+    gather = _format._GATHER
+    slice_rows = [values // width + extra for extra in (0, 1)
+                  for values in (gather - 1, gather, gather + 1, 2 * gather + 1)]
     rows = draw(st.one_of(
         st.sampled_from([1, block_rows - 1, block_rows, block_rows + 1, 2 * block_rows + 1]),
+        st.sampled_from(slice_rows),
         st.integers(1, 3 * block_rows),
     ))
     bits = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(
@@ -74,3 +80,32 @@ def test_strided_columns_render_as_repr():
     z = np.exp(1j * np.linspace(-40.0, 40.0, 4001)) * np.exp(-np.linspace(0.0, 800.0, 4001))
     columns = [z.real, z.imag, np.abs(z) ** 2]
     assert b"".join(table_body(columns)) == oracle(columns)
+
+
+@pytest.mark.parametrize("width", [3, 4, 5])  # generate, coherent, construct
+def test_a_last_block_that_ends_mid_slice_renders_as_repr(width):
+    # Two whole blocks, then one of about 1.5 gather slices.
+    rows = 2 * (_format._BLOCK // width) + 3 * _format._GATHER // 2 // width
+    q = np.linspace(-40.0, 40.0, rows)
+    z = np.exp(1j * q - q * q / 8)
+    columns = [q, z.real, z.imag, np.abs(z) ** 2, np.angle(z)][:width]
+    assert b"".join(table_body(columns)) == oracle(columns)
+
+
+@pytest.mark.parametrize("width, rows", [(5, 4001), (3, 5001)])  # construct, generate
+def test_peak_memory_stays_bounded(width, rows):
+    # The block's buffers and temporaries, once the constant tables are
+    # built: about 610 KB with 1024-value blocks, 881-886 KB with 2048-value
+    # blocks gathered in 1024-value slices, and about 1 MB with the gather
+    # index built whole. A block is rendered, written and dropped, so this
+    # is what a table adds to the peak memory of the process.
+    columns = list(np.random.default_rng(0).standard_normal((width, rows)))
+    _format._tables()
+    tracemalloc.start()
+    try:
+        for _ in table_body(columns):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 900_000
