@@ -248,6 +248,7 @@ def cmd_verify(args) -> int:
     fields = None if explicit is None else grid_fields(model, explicit)
     sections: list[str] = []
     all_passed = True
+    name = describe(model)
     if is_admissible(model, 0.0):
         if fields is None:
             fields = grid_fields(model, auto_grid(model, n=args.n))
@@ -255,17 +256,14 @@ def cmd_verify(args) -> int:
         all_passed &= report.passed
         sections.append(report.to_text())
     else:
-        sections.append(f"model: {describe(model)}\nalpha: none\n"
+        sections.append(f"model: {name}\nalpha: none\n"
                         "result: skipped (ground state not normalizable)\n")
     # Every grid of the job has args.n points, so one workspace serves every
     # alpha; its arrays are allocated at the first admissible one.
     workspace = Workspace(args.n)
     for alpha in alphas:
-        head = f"model: {describe(model)}\nalpha: {format_complex(alpha)}\n"
-        if not is_admissible(model, alpha):
-            sections.append(head + "result: skipped (inadmissible)\n")
-            continue
-        # A failing alpha must not abort the sweep: record it, exit 1.
+        head = f"model: {name}\nalpha: {format_complex(alpha)}\n"
+        # auto_grid or verify_coherent refuses an inadmissible alpha: skipped, not failed.
         try:
             if explicit is None:
                 grid = auto_grid(model, alpha=alpha, n=args.n)
@@ -273,6 +271,9 @@ def cmd_verify(args) -> int:
                     fields = grid_fields(model, grid)
             rep = verify_coherent(model, alpha, fields.grid, tol, fields=fields,
                                   workspace=workspace)
+        except InadmissibleAlphaError:
+            sections.append(head + "result: skipped (inadmissible)\n")
+            continue
         except AnhoscError as exc:
             all_passed = False
             sections.append(head + f"result: error ({exc})\n")

@@ -139,6 +139,13 @@ def _float64_constants(make: Callable[..., OscillatorModel]) -> Callable[..., Os
     return checked
 
 
+def _numpy(name: str, z):
+    """np.<name>(z), as a Python float for a Python float z, so that a kernel
+    computes on Python floats with numpy's rounding (math's differs at times)."""
+    ufunc = getattr(np, name)
+    return float(ufunc(z)) if type(z) is float else ufunc(z)
+
+
 def make_harmonic() -> OscillatorModel:
     """Harmonic oscillator: x(q) = -q, V - E0 = (q^2 - 1)/2, E0 = 1/2."""
     return OscillatorModel(
@@ -189,7 +196,7 @@ def _morse_kernel(p: MorseParams) -> Callable:
     neg_c1, c0, c1, c1_sq, slope = -p.c1, p.c0, p.c1, p.c1 ** 2, p.c0 / p.c1
 
     def fields(q, x=True, xp=False, log_psi0=False):
-        u = np.exp(neg_c1 * q)
+        u = _numpy("exp", neg_c1 * q)
         return ((u - c0) / c1 if x else None,
                 -u if xp else None,
                 (1.0 - u) / c1_sq - slope * q if log_psi0 else None)
@@ -256,11 +263,11 @@ def _wei_hua_kernel(p: WeiHuaParams) -> Callable:
     x_scale, xp_scale, w0 = p.c1 / p.c2, -(p.c1 ** 2 / p.c2), 1.0 - p.big_c
 
     def fields(q, x=True, xp=False, log_psi0=False):
-        ce = big_c * np.exp(neg_c1 * q)
+        ce = big_c * _numpy("exp", neg_c1 * q)
         w = 1.0 - ce
         return (x_scale * ce / w - slope if x else None,
                 _over_square(xp_scale * ce, w) if xp else None,
-                np.log(w / w0) / c2 - slope * q if log_psi0 else None)
+                _numpy("log", w / w0) / c2 - slope * q if log_psi0 else None)
     return fields
 
 
@@ -348,7 +355,7 @@ def _kratzer_kernel(p: KratzerFuesParams) -> Callable:
         w = c1q + 1.0
         return (1.0 / (c1 * w) - slope if x else None,
                 -1.0 / w ** 2 if xp else None,
-                np.log1p(c1q) / c1_sq - slope * q if log_psi0 else None)
+                _numpy("log1p", c1q) / c1_sq - slope * q if log_psi0 else None)
     return fields
 
 

@@ -46,7 +46,9 @@ def kernel(model: OscillatorModel) -> Callable:
     xp=False, log_psi0=False) returns (x, x', log psi0), None where not
     asked for. One exp(-c1 q) or c1 q + 1 serves all three, in the operand
     order of the separate formulas, so each output has the bits it has
-    alone. q must lie in the open domain; the kernel does not check it."""
+    alone. q must lie in the open domain; the kernel does not check it. On a
+    Python float it computes on Python floats with numpy's exp and log, for
+    an array's bits, and may raise where numpy would return inf or NaN."""
     return family_of(model).kernel(model.params)
 
 

@@ -68,7 +68,7 @@ class SampledFunction:
             raise InvalidParameterError(
                 f"expected {self.grid.n} samples, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise InvalidParameterError("samples must all be finite")
 
 
@@ -78,9 +78,9 @@ def make_grid(q_min: float, q_max: float, n: int) -> Grid:
 
 
 def _simpson(y: np.ndarray, h: float) -> complex | float:
-    total = y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()
+    total = y[0] + y[-1] + 4.0 * np.add.reduce(y[1:-1:2]) + 2.0 * np.add.reduce(y[2:-2:2])
     result = total * (h / 3.0)
-    return complex(result) if np.iscomplexobj(y) else float(result)
+    return complex(result) if y.dtype.kind == "c" else float(result)
 
 
 def integrate_samples(grid: Grid, values: np.ndarray) -> complex | float:
@@ -97,7 +97,7 @@ def integrate_samples(grid: Grid, values: np.ndarray) -> complex | float:
         result = _simpson(y, grid.step)
     if cmath.isfinite(result):
         return result
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise InvalidParameterError("samples must all be finite")
     return _simpson(y, grid.step)
 
@@ -110,9 +110,9 @@ def _product_is_quotient(parts: np.ndarray, r: float) -> bool:
     """True when parts * r rounds, and raises floating-point flags, as
     numpy's complex division by c = 1/r does: every part finite, none -0.0,
     and no product beyond float64."""
-    lo, hi = float(parts.min()), float(parts.max())  # a NaN propagates
+    lo, hi = float(np.minimum.reduce(parts)), float(np.maximum.reduce(parts))  # NaN propagates
     return (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(max(-lo, hi) * r)
-            and int(parts.view(np.int64).min()) != _NEGATIVE_ZERO)
+            and int(np.minimum.reduce(parts.view(np.int64))) != _NEGATIVE_ZERO)
 
 
 def divide_in_place(values: np.ndarray, c: float, *, complex_rounding: bool = False) -> np.ndarray:
@@ -127,7 +127,7 @@ def divide_in_place(values: np.ndarray, c: float, *, complex_rounding: bool = Fa
     divided; with complex_rounding it is scaled by 1/c instead, as the real
     part of its complex cast would be: the same bits up to the sign of a zero.
     """
-    if np.iscomplexobj(values):
+    if values.dtype.kind == "c":
         parts = values.view(np.float64)
         if c > 0.0 and _product_is_quotient(parts, 1.0 / c):
             np.multiply(parts, 1.0 / c, out=parts)

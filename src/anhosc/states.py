@@ -221,22 +221,24 @@ class GridFields:
     xp: np.ndarray
     log_psi0: np.ndarray
 
-    def sample(
-        self, alpha: complex | None = None, *, out: np.ndarray | None = None
-    ) -> SampledFunction:
-        """psi0 (real, alpha None) or psi_alpha samples for an admissible alpha,
-        written into out when given (Workspace.state(alpha)); TruncationError
-        on overflow, and for an |Im(alpha)| beyond what the checks of the
-        state can hold (_im_alpha_limit())."""
+    def potential(self) -> np.ndarray:
+        """closed_form_potential() on q, whose domain grid_fields() has checked."""
+        with np.errstate(all="ignore"):
+            return family_of(self.model).potential(self.model.params, self.q)
+
+    def sample(self, alpha: complex | None = None) -> SampledFunction:
+        """psi0 (real, alpha None) or psi_alpha samples for an admissible alpha;
+        TruncationError on overflow, and for an |Im(alpha)| beyond what the
+        checks of the state can hold (_im_alpha_limit())."""
         if alpha is not None:
             _require_im_alpha_within(complex(alpha), self.grid)
         with np.errstate(over="ignore"):
-            values = _state_values(self.log_psi0, self.q, alpha, out)
+            values = _state_values(self.log_psi0, self.q, alpha)
         try:
             return SampledFunction(self.grid, values)
         except InvalidParameterError:
             # SampledFunction refused non-finite samples; name the overflow.
-            if np.all(np.isfinite(values)):
+            if np.isfinite(values).all():
                 raise
             raise TruncationError(_overflow(alpha)) from None
 
@@ -244,7 +246,7 @@ class GridFields:
         self, alpha: complex | None = None, *, workspace: Workspace | None = None
     ) -> tuple[SampledFunction, float]:
         """psi0 (float64, alpha None) or psi_alpha (complex) scaled to unit L2
-        norm on the grid, and the norm before scaling: sample()'s record,
+        norm on the grid, and the norm before scaling: sample()'s samples,
         scaled in place. The samples are workspace.state(alpha), from a
         workspace of the grid's point count (a new one when None).
 
@@ -254,18 +256,20 @@ class GridFields:
         its squared norm overflows float64; and where sample() does.
         """
         workspace = workspace_for(self.grid, workspace)
-        sampled = self.sample(alpha, out=workspace.state(alpha))
-        values = sampled.values
+        if alpha is not None:
+            _require_im_alpha_within(complex(alpha), self.grid)
         # |psi| and |psi|^2 go into the two float64 halves of a work array,
         # which the checks of the state take over only after this returns.
+        # exp may overflow, |psi| or |psi|^2 where psi does not, and finite
+        # squares may sum past float64: the peak and the mass name each.
         mag, squares = workspace.work(0).view(np.float64).reshape(2, -1)
-        np.abs(values, out=mag)
-        peak = float(mag.max())
-        if peak == 0.0:
-            raise TruncationError("state is identically zero on the grid")
-        if math.isinf(peak * peak):  # |psi|^2 overflows where psi does not
-            raise TruncationError(_overflow(alpha))
-        with np.errstate(over="ignore"):  # and finite squares may sum past float64
+        with np.errstate(over="ignore"):
+            values = _state_values(self.log_psi0, self.q, alpha, workspace.state(alpha))
+            peak = float(np.maximum.reduce(np.abs(values, out=mag)))  # a NaN propagates
+            if not math.isfinite(peak * peak):
+                raise TruncationError(_overflow(alpha))
+            if peak == 0.0:
+                raise TruncationError("state is identically zero on the grid")
             mass = float(integrate_samples(self.grid, np.square(mag, out=squares)))
         if math.isinf(mass):
             raise TruncationError(_overflow(alpha))
@@ -283,7 +287,7 @@ class GridFields:
         # finite, since every Simpson weight is at least h/3: mass >= (h/3)
         # peak^2, so |psi|/norm <= sqrt(3/h).
         divide_in_place(values, norm)
-        return sampled, norm
+        return SampledFunction(self.grid, values), norm
 
 
 def _im_alpha_limit(grid: Grid) -> float:
@@ -327,7 +331,8 @@ def grid_fields(model: OscillatorModel, grid: Grid) -> GridFields:
         x, xp, log_psi0 = kernel(model)(q, xp=True, log_psi0=True)
         # min and max carry a NaN through and allocate no full-size mask; a
         # Python float squares to inf, not to an OverflowError.
-        extremes = (float(x.min()), float(x.max()), float(xp.min()), float(xp.max()))
+        low, high = np.minimum.reduce, np.maximum.reduce
+        extremes = (float(low(x)), float(high(x)), float(low(xp)), float(high(xp)))
         if not all(math.isfinite(value * value) for value in extremes):
             raise TruncationError("superpotential overflows float64 on the grid; narrow the grid")
     for array in (q, x, xp, log_psi0):
@@ -401,17 +406,19 @@ def normalize(psi: WaveFunction, grid: Grid) -> WaveFunction:
 
 def _search_functions(model: OscillatorModel, t: float):
     """The edge searches' evaluation at a float q: x(q) and log |psi_alpha(q)|
-    from one kernel call. The kernel runs on np.float64, which takes the ufunc
-    loops of a 0-d array (same bits, same warnings) at a third of the call
-    overhead; math.exp/log1p round differently from numpy on some inputs and
-    would move the grid edges."""
+    from one kernel call on the Python float (see models.kernel). Where
+    Python raises for a division by zero or an overflow, the point is
+    evaluated again on np.float64, for numpy's inf or NaN."""
     fields = kernel(model)
-    lower, upper, float64 = model.q_lower, model.q_upper, np.float64
+    lower, upper = model.q_lower, model.q_upper
 
     def x_and_log_amplitude(q: float) -> tuple[float, float]:
         if not lower < q < upper:
             check_domain(model, q)  # raises DomainViolationError
-        x, _, log_psi0 = fields(float64(q), log_psi0=True)
+        try:
+            x, _, log_psi0 = fields(q, log_psi0=True)
+        except (ZeroDivisionError, OverflowError):
+            x, _, log_psi0 = fields(np.float64(q), log_psi0=True)
         return float(x), float(log_psi0) + t * q
 
     return x_and_log_amplitude
@@ -528,8 +535,8 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
     Raises TruncationError when the peak is not a finite float (Re(alpha) at
     its admissibility bound to float64 precision) or lies inside the pole
     offset (Re(alpha) too negative), when the state overflows float64 at its
-    peak (or x' underflows to zero there), or when a tail leaves float64
-    range before it decays.
+    peak (or x' underflows to zero or overflows there), or when a tail leaves
+    float64 range before it decays.
     """
     alpha = complex(alpha)
     require_admissible(model, alpha)
@@ -541,7 +548,8 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
     with np.errstate(all="ignore"):
         # log psi0 and x' at the peak from one kernel call on np.float64.
         _, xp, log_psi0 = kernel(model)(np.float64(q_peak), x=False, xp=True, log_psi0=True)
-        if not xp < 0.0:  # x' underflows to -0.0 at the peak of a gkf model with a tiny c0
+        # x' is -0.0 at the peak of a gkf model with a tiny c0, -inf at a subnormal Wei Hua c2
+        if not -math.inf < xp < 0.0:
             raise TruncationError(_OVERFLOW)
         log_mass = 2.0 * (float(log_psi0) + t * q_peak) + 0.5 * math.log(math.pi / -float(xp))
         if not math.isfinite(log_mass):

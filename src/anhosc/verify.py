@@ -17,7 +17,7 @@ import numpy as np
 from ._format import fmt_complex as format_complex
 from ._format import fmt_float
 from .errors import InvalidParameterError
-from .models import OscillatorModel, closed_form_potential, describe
+from .models import OscillatorModel, describe
 from .numerics import Grid, SampledFunction, differentiate_samples, integrate_samples
 from .states import (
     ANNIHILATION,
@@ -93,18 +93,20 @@ class VerificationReport:
         out.append(f"  q_max: {fmt_float(self.grid.q_max)}")
         out.append(f"  n: {self.grid.n}")
         out.append("residuals:")
-        for f in dataclasses.fields(self):
-            if f.name in ("model", "alpha", "grid", "checks"):
-                continue
-            value = getattr(self, f.name)
+        for name in _RESIDUALS:
+            value = getattr(self, name)
             if value is not None:
-                out.append(f"  {f.name}: {fmt_float(value)}")
+                out.append(f"  {name}: {fmt_float(value)}")
         out.append("checks:")
         for name, value, tol, ok in self.checks:
             status = "pass" if ok else "FAIL"
             out.append(f"  {name}: {status} (value={fmt_float(value)}, tolerance={fmt_float(tol)})")
         out.append(f"result: {'pass' if self.passed else 'FAIL'}")
         return "\n".join(out) + "\n"
+
+
+#: The residual fields of a report, in the order to_text() lists them.
+_RESIDUALS = tuple(f.name for f in dataclasses.fields(VerificationReport)[3:-1])
 
 
 def _check(name: str, value: float, tol: float) -> tuple[str, float, float, bool]:
@@ -150,7 +152,7 @@ def verify_model(
     tol = tolerances or Tolerances()
     fields = _fields_for(model, grid, fields)
     q, x, xp = fields.q, fields.x, fields.xp
-    v = closed_form_potential(model, q)
+    v = fields.potential()
 
     riccati = float(np.max(np.abs(v - 0.5 * (x * x + xp))))
 

@@ -1,4 +1,5 @@
-"""A property test of construct, coherent and verify on explicit grids.
+"""Property tests of construct, coherent and verify on explicit grids and
+on automatic ones.
 
 Whatever the family, parameters, alphas and grid, main() returns 0, 1 or 2,
 raises nothing and lets no numpy warning out. Exit 2 prints exactly one
@@ -62,16 +63,19 @@ def _alpha_text(alpha: complex) -> str:
 
 
 @st.composite
-def _argvs(draw) -> list[str]:
+def _argvs(draw, explicit: bool = True) -> list[str]:
+    """An argv on an explicit grid, or on the automatic grid without one."""
     command = draw(st.sampled_from(["construct", "coherent", "verify"]))
     family = draw(st.sampled_from(_FAMILIES))
     argv = [command, "--family", family.cli_name]
     for name in family.cli_params:
         argv.append(f"--param={name}={draw(_PARAMS)!r}")
-    q_min = draw(_LEFT_ENDS)
-    q_max = q_min + draw(_WIDTHS)
+    if explicit:
+        q_min = draw(_LEFT_ENDS)
+        q_max = q_min + draw(_WIDTHS)
+        argv += [f"--qmin={q_min!r}", f"--qmax={q_max!r}"]
     n = 2 * draw(st.integers(50, 200)) + 1
-    argv += [f"--qmin={q_min!r}", f"--qmax={q_max!r}", "--n", str(n)]
+    argv += ["--n", str(n)]
     if command == "coherent":
         argv.append(f"--alpha={_alpha_text(draw(_ALPHAS))}")
     elif command == "verify":
@@ -113,6 +117,20 @@ def _run(argv: list[str]) -> tuple[int, str, list[str], dict[str, str]]:
 @_BUDGET
 @given(_argvs())
 def test_explicit_grid_runs_are_clean(argv):
+    _assert_clean(argv)
+
+
+# A subnormal Wei Hua c2 overflows c1/c2, so x' = -inf at the peak (a
+# traceback from auto_grid's Laplace mass estimate before).
+@example(["construct", "--family", "weihua", "--param", "c0=0.5", "--param", "c1=0.5",
+          "--param", "c2=5e-324"])
+@_BUDGET
+@given(_argvs(explicit=False))
+def test_auto_grid_runs_are_clean(argv):
+    _assert_clean(argv)
+
+
+def _assert_clean(argv: list[str]) -> None:
     code, stderr, caught, files = _run(argv)
     assert code in (0, 1, 2)
     assert caught == []

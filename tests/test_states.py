@@ -754,9 +754,10 @@ def _hex_and_warnings(call):
 
 @pytest.mark.parametrize("m", _SEARCH_MODELS, ids=lambda m: m.family)
 def test_kernel_on_a_numpy_scalar_gives_the_bits_of_a_zero_dim_array(m):
-    # The edge searches call the kernel on np.float64, at a third of a 0-d
-    # array's call overhead, for the same bits and warning categories.
-    # The searches' x and log |psi_alpha| are that call's x and log psi0 + t q.
+    # auto_grid evaluates x' and log psi0 at the peak on np.float64, at a
+    # third of a 0-d array's call overhead, for the same bits and warning
+    # categories. The searches' x and log |psi_alpha|, on Python floats, are
+    # that call's x and log psi0 + t q, out to where the kernel overflows.
     fields = kernel(m)
     searches = {t: _search_functions(m, t) for t in (0.0, 0.3, -1.2)}
     for q in _search_inputs(m):
@@ -769,6 +770,45 @@ def test_kernel_on_a_numpy_scalar_gives_the_bits_of_a_zero_dim_array(m):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 expected = [x, (float.fromhex(log_psi0) + t * q).hex()]
                 assert [v.hex() for v in x_and_log_amplitude(q)] == expected, (t, q)
+
+
+@pytest.mark.parametrize("m", _SEARCH_MODELS, ids=lambda m: m.family)
+def test_the_search_on_python_floats_has_the_bits_of_the_array_kernel(m):
+    # Seeded Re(alpha) and points near the peak, in the mid tail and in the
+    # far tail on either side, inside the domain.
+    rng = np.random.default_rng([18, len(m.family)])
+    b = admissible_bound(m)
+    lo, hi = max(b.inf_re_alpha, -3.0), min(b.sup_re_alpha, 3.0)
+    fields = kernel(m)
+    for t in lo + (hi - lo) * rng.uniform(0.01, 0.99, 4):
+        t = float(t)
+        x_and_log_amplitude = _search_functions(m, t)
+        q_peak = states._peak(m, t)
+        offsets = [rng.uniform(-1e-3, 1e-3), rng.uniform(1.0, 10.0), rng.uniform(10.0, 1e3),
+                   10.0 ** rng.uniform(3.0, 300.0)]
+        for q in [q_peak, *(q_peak + sign * d for d in offsets for sign in (-1.0, 1.0))]:
+            if not m.q_lower < q < m.q_upper:
+                continue
+            with np.errstate(all="ignore"):
+                x, _, log_psi0 = fields(np.array([q]), log_psi0=True)
+                expected = [x[0], log_psi0[0] + t * q]
+                got = x_and_log_amplitude(q)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(expected).tobytes(), (t, q)
+
+
+def test_a_search_point_python_refuses_gets_numpy_s_value():
+    # Next to the pole 1 - C exp(-c1 q) rounds to 0: Python raises on the
+    # division where numpy returns inf, and the point is evaluated again on
+    # np.float64.
+    m = make_wei_hua(0.2, 1.5, 0.3)
+    q = float(np.nextafter(m.q_lower, math.inf))
+    with pytest.raises(ZeroDivisionError):
+        kernel(m)(q, log_psi0=True)
+    with np.errstate(all="ignore"):
+        x, _, log_psi0 = kernel(m)(np.array([q]), log_psi0=True)
+        got = _search_functions(m, 0.1)(q)
+    assert got == (math.inf, float(log_psi0[0]) + 0.1 * q) and x[0] == math.inf
 
 
 def _search_draws(count, seed):
