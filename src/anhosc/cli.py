@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import itertools
 import os
+import stat
 import sys
 import warnings
 from typing import Iterable
@@ -42,6 +43,7 @@ from .states import (
     Workspace,
     admissible_bound,
     auto_grid,
+    auto_grid_overflow,
     grid_fields,
     is_admissible,
     require_admissible,
@@ -124,6 +126,18 @@ def _explicit_grid(args) -> Grid | None:
     return make_grid(args.qmin, args.qmax, args.n)
 
 
+def _auto_fields(model: OscillatorModel, n: int, alpha: complex = 0.0, fields=None):
+    """grid_fields() on auto_grid()'s grid, or fields when it holds that grid.
+    Its float64 refusal names the model: the user gave no grid to narrow."""
+    grid = auto_grid(model, alpha=alpha, n=n)
+    if fields is not None and fields.grid == grid:
+        return fields
+    try:
+        return grid_fields(model, grid)
+    except TruncationError as exc:
+        raise auto_grid_overflow(model) from exc
+
+
 def _model_header_lines(model: OscillatorModel) -> list[str]:
     consts = [f"e0={_fmt(model.e0)}"]
     if model.d_const is not None:
@@ -138,18 +152,24 @@ def _model_header_lines(model: OscillatorModel) -> list[str]:
 
 
 def _write(outputs: dict[str, Iterable[bytes]]) -> None:
-    """Write each path's chunks in turn, every path opened before any is written
-    and emptied only at its turn. When an open or a write fails, the files this
-    run created are removed: a refused run leaves no new file and no emptied one."""
+    """Write each path's chunks in turn over its old bytes, every path opened
+    before any is written, and cut a regular file to the length written, or
+    where a write failed. When an open or a write fails, the files this run
+    created are removed: a refused run leaves no new file and no changed one."""
     created = [path for path in outputs if not os.path.exists(path)]
     with contextlib.ExitStack() as stack:
         try:
             handles = [stack.enter_context(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666),
                                                 "wb")) for path in outputs]
-            for handle, (path, chunks) in zip(handles, outputs.items()):
-                if os.path.isfile(path):  # not a device or a pipe
-                    handle.truncate()
-                handle.writelines(chunks)
+            for handle, chunks in zip(handles, outputs.values()):
+                try:
+                    handle.writelines(chunks)
+                    if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # not a device or a pipe
+                        handle.truncate()
+                except BaseException:
+                    with contextlib.suppress(OSError):  # where the OS's writes ended
+                        handle.raw.truncate()
+                    raise
                 handle.close()
         except BaseException:
             for path in created:
@@ -189,7 +209,7 @@ def cmd_construct(args) -> int:
             f"ground state not normalizable (coherent states need sqrt(2) Re(alpha) in "
             f"({b.inf_re_alpha:.6g}, {b.sup_re_alpha:.6g})); give --qmin and --qmax"
         )
-    fields = grid_fields(model, auto_grid(model, n=args.n) if grid is None else grid)
+    fields = _auto_fields(model, args.n) if grid is None else grid_fields(model, grid)
     psi0 = fields.sample().values
     v = closed_form_potential(model, fields.q)
     if not np.isfinite([v.min(), v.max()]).all():  # s = inf for a gkf c0 near 5e-324
@@ -209,9 +229,13 @@ def cmd_coherent(args) -> int:
     model = _build_model(args.family, _parse_params(args.param))
     alpha = parse_complex(args.alpha)
     tol = _tolerances(args)  # a bad --tol leaves no table behind
+    tables = [args.out, args.out + ".gp"] if args.emit == "plotscript" else [args.out]
+    if os.path.realpath(args.report) in map(os.path.realpath, tables):
+        raise InvalidParameterError(
+            f"--report {args.report!r} names an output of --out {args.out!r}")
     explicit = _explicit_grid(args)
-    grid = explicit or auto_grid(model, alpha=alpha, n=args.n)
-    fields = grid_fields(model, grid)
+    fields = grid_fields(model, explicit) if explicit else _auto_fields(model, args.n, alpha)
+    grid = fields.grid
     require_admissible(model, alpha)
     # The table's samples and the checks' work arrays share one workspace.
     # The checks only read the samples; they run first, so a refusal writes no file.
@@ -251,7 +275,7 @@ def cmd_verify(args) -> int:
     name = describe(model)
     if is_admissible(model, 0.0):
         if fields is None:
-            fields = grid_fields(model, auto_grid(model, n=args.n))
+            fields = _auto_fields(model, args.n)
         report = verify_model(model, fields.grid, tol, fields=fields)
         all_passed &= report.passed
         sections.append(report.to_text())
@@ -266,9 +290,7 @@ def cmd_verify(args) -> int:
         # auto_grid or verify_coherent refuses an inadmissible alpha: skipped, not failed.
         try:
             if explicit is None:
-                grid = auto_grid(model, alpha=alpha, n=args.n)
-                if fields is None or grid != fields.grid:
-                    fields = grid_fields(model, grid)
+                fields = _auto_fields(model, args.n, alpha, fields)
             rep = verify_coherent(model, alpha, fields.grid, tol, fields=fields,
                                   workspace=workspace)
         except InadmissibleAlphaError:
@@ -306,11 +328,15 @@ def cmd_generate(args) -> int:
     data = [q, numeric.values]
     try:
         model = closed_form_from_series(series)
+        with np.errstate(all="ignore"):  # c1/c2 overflows for a Wei Hua c2 near 5e-324
+            closed = model_superpotential(model, q)
+        if not np.isfinite([closed.min(), closed.max()]).all():  # inf * 0 there
+            raise TruncationError(
+                f"superpotential of {describe(model)} leaves float64 range on the grid")
     except AnhoscError as exc:
         header.append(f"# closed_form: unavailable ({exc})")
     else:
         header.append(f"# closed_form: {describe(model)}")
-        closed = model_superpotential(model, q)
         if series.form == FORM_CONSTANT:
             closed = closed + series.initial_value()
         max_dev = float(np.max(np.abs(numeric.values - closed)))

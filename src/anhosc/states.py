@@ -40,6 +40,7 @@ from .families import AdmissibilityBound, family_of
 from .models import (
     OscillatorModel,
     check_domain,
+    describe,
     kernel,
 )
 from .numerics import Grid, SampledFunction, divide_in_place, integrate_samples, make_grid
@@ -317,6 +318,12 @@ def _overflow(alpha: complex | None) -> str:
     return _OVERFLOW
 
 
+def auto_grid_overflow(model: OscillatorModel) -> TruncationError:
+    """The refusal of a model float64 cannot hold on its automatic grid, by name."""
+    return TruncationError(
+        f"superpotential of {describe(model)} leaves float64 range on its automatic grid")
+
+
 def grid_fields(model: OscillatorModel, grid: Grid) -> GridFields:
     """Evaluate q, x, x' and log psi0 once on a grid inside the open domain,
     in one kernel call: one exponential per point for all three.
@@ -535,8 +542,9 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
     Raises TruncationError when the peak is not a finite float (Re(alpha) at
     its admissibility bound to float64 precision) or lies inside the pole
     offset (Re(alpha) too negative), when the state overflows float64 at its
-    peak (or x' underflows to zero or overflows there), or when a tail leaves
-    float64 range before it decays.
+    peak (or x' underflows to zero there), or when a tail leaves float64
+    range before it decays; raises auto_grid_overflow(model) when x'
+    overflows at the peak.
     """
     alpha = complex(alpha)
     require_admissible(model, alpha)
@@ -548,8 +556,9 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
     with np.errstate(all="ignore"):
         # log psi0 and x' at the peak from one kernel call on np.float64.
         _, xp, log_psi0 = kernel(model)(np.float64(q_peak), x=False, xp=True, log_psi0=True)
-        # x' is -0.0 at the peak of a gkf model with a tiny c0, -inf at a subnormal Wei Hua c2
-        if not -math.inf < xp < 0.0:
+        if xp == -math.inf:  # c1^2/c2 overflows for a Wei Hua c2 near 5e-324
+            raise auto_grid_overflow(model)
+        if not xp < 0.0:  # -0.0 at the peak of a gkf model with a tiny c0
             raise TruncationError(_OVERFLOW)
         log_mass = 2.0 * (float(log_psi0) + t * q_peak) + 0.5 * math.log(math.pi / -float(xp))
         if not math.isfinite(log_mass):

@@ -255,15 +255,17 @@ def verify_coherent(
     eig = l2_norm_of(grid, residual, scratch=real) / norm
 
     # Position-like observables multiply by x, x^2 or x'; p and p^2 act as
-    # -i d/dq and -d^2/dq^2 on the same samples. Each product is formed in
+    # -i d/dq and -d^2/dq^2, whose -i and -1 scale the moments exactly.
+    # conj(psi) stays the first operand: numpy fuses the imaginary part of a
+    # complex product, so the order sets its bits. Each product is formed in
     # an array no longer needed: the residual's, then the second derivative's.
     conj_psi = np.conj(psi, out=work)
     work = residual
     ex = _moment(grid, conj_psi, np.multiply(x, psi, out=work), work)
     ex2 = _moment(grid, conj_psi, np.multiply(np.square(x, out=real), psi, out=work), work)
-    ep = _moment(grid, conj_psi, np.multiply(-1j, d1, out=work), work)
+    ep = -1j * _moment(grid, conj_psi, d1, work)
     d2 = differentiate_samples(grid, psi, 2, out=d1, scratch=work)
-    ep2 = _moment(grid, conj_psi, np.negative(d2, out=d2), d2)
+    ep2 = -_moment(grid, conj_psi, d2, d2)
     # x' psi is -[A, A^dagger] psi bit for bit: negation is exact.
     exp_prime = _moment(grid, conj_psi, np.multiply(fields.xp, psi, out=d2), d2)
 

@@ -570,6 +570,30 @@ class TestParametersAtFloat64Limits:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c2", ["1e-300", "5e-324"])
+    @pytest.mark.parametrize("command", [
+        ["construct", "--out", "t.csv"],
+        ["coherent", "--alpha", "0.1", "--out", "t.csv", "--report", "r.txt"],
+        ["verify", "--alphas", "0,0.1", "--report", "r.txt"],
+    ], ids=lambda command: command[0])
+    def test_an_automatic_grid_float64_cannot_hold_names_the_model(
+            self, tmp_path, capsys, monkeypatch, c2, command):
+        # c1/c2 and c1^2/c2 scale x and x' at the pole offset (1e-300) or
+        # overflow outright (5e-324): no grid was given, so none is to narrow.
+        monkeypatch.chdir(tmp_path)
+        assert run(*command, "--family", "weihua", "--param", "c0=0.5", "--param", "c1=0.5",
+                   "--param", f"c2={c2}") == 2
+        assert capsys.readouterr().err == (
+            f"error: superpotential of wei_hua(c0=0.5, c1=0.5, c2={c2}) leaves float64 range "
+            "on its automatic grid\n")
+        assert list(tmp_path.iterdir()) == []
+        # An explicit grid keeps its own advice.
+        assert run(*command, "--family", "weihua", "--param", "c0=0.5", "--param", "c1=0.5",
+                   "--param", f"c2={c2}", "--qmin=-1378", "--qmax=10") == 2
+        assert capsys.readouterr().err == (
+            "error: superpotential overflows float64 on the grid; narrow the grid\n")
+
+    @pytest.mark.filterwarnings("error")
     def test_generate_names_a_closed_form_it_cannot_build(self, tmp_path):
         out = tmp_path / "g.csv"
         assert run("generate", "--form", "squared_linear", "--param", "c0=0.5",
@@ -578,6 +602,19 @@ class TestParametersAtFloat64Limits:
         assert out.read_text().splitlines()[3] == (
             "# closed_form: unavailable (derived constants of "
             "make_generalized_kratzer_fues(0.5, 1e-200) leave float64 range)")
+
+    @pytest.mark.filterwarnings("error")
+    def test_generate_names_a_closed_form_float64_cannot_evaluate(self, tmp_path):
+        # c1/c2 overflows for this c2: the closed form is inf * 0 = NaN on the grid.
+        out = tmp_path / "g.csv"
+        assert run("generate", "--form", "parabolic", "--param=c0=0", "--param=c1=1.25",
+                   "--param=c2=5e-324", "--param=x0=1", "--qmax=1", "--n", "5",
+                   "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert lines[3] == (
+            "# closed_form: unavailable (superpotential of wei_hua(c0=0.0, c1=1.25, "
+            "c2=5e-324) leaves float64 range on the grid)")
+        assert lines[4] == "q,x_numeric"
 
     @pytest.mark.filterwarnings("error")
     def test_construct_refuses_a_potential_column_float64_cannot_hold(self, tmp_path, capsys):
@@ -665,8 +702,64 @@ class TestOutputs:
         assert run("construct", "--family", "harmonic", "--n", "101", "--out", str(table)) == 0
         assert table.read_bytes() == expected
 
+    @pytest.mark.parametrize("first_n", ["101", "201"], ids=["same", "longer"])
+    def test_a_rewritten_table_holds_exactly_the_new_bytes(self, tmp_path, first_n):
+        # Rewritten in place over the old bytes, then cut to the new length.
+        table = tmp_path / "t.csv"
+        assert run("construct", "--family", "harmonic", "--n", "101", "--out", str(table)) == 0
+        expected = table.read_bytes()
+        assert run("construct", "--family", "harmonic", "--n", first_n, "--out", str(table)) == 0
+        assert run("construct", "--family", "harmonic", "--n", "101", "--out", str(table)) == 0
+        assert table.read_bytes() == expected
+
+    def test_a_failed_write_leaves_no_tail_of_the_old_bytes(self, tmp_path, capsys, monkeypatch):
+        # The table is cut where its write failed; the plot script and the
+        # report, which this run created, are removed.
+        written, table_body = [], cli.table_body
+
+        def failing_body(columns):
+            written.append(next(table_body(columns)))
+            yield written[0]
+            raise OSError("disk gone")
+
+        table = tmp_path / "t.csv"
+        table.write_bytes(b"old table\n" * 100_000)
+        monkeypatch.setattr(cli, "table_body", failing_body)
+        assert run("coherent", "--family", "harmonic", "--alpha", "0.1", "--emit", "plotscript",
+                   "--out", str(table), "--report", str(tmp_path / "r.txt")) == 2
+        assert capsys.readouterr().err == "error: disk gone\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        text = table.read_bytes()
+        assert text.endswith(written[0]) and b"old table" not in text
+        assert text.startswith(b"# anhosc coherent\n")
+        assert text.count(b"\n") == 7 + written[0].count(b"\n")  # header, columns, one block
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_device_refuses_the_run_and_leaves_no_report(self, tmp_path, capsys):
+        assert run("coherent", "--family", "harmonic", "--alpha", "0.1", "--out", "/dev/full",
+                   "--report", str(tmp_path / "r.txt")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 28] ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out, report, emit", [
+        ("same.txt", "same.txt", "csv"),
+        ("same.txt", "./same.txt", "csv"),
+        ("t.csv", "t.csv.gp", "plotscript"),
+    ])
+    def test_colliding_outputs_are_refused(self, tmp_path, capsys, monkeypatch, out, report, emit):
+        # One output would overwrite the other (the outputs are keyed by path).
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "same.txt").write_bytes(b"earlier\n")
+        assert run("coherent", "--family", "harmonic", "--alpha", "0.1", "--emit", emit,
+                   "--out", out, "--report", report) == 2
+        assert capsys.readouterr().err == (
+            f"error: --report {report!r} names an output of --out {out!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["same.txt"]
+        assert (tmp_path / "same.txt").read_bytes() == b"earlier\n"
+
     def test_a_device_is_written_too(self):
-        # Only a regular file is emptied before it is written.
+        # Only a regular file is cut to the length written.
         assert run("construct", "--family", "harmonic", "--n", "101", "--out", os.devnull) == 0
 
 

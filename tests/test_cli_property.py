@@ -1,10 +1,11 @@
 """Property tests of construct, coherent and verify on explicit grids and
-on automatic ones.
+on automatic ones, and of generate.
 
 Whatever the family, parameters, alphas and grid, main() returns 0, 1 or 2,
 raises nothing and lets no numpy warning out. Exit 2 prints exactly one
 "error:" line and writes no file; exit 0 or 1 of coherent and verify writes
-a report whose "result:" lines agree with the exit code.
+a report whose "result:" lines agree with the exit code. generate returns 0
+or 2 under the same contract, and may warn only ExpansionRangeWarning.
 
 The draws lean toward wide grids and grids far out in a tail, where x, x' or
 the state leave float64 range. The parameter names come from the Family
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from anhosc.cli import main
 from anhosc.families import FAMILIES
+from anhosc.generator import FORMS, ExpansionRangeWarning, GeneratingSeries
 
 #: The default budget, or the "cli-large" profile of conftest.py when loaded.
 _BUDGET = (settings() if settings.get_current_profile_name() == "cli-large"
@@ -84,13 +86,13 @@ def _argvs(draw, explicit: bool = True) -> list[str]:
     return argv
 
 
-def _run(argv: list[str]) -> tuple[int, str, list[str], dict[str, str]]:
-    """(exit code, stderr, warnings raised, output files by name) of one
-    in-process call, with its outputs in a new directory."""
+def _run(argv: list[str]) -> tuple[int, str, list[tuple[type, str]], dict[str, str]]:
+    """(exit code, stderr, (category, message) of each warning raised, output
+    files by name) of one in-process call, with its outputs in a new directory."""
     with tempfile.TemporaryDirectory() as out:
         if argv[0] != "verify":
             argv = [*argv, "--out", os.path.join(out, "t.csv")]
-        if argv[0] != "construct":
+        if argv[0] in ("coherent", "verify"):
             argv = [*argv, "--report", os.path.join(out, "r.txt")]
         stderr = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
@@ -101,7 +103,7 @@ def _run(argv: list[str]) -> tuple[int, str, list[str], dict[str, str]]:
         for name in os.listdir(out):
             with open(os.path.join(out, name), encoding="utf-8") as handle:
                 files[name] = handle.read()
-    return code, stderr.getvalue(), [str(w.message) for w in caught], files
+    return code, stderr.getvalue(), [(w.category, str(w.message)) for w in caught], files
 
 
 # The four classes of grid float64 cannot hold the superpotential on: x^2
@@ -121,9 +123,14 @@ def test_explicit_grid_runs_are_clean(argv):
 
 
 # A subnormal Wei Hua c2 overflows c1/c2, so x' = -inf at the peak (a
-# traceback from auto_grid's Laplace mass estimate before).
+# traceback from auto_grid's Laplace mass estimate before); at c2 = 1e-300,
+# x and x' overflow their squares at the pole offset of the grid.
 @example(["construct", "--family", "weihua", "--param", "c0=0.5", "--param", "c1=0.5",
           "--param", "c2=5e-324"])
+@example(["construct", "--family", "weihua", "--param", "c0=0.5", "--param", "c1=0.5",
+          "--param", "c2=1e-300"])
+@example(["verify", "--family", "weihua", "--param", "c0=0.5", "--param", "c1=0.5",
+          "--param", "c2=1e-300", "--alphas", "0,0.1"])
 @_BUDGET
 @given(_argvs(explicit=False))
 def test_auto_grid_runs_are_clean(argv):
@@ -148,3 +155,43 @@ def _assert_clean(argv: list[str]) -> None:
     assert all(line.startswith(("result: pass", "result: skipped")) or line in failed
                for line in results)
     assert code == (1 if failed else 0)
+
+
+#: The --param names of generate: GeneratingSeries' fields after form.
+_SERIES_FIELDS = [name for name in GeneratingSeries.__dataclass_fields__ if name != "form"]
+
+#: Series values: ordinary ones, and float64's extremes and NaN.
+_SERIES_VALUES = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, 0.5, 1.0, -1.0, 1e300, -1e300,
+                     math.nan]),
+)
+
+
+@st.composite
+def _generate_argvs(draw) -> list[str]:
+    """generate with any form, a random subset of the series fields, and a
+    --qmax and --n that reach float64's range and the table's limits."""
+    argv = ["generate", "--form", draw(st.sampled_from(FORMS))]
+    for name in draw(st.lists(st.sampled_from(_SERIES_FIELDS), unique=True)):
+        argv.append(f"--param={name}={draw(_SERIES_VALUES)!r}")
+    q_max = draw(st.one_of(st.floats(0.1, 20.0),
+                           st.floats(-1.0, 300.0).map(lambda e: 10.0 ** e)))
+    return [*argv, f"--qmax={q_max!r}", "--n", str(draw(st.integers(2, 5001)))]
+
+
+# c1/c2 overflows in the closed form (numpy's invalid-value warning before).
+@example(["generate", "--form", "parabolic", "--param=c2=5e-324", "--param=c0=0.0",
+          "--param=c1=1.25", "--param=x0=1.0", "--qmax=1.0", "--n", "5"])
+@_BUDGET
+@given(_generate_argvs())
+def test_generate_runs_are_clean(argv):
+    code, stderr, caught, files = _run(argv)
+    assert code in (0, 2)
+    assert all(category is ExpansionRangeWarning for category, _ in caught), caught
+    if code == 2:
+        assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+        assert files == {}
+    else:
+        assert "error:" not in stderr
+        assert list(files) == ["t.csv"]
