@@ -14,13 +14,11 @@ from .errors import (
     UnsupportedFormError,
 )
 from .families import (
-    PhysicalMorseParams,
     make_generalized_kratzer_fues,
     make_generalized_morse,
     make_harmonic,
     make_kratzer_fues,
     make_wei_hua,
-    morse_dimensionless_from_physical,
 )
 from .fit import (
     ExpansionParams,

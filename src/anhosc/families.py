@@ -1,5 +1,4 @@
-"""The five oscillator families, one record each, plus the
-physical-to-dimensionless parameter map for the Morse oscillator.
+"""The five oscillator families, one record each.
 
 Each family differs from the others only in its superpotential x(q) and the
 constants derived from it. Everything family-specific lives here: the
@@ -407,29 +406,3 @@ def family_of(model: OscillatorModel) -> Family:
     """The record of the model's family."""
     return FAMILIES[model.family]
 
-
-@dataclass(frozen=True)
-class PhysicalMorseParams:
-    """Physical Morse parameters in any consistent unit system."""
-
-    d_e: float    # dissociation energy
-    a: float      # range parameter (inverse length)
-    m: float      # reduced mass
-    hbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("d_e", "a", "m", "hbar"):
-            if not (0.0 < getattr(self, name) < math.inf):
-                raise InvalidParameterError(f"{name} must be positive and finite")
-
-
-def morse_dimensionless_from_physical(p: PhysicalMorseParams) -> tuple[float, float]:
-    """Map physical Morse parameters to (x_e, omega_e).
-
-    omega_e = a sqrt(2 D_e / m) is the vibrational frequency and
-    x_e = hbar omega_e / (4 D_e) the anharmonicity constant. Downstream
-    construction with s = 1 additionally needs x_e < 1.
-    """
-    omega_e = p.a * math.sqrt(2.0 * p.d_e / p.m)
-    x_e = p.hbar * omega_e / (4.0 * p.d_e)
-    return x_e, omega_e

@@ -172,6 +172,10 @@ def _default_init(r: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
     return np.array([m0, c0, *([0.0] * order)], dtype=float)
 
 
+# Samples far apart in scale overflow the start, the residuals and the normal
+# equations; every step is tested finite before it is taken, and a start
+# that is not is refused.
+@np.errstate(all="ignore")
 def fit_expansion(
     data: Sequence[PotentialSample], order: int = 0, init: ExpansionParams | None = None
 ) -> FitResult:
@@ -182,7 +186,8 @@ def fit_expansion(
     decreased after success, so accepted steps never increase the rss.
     Converged means the relative rss change or the step norm fell below 1e-12
     within 500 iterations. The data fix only m = r_e(s+1): s stays at
-    init.s (0.0 without init) and r_e = m/(s+1).
+    init.s (0.0 without init) and r_e = m/(s+1). InvalidParameterError when
+    the residual sum of squares at the start leaves float64 range.
     """
     if order < 0:
         raise InvalidParameterError(f"order must be >= 0, got {order}")
@@ -206,6 +211,9 @@ def fit_expansion(
 
     res = _eval_raw(theta, r) - v
     rss = float(res @ res)
+    if not math.isfinite(rss):
+        raise InvalidParameterError(
+            "residual sum of squares at the starting point leaves float64 range")
     lam = 1e-3
     iterations = 0
     converged = False

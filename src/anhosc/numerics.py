@@ -115,8 +115,8 @@ def _product_is_quotient(parts: np.ndarray, r: float) -> bool:
             and int(np.minimum.reduce(parts.view(np.int64))) != _NEGATIVE_ZERO)
 
 
-def divide_in_place(values: np.ndarray, c: float, *, complex_rounding: bool = False) -> np.ndarray:
-    """values /= c for a positive float c, with the bits of np.divide.
+def divide_in_place(values: np.ndarray, c: float) -> np.ndarray:
+    """values /= c for a positive float c, rounded as numpy's complex division.
 
     numpy divides a complex re + i im by a real c as ((re + im 0) (1/c),
     (im - re 0) (1/c)), Smith's algorithm (R. L. Smith, CACM 5 (1962) 435)
@@ -124,16 +124,15 @@ def divide_in_place(values: np.ndarray, c: float, *, complex_rounding: bool = Fa
     unless a part is -0.0 (-0.0 + 0.0 is +0.0) or not finite (inf 0 is NaN),
     so a complex array is scaled through its float64 view, and divided only
     when it holds such a part or a product would overflow. A real array is
-    divided; with complex_rounding it is scaled by 1/c instead, as the real
-    part of its complex cast would be: the same bits up to the sign of a zero.
+    scaled by 1/c: the real part of its complex quotient up to the sign of a
+    zero.
     """
-    if values.dtype.kind == "c":
-        parts = values.view(np.float64)
-        if c > 0.0 and _product_is_quotient(parts, 1.0 / c):
-            np.multiply(parts, 1.0 / c, out=parts)
-            return values
-    elif complex_rounding and c > 0.0:
+    if values.dtype.kind != "c":
         return np.multiply(values, 1.0 / c, out=values)
+    parts = values.view(np.float64)
+    if c > 0.0 and _product_is_quotient(parts, 1.0 / c):
+        np.multiply(parts, 1.0 / c, out=parts)
+        return values
     return np.divide(values, c, out=values)
 
 
@@ -144,7 +143,6 @@ def differentiate_samples(
     *,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
-    _complex_rounding: bool = False,
 ) -> np.ndarray:
     """First or second derivative of real or complex samples by five-point
     stencils, central in the interior and one-sided at the two points next
@@ -155,10 +153,10 @@ def differentiate_samples(
 
     The bits are the written-out stencils' divided by 12 h or 12 h^2: the
     interior is accumulated in place with one scratch array, in the
-    expression's operation order, then divided with divide_in_place.
-    _complex_rounding scales real samples as that divides the real part of
-    their complex cast. out (the result) and scratch are arrays of the
-    samples' shape and dtype, neither of them values, to write into.
+    expression's operation order, then divided with divide_in_place, so real
+    samples round as the real part of their complex cast. out (the result)
+    and scratch are arrays of the samples' shape and dtype, neither of them
+    values, to write into.
     """
     if order not in (1, 2):
         raise InvalidParameterError(f"derivative order must be 1 or 2, got {order}")
@@ -191,7 +189,7 @@ def differentiate_samples(
         d[-2] = 11.0 * y[-1] - 20.0 * y[-2] + 6.0 * y[-3] + 4.0 * y[-4] - y[-5]
         d[-1] = 35.0 * y[-1] - 104.0 * y[-2] + 114.0 * y[-3] - 56.0 * y[-4] + 11.0 * y[-5]
         divisor = 12.0 * h * h
-    return divide_in_place(d, divisor, complex_rounding=_complex_rounding)
+    return divide_in_place(d, divisor)
 
 
 def solve_first_order_ode(

@@ -235,13 +235,9 @@ class GridFields:
             _require_im_alpha_within(complex(alpha), self.grid)
         with np.errstate(over="ignore"):
             values = _state_values(self.log_psi0, self.q, alpha)
-        try:
-            return SampledFunction(self.grid, values)
-        except InvalidParameterError:
-            # SampledFunction refused non-finite samples; name the overflow.
-            if np.isfinite(values).all():
-                raise
-            raise TruncationError(_overflow(alpha)) from None
+        if not np.isfinite(values).all():
+            raise TruncationError(_overflow(alpha))
+        return SampledFunction(self.grid, values)
 
     def normalized(
         self, alpha: complex | None = None, *, workspace: Workspace | None = None
@@ -286,8 +282,12 @@ class GridFields:
         norm = math.sqrt(mass)
         # The samples are the workspace's: scale them in place. They stay
         # finite, since every Simpson weight is at least h/3: mass >= (h/3)
-        # peak^2, so |psi|/norm <= sqrt(3/h).
-        divide_in_place(values, norm)
+        # peak^2, so |psi|/norm <= sqrt(3/h). psi0 keeps np.divide's bits, which
+        # verify_model's report is pinned to.
+        if alpha is None:
+            np.divide(values, norm, out=values)
+        else:
+            divide_in_place(values, norm)
         return SampledFunction(self.grid, values), norm
 
 
@@ -353,13 +353,12 @@ def ladder_values(
     which: str,
     *,
     out: np.ndarray | None = None,
-    _complex_rounding: bool = False,
 ) -> np.ndarray:
     """Annihilation (psi' - x psi)/sqrt(2) or creation (-psi' - x psi)/sqrt(2)
     from samples of psi' and of x psi on one grid, computed in place in out,
     which may be dpsi, or in the one array allocated; either rounds exactly
-    as the written-out expression. _complex_rounding divides real samples as
-    numpy divides the real part of their complex cast (divide_in_place)."""
+    as the written-out expression, real samples as the real part of their
+    complex cast (divide_in_place)."""
     if which == ANNIHILATION:
         out = np.subtract(dpsi, x_psi, out=out)
     elif which == CREATION:
@@ -369,7 +368,7 @@ def ladder_values(
         np.subtract(np.negative(dpsi, out=out), x_psi, out=out)
     else:
         raise InvalidParameterError(f"unknown ladder operator {which!r}")
-    return divide_in_place(out, SQRT2, complex_rounding=_complex_rounding)
+    return divide_in_place(out, SQRT2)
 
 
 def l2_norm_of(grid: Grid, values: np.ndarray, *, scratch: np.ndarray | None = None) -> float:
@@ -542,9 +541,9 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
     Raises TruncationError when the peak is not a finite float (Re(alpha) at
     its admissibility bound to float64 precision) or lies inside the pole
     offset (Re(alpha) too negative), when the state overflows float64 at its
-    peak (or x' underflows to zero there), or when a tail leaves float64
-    range before it decays; raises auto_grid_overflow(model) when x'
-    overflows at the peak.
+    peak, or when a tail leaves float64 range before it decays; raises
+    auto_grid_overflow(model) when x' at the peak overflows or underflows
+    to zero.
     """
     alpha = complex(alpha)
     require_admissible(model, alpha)
@@ -556,10 +555,10 @@ def auto_grid(model: OscillatorModel, alpha: complex = 0.0, n: int = 4001) -> Gr
     with np.errstate(all="ignore"):
         # log psi0 and x' at the peak from one kernel call on np.float64.
         _, xp, log_psi0 = kernel(model)(np.float64(q_peak), x=False, xp=True, log_psi0=True)
-        if xp == -math.inf:  # c1^2/c2 overflows for a Wei Hua c2 near 5e-324
+        # -inf where c1^2/c2 overflows for a Wei Hua c2 near 5e-324, -0.0 at
+        # the peak of a gkf model with a tiny c0.
+        if not -math.inf < xp < 0.0:
             raise auto_grid_overflow(model)
-        if not xp < 0.0:  # -0.0 at the peak of a gkf model with a tiny c0
-            raise TruncationError(_OVERFLOW)
         log_mass = 2.0 * (float(log_psi0) + t * q_peak) + 0.5 * math.log(math.pi / -float(xp))
         if not math.isfinite(log_mass):
             raise TruncationError(_OVERFLOW)

@@ -145,9 +145,7 @@ def verify_model(
     applications. The closed-form potential is evaluated once.
 
     psi0, the probe and its ladder images have zero imaginary parts, so they
-    are float64 here, and each quotient is rounded as numpy rounds the real
-    part of the complex one (the _complex_rounding of the stencils and the
-    ladder). Only their magnitudes reach the report, so it keeps its bits.
+    are float64 here.
     """
     tol = tolerances or Tolerances()
     fields = _fields_for(model, grid, fields)
@@ -156,18 +154,13 @@ def verify_model(
 
     riccati = float(np.max(np.abs(v - 0.5 * (x * x + xp))))
 
-    def derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
-        return differentiate_samples(grid, values, order, _complex_rounding=True)
-
-    def ladder(dpsi: np.ndarray, x_psi: np.ndarray, which: str) -> np.ndarray:
-        return ladder_values(dpsi, x_psi, which, _complex_rounding=True)
-
     # Normalization doubles as the truncation-sufficiency gate for the grid.
     psi0 = fields.normalized()[0].values
     norm0 = l2_norm_of(grid, psi0)
-    ann = l2_norm_of(grid, ladder(derivative(psi0), x * psi0, ANNIHILATION)) / norm0
+    ann = l2_norm_of(grid, ladder_values(differentiate_samples(grid, psi0), x * psi0,
+                                         ANNIHILATION)) / norm0
 
-    d2 = derivative(psi0, 2)
+    d2 = differentiate_samples(grid, psi0, 2)
     sch = l2_norm_of(grid, -0.5 * d2 + v * psi0) / norm0
     del d2, v, psi0
 
@@ -177,14 +170,14 @@ def verify_model(
     center = 0.5 * (grid.q_min + grid.q_max)
     sigma = (grid.q_max - grid.q_min) / 20.0
     phi = np.exp(-0.5 * ((q - center) / sigma) ** 2)
-    dphi = derivative(phi)
+    dphi = differentiate_samples(grid, phi)
     x_phi = x * phi
-    up = ladder(dphi, x_phi, CREATION)
-    down = ladder(dphi, x_phi, ANNIHILATION)
+    up = ladder_values(dphi, x_phi, CREATION)
+    down = ladder_values(dphi, x_phi, ANNIHILATION)
     del dphi, x_phi
-    a_adag = ladder(derivative(up), x * up, ANNIHILATION)
+    a_adag = ladder_values(differentiate_samples(grid, up), x * up, ANNIHILATION)
     del up
-    adag_a = ladder(derivative(down), x * down, CREATION)
+    adag_a = ladder_values(differentiate_samples(grid, down), x * down, CREATION)
     del down
     comm = l2_norm_of(grid, (a_adag - adag_a) + xp * phi) / l2_norm_of(grid, phi)
 

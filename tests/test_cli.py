@@ -234,14 +234,16 @@ class TestCoherent:
     def test_a_gkf_peak_whose_curvature_underflows_is_an_overflow(
             self, tmp_path, capsys, monkeypatch, c0, command):
         # x' at the peak underflows to -0.0: refused as at c0 = 1e-154, where
-        # it ended in a ZeroDivisionError traceback and exit 1.
+        # it ended in a ZeroDivisionError traceback and exit 1, and by the
+        # model's name, since construct takes no alpha to reduce.
         monkeypatch.chdir(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = run(*command, "--family", "gkf", "--param", f"c0={c0}", "--param", "c1=0.5")
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: state overflows float64 on the grid; reduce |Re(alpha)|\n"
+            f"error: superpotential of generalized_kratzer_fues(c0={c0}, c1=0.5) "
+            "leaves float64 range on its automatic grid\n"
         )
         assert list(tmp_path.iterdir()) == []
 

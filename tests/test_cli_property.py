@@ -1,11 +1,13 @@
 """Property tests of construct, coherent and verify on explicit grids and
-on automatic ones, and of generate.
+on automatic ones, and of generate and fit.
 
 Whatever the family, parameters, alphas and grid, main() returns 0, 1 or 2,
 raises nothing and lets no numpy warning out. Exit 2 prints exactly one
 "error:" line and writes no file; exit 0 or 1 of coherent and verify writes
 a report whose "result:" lines agree with the exit code. generate returns 0
-or 2 under the same contract, and may warn only ExpansionRangeWarning.
+or 2 under the same contract, and may warn only ExpansionRangeWarning. fit
+keeps the same contract on any sample file, and prints nothing on exit 0
+or 1.
 
 The draws lean toward wide grids and grids far out in a tail, where x, x' or
 the state leave float64 range. The parameter names come from the Family
@@ -194,4 +196,50 @@ def test_generate_runs_are_clean(argv):
         assert files == {}
     else:
         assert "error:" not in stderr
+        assert list(files) == ["t.csv"]
+
+
+#: r and v: ordinary values, float64's extremes and signed zeros.
+_SAMPLE_R = st.one_of(st.floats(0.1, 10.0),
+                      st.sampled_from([5e-324, 1e-300, 1e150, 1e300, 1.7e308]))
+_SAMPLE_V = st.one_of(st.floats(-3.0, 3.0),
+                      st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e150, 1e300, 1.7e308,
+                                       -1e300, -1.7e308]))
+
+#: Lines the reader skips or refuses: comments, blanks, non-finite or
+#: non-positive r, non-finite v and malformed rows.
+_ODD_LINES = st.sampled_from(["# r,v", "", "nan,1", "1,inf", "-inf,1", "0,1", "-0.0,1",
+                              "-2,1", "1,2,3", "1", "r,v", "1;2", " 2 , 3 "])
+
+
+@st.composite
+def _sample_files(draw) -> str:
+    """0-12 rows of r,v; in about a quarter of the files, one odd line."""
+    lines = [f"{r!r},{v!r}" for r, v in draw(st.lists(st.tuples(_SAMPLE_R, _SAMPLE_V),
+                                                        max_size=12))]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINES))
+    return "\n".join(lines) + "\n"
+
+
+# An r near float64's smallest normal and r near its largest: numpy's overflow
+# and invalid-value warnings from the residuals, the normal equations and the
+# start before.
+@example("1e-300,1\n2,0.5\n3,0.8\n", 0)
+@example("1e300,1\n1e308,2\n1,0\n", 0)
+@_BUDGET
+@given(_sample_files(), st.integers(0, 3))
+def test_fit_runs_are_clean(text, order):
+    with tempfile.TemporaryDirectory() as data_dir:
+        data = os.path.join(data_dir, "samples.csv")
+        with open(data, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, stderr, caught, files = _run(["fit", "--data", data, f"--order={order}"])
+    assert code in (0, 1, 2)
+    assert caught == []
+    if code == 2:
+        assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+        assert files == {}
+    else:
+        assert stderr == ""
         assert list(files) == ["t.csv"]

@@ -1,6 +1,6 @@
-"""Constructor validation, derived constants, physical parameter map, the
-reduction identities between generalized and standard families, and the
-family records: envelopes and CLI spellings."""
+"""Constructor validation, derived constants, the reduction identities
+between generalized and standard families, and the family records:
+envelopes and CLI spellings."""
 
 import math
 from dataclasses import replace
@@ -17,13 +17,11 @@ from anhosc.families import (
     HARMONIC,
     KRATZER_FUES,
     WEI_HUA,
-    PhysicalMorseParams,
     make_generalized_kratzer_fues,
     make_generalized_morse,
     make_harmonic,
     make_kratzer_fues,
     make_wei_hua,
-    morse_dimensionless_from_physical,
 )
 from anhosc.models import (
     closed_form_potential,
@@ -176,31 +174,6 @@ class TestKratzerFamilies:
     def test_rejects_nonpositive_c0(self):
         with pytest.raises(InvalidParameterError):
             make_generalized_kratzer_fues(0.0, 0.5)
-
-
-class TestPhysicalMorseMap:
-    def test_examples(self):
-        x_e, omega_e = morse_dimensionless_from_physical(
-            PhysicalMorseParams(d_e=8.0, a=1.0, m=1.0, hbar=1.0)
-        )
-        assert abs(omega_e - 4.0) < 1e-15
-        assert abs(x_e - 0.125) < 1e-15
-        x_e, omega_e = morse_dimensionless_from_physical(
-            PhysicalMorseParams(d_e=8.0, a=2.0, m=1.0, hbar=1.0)
-        )
-        assert abs(omega_e - 8.0) < 1e-15
-        assert abs(x_e - 0.25) < 1e-15
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidParameterError):
-            PhysicalMorseParams(d_e=0.0, a=1.0, m=1.0)
-
-    @pytest.mark.parametrize("name", ["d_e", "a", "m", "hbar"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite(self, name, value):
-        valid = dict(d_e=8.0, a=1.0, m=1.0, hbar=1.0)
-        with pytest.raises(InvalidParameterError, match=f"^{name} must be positive and finite$"):
-            PhysicalMorseParams(**{**valid, name: value})
 
 
 #: Each constructor with valid arguments, by parameter name.

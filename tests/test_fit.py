@@ -216,6 +216,23 @@ class TestFitValidation:
         with pytest.raises(UnderdeterminedError):
             fit_expansion(data, order=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_start_whose_residuals_leave_float64_is_refused(self):
+        # At r = 1e-300, u = (r - m)/r is near -1e300 for any start m near 1:
+        # u^2 overflows (numpy's overflow warnings and a capped damping before).
+        data = [PotentialSample(1e-300, 1.0), PotentialSample(2.0, 0.5),
+                PotentialSample(3.0, 0.8)]
+        with pytest.raises(InvalidParameterError, match="^residual sum of squares at the "
+                           "starting point leaves float64 range$"):
+            fit_expansion(data, order=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_candidates_beyond_float64_are_rejected_silently(self):
+        data = [PotentialSample(1e300, 1.0), PotentialSample(1e308, 2.0),
+                PotentialSample(1.0, 0.0)]
+        result = fit_expansion(data, order=0)
+        assert result.converged and np.isfinite(result.rss)
+
     def test_negative_order(self):
         with pytest.raises(InvalidParameterError):
             fit_expansion(make_samples(ExpansionParams(1.0, 0.0, 2.0), [1.0, 2.0, 3.0]), order=-1)

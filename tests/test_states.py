@@ -268,12 +268,19 @@ class TestLadderValues:
                                auto_grid(make_kratzer_fues(0.5), 0.1 + 0.2j))[1:],
     ], ids=["float", "complex", "harmonic-ground", "kratzer-coherent"])
     def test_bits_match_the_written_out_expressions(self, inputs):
+        # Real samples round as the real part of the complex expression: the
+        # same bits up to the sign of a zero.
         dpsi, x_psi = inputs()
-        for which, ref in ((ANNIHILATION, (dpsi - x_psi) / SQRT2),
-                           (CREATION, (-dpsi - x_psi) / SQRT2)):
+        for which, expression in ((ANNIHILATION, lambda d, xq: (d - xq) / SQRT2),
+                                  (CREATION, lambda d, xq: (-d - xq) / SQRT2)):
             got = ladder_values(dpsi, x_psi, which)
-            assert got.dtype == ref.dtype
-            assert got.tobytes() == ref.tobytes(), which
+            assert got.dtype == np.result_type(dpsi, x_psi)
+            if got.dtype.kind == "c":
+                assert got.tobytes() == expression(dpsi, x_psi).tobytes(), which
+                continue
+            ref = expression(np.asarray(dpsi, dtype=complex), np.asarray(x_psi, dtype=complex)).real
+            assert np.array_equal(got, ref)  # -0.0 == +0.0
+            assert np.abs(got).tobytes() == np.abs(ref).tobytes(), which
 
     @pytest.mark.parametrize("which", [ANNIHILATION, CREATION])
     def test_peak_memory_is_one_array(self, which):
@@ -853,14 +860,15 @@ def test_a_peak_beyond_float64_is_an_overflow(alpha):
 @pytest.mark.parametrize("c0", [1e-155, 1e-200, 1e-300])
 def test_a_peak_whose_curvature_underflows_is_an_overflow(c0):
     # x' at the gkf peak, near 2 c1 / c0, underflows to -0.0 and leaves no
-    # Laplace mass estimate (a ZeroDivisionError before); the refusal is the
-    # one c0 = 1e-154 gets from its overflowing mass.
+    # Laplace mass estimate (a ZeroDivisionError before); the refusal names
+    # the model, as for a Wei Hua x' that overflows there.
     m = make_generalized_kratzer_fues(c0, 0.5)
     with np.errstate(over="ignore"):
         assert kernel(m)(np.float64(states._peak(m, 0.0)), x=False, xp=True)[1] == 0.0
     with pytest.raises(TruncationError) as caught:
         auto_grid(m)
-    assert str(caught.value) == "state overflows float64 on the grid; reduce |Re(alpha)|"
+    assert str(caught.value) == (f"superpotential of generalized_kratzer_fues(c0={c0!r}, c1=0.5) "
+                                 "leaves float64 range on its automatic grid")
 
 
 def _points_per_bisection(monkeypatch, model, alpha):
