@@ -983,6 +983,31 @@ class TestFitCommand:
             assert run("fit", "--data", str(data), "--out", str(tmp_path / "f.txt")) == 2
         assert capsys.readouterr().err == f"error: {data}:2: {reason}\n"
 
+    def test_a_start_whose_residuals_leave_float64_is_refused_by_name(self, tmp_path, capsys):
+        # r = 1e-300 puts the starting residuals beyond float64; the run used
+        # to warn four times and then give up at the damping cap.
+        data = tmp_path / "tiny.csv"
+        data.write_text("1e-300,1\n2,0.5\n3,0.8\n")
+        out = tmp_path / "f.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("fit", "--data", str(data), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: residual sum of squares at the starting point leaves float64 range\n")
+        assert not out.exists()
+
+    def test_candidate_steps_beyond_float64_are_rejected_without_warnings(self, tmp_path, capsys):
+        # r near 1e308 overflows the trial steps' residuals, which used to
+        # leak "overflow encountered in multiply" from a fit that converges.
+        data = tmp_path / "huge.csv"
+        data.write_text("1e300,1\n1e308,2\n1,0\n")
+        out = tmp_path / "f.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("fit", "--data", str(data), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        assert "converged: true" in out.read_text()
+
     def test_missing_file(self, tmp_path):
         assert run("fit", "--data", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "f.txt")) == 2

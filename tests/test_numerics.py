@@ -420,6 +420,29 @@ class TestDivideInPlace:
             assert np.array_equal(got, as_part)  # -0.0 == +0.0
             assert np.abs(got).tobytes() == np.abs(as_part).tobytes()
 
+    @pytest.mark.parametrize("c", [5e-324, 1e-300, 0.7, 1e300, 1.7976931348623157e308])
+    def test_real_values_at_float64_limits_round_as_a_complex_real_part(self, c):
+        # Infinities, a NaN, subnormals, and quotients beyond float64 or
+        # below its smallest subnormal: 1/c itself is inf or subnormal at
+        # the two ends.
+        rng = np.random.default_rng(18)
+        y = _stencil_inputs(rng, 2001, float)
+        y[:4] = (math.inf, -math.inf, math.nan, 1.7976931348623157e308)
+        with np.errstate(all="ignore"):
+            as_part = np.divide(np.asarray(y, dtype=complex), c).real
+            got = divide_in_place(y.copy(), c)
+        assert np.array_equal(got, as_part, equal_nan=True)  # -0.0 == +0.0
+        assert np.abs(got).tobytes() == np.abs(as_part).tobytes()
+
+    @pytest.mark.parametrize("call", [
+        lambda: divide_in_place(np.ones(5), 3.0, complex_rounding=True),
+        lambda: differentiate_samples(make_grid(0.0, 1.0, 5), np.ones(5), 1, _complex_rounding=True),
+    ], ids=["divide_in_place", "differentiate_samples"])
+    def test_real_rounding_takes_no_keyword(self, call):
+        # One rule for real samples: the keyword that chose np.divide's bits is gone.
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call()
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_real_stencils_round_as_the_real_part_of_the_complex_ones(self, order):
         rng = np.random.default_rng([order, 18])

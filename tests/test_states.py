@@ -282,6 +282,29 @@ class TestLadderValues:
             assert np.array_equal(got, ref)  # -0.0 == +0.0
             assert np.abs(got).tobytes() == np.abs(ref).tobytes(), which
 
+    @pytest.mark.parametrize("model", [
+        make_harmonic(),
+        make_generalized_morse(1.0, 0.5),
+        make_wei_hua(0.2, 1.0, 0.5),
+        make_kratzer_fues(0.5),
+        make_generalized_kratzer_fues(0.75, 0.5),
+    ], ids=["harmonic", "morse", "weihua", "kratzer", "gkf"])
+    def test_a_real_ground_state_rounds_as_the_real_part_of_its_complex_cast(self, model):
+        grid = auto_grid(model)
+        _, dpsi, x_psi = _ladder_inputs(model, None, grid)
+        assert dpsi.dtype == x_psi.dtype == float
+        for which in (ANNIHILATION, CREATION):
+            got = ladder_values(dpsi, x_psi, which)
+            as_part = ladder_values(dpsi.astype(complex), x_psi.astype(complex), which).real
+            assert got.dtype == float
+            assert np.array_equal(got, as_part)  # -0.0 == +0.0
+            assert np.abs(got).tobytes() == np.abs(as_part).tobytes(), which
+
+    def test_real_rounding_takes_no_keyword(self):
+        # One rule for real samples: the keyword that chose np.divide's bits is gone.
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ladder_values(np.ones(5), np.ones(5), ANNIHILATION, _complex_rounding=True)
+
     @pytest.mark.parametrize("which", [ANNIHILATION, CREATION])
     def test_peak_memory_is_one_array(self, which):
         # Only the result is allocated; a temporary per operation would show
